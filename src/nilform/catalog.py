@@ -10,7 +10,6 @@ cochain engine from the outside.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb
 
 from .cdga import CDGA, hirsch_extend, tensor

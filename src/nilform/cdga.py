@@ -10,6 +10,7 @@ class coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
@@ -208,13 +209,21 @@ class CohomologyBasis:
             self._image.add(col)
         self._reps = Echelon(n)
         for z in cdga.differential_matrix(degree).kernel():
-            self._reps.add(self._image.reduce_fraction(z))
+            self._reps.add(self._image.reduce(z)[0])
         self.representatives = tuple(
             alg.from_coordinates(
                 degree, [Fraction(row.get(j, 0)) for j in range(n)]
             )
             for row in self._reps.rows
         )
+
+    @cached_property
+    def _classes(self) -> Echelon:
+        """The representatives as tracked rows: coefficients are class coordinates."""
+        classes = Echelon(self.cdga.algebra.dim(self.degree), track=True)
+        for row in self._reps.rows:
+            classes.add(row)
+        return classes
 
     @property
     def dim(self) -> int:
@@ -228,19 +237,9 @@ class CohomologyBasis:
             return [Fraction(0)] * self.dim
         if v.degree != self.degree:
             raise DegreeError(f"expected degree {self.degree}, got {v.degree}")
-        w = self._image.reduce_fraction(dict_coords(self.cdga.algebra, v, self.degree))
-        coeffs = []
-        for pivot, row in zip(self._reps.pivots, self._reps.rows):
-            c = w.get(pivot, Fraction(0)) / row[pivot]
-            coeffs.append(c)
-            if c:
-                for j, bv in row.items():
-                    cur = w.get(j, Fraction(0)) - c * bv
-                    if cur:
-                        w[j] = cur
-                    else:
-                        w.pop(j, None)
-        if w:
+        w = self._image.reduce(dict_coords(self.cdga.algebra, v, self.degree))[0]
+        residual, coeffs = self._classes.reduce(w)
+        if residual:
             raise RuntimeError("reduction did not terminate on a cocycle")
         return coeffs
 

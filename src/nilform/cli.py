@@ -438,14 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:  # pragma: no cover - subclass above
-        sys.stderr.write(f"error: invalid JSON: {exc}\n")
         return EXIT_INPUT
 
 

@@ -19,14 +19,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cdga import CDGA, dict_coords, hirsch_extend
-from .gca import Algebra, Generator, Monomial, Multivector
-from .linalg import Span, SparseMatrix, Vec, intersect_spans
+from .gca import Algebra, Generator, Multivector
+from .linalg import Echelon, Span, SparseMatrix, Vec, intersect_spans
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     CutoffError,
     GenerationVerdict,
     RingElement,
     RingPresentation,
+    class_symbol_algebra,
     from_cdga,
     generated_in_degree_one_upto,
 )
@@ -94,6 +95,8 @@ class FormalityReport:
         self._verdicts = [INCONCLUSIVE] * (k_max + 1)
         self.evidence: list[Evidence] = []
         self.overall = INCONCLUSIVE
+        # set when a search bound or the tower's stage cap cut a rule short
+        self.bound_exceeded = False
 
     def verdict(self, k: int) -> str:
         if not 0 <= k <= self.k_max:
@@ -468,18 +471,6 @@ class _CdgaTarget:
     def unit(self):
         return self.alg.one()
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def equal(self, a, b):
-        return (a - b).is_zero()
-
     def check_max(self, q: int) -> None:
         pass
 
@@ -554,9 +545,6 @@ class _CdgaTarget:
     def gen_key(self, name: str):
         return (self.alg.index_of(name),)
 
-    def describe(self) -> str:
-        return f"CDGA on {len(self.alg.generators)} generators"
-
 
 class _RingTarget:
     """A cohomology ring with zero differential as a chain-map target."""
@@ -571,18 +559,6 @@ class _RingTarget:
 
     def unit(self):
         return self.ring.unit()
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def equal(self, a, b):
-        return (a - b).is_zero()
 
     def check_max(self, q: int) -> None:
         if q > self.ring.max_degree:
@@ -651,9 +627,6 @@ class _RingTarget:
                 return (1, i)
         raise ValueError(f"no degree-1 class labeled {name!r}")
 
-    def describe(self) -> str:
-        return f"ring with Betti numbers {self.ring.dims()}"
-
 
 def _wrap_target(target):
     if isinstance(target, CDGA):
@@ -665,13 +638,13 @@ def _wrap_target(target):
 
 def apply_chain_map(images: Sequence, v: Multivector, target) -> object:
     """Multiplicative extension of generator images to a multivector."""
-    tgt = _wrap_target(target) if not hasattr(target, "unit_key") else target
+    tgt = _wrap_target(target)
     out = tgt.zero()
     for mono, c in sorted(v.terms.items()):
         cur = tgt.unit()
         for i in mono:
-            cur = tgt.mul(cur, images[i])
-        out = tgt.add(out, tgt.scale(cur, c))
+            cur = cur * images[i]
+        out = out + cur.scale(c)
     return out
 
 
@@ -686,7 +659,6 @@ class ExtensionResult:
     images: dict[str, object]
     waves: list[list[str]]
     truncated: bool
-    snapshots: list[CDGA]
 
 
 def _unique_name(base: str, taken: set[str]) -> str:
@@ -733,7 +705,7 @@ def extend_minimal_model(
             {
                 i: c
                 for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(stage), rep, tgt), q)
+                    tgt.class_coords(apply_chain_map(img_list(stage), rep, target), q)
                 )
                 if c
             }
@@ -762,7 +734,7 @@ def extend_minimal_model(
             {
                 i: c
                 for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(stage), rep, tgt), k + 1)
+                    tgt.class_coords(apply_chain_map(img_list(stage), rep, target), k + 1)
                 )
                 if c
             }
@@ -779,7 +751,6 @@ def extend_minimal_model(
         wave_names.append(name)
     cur = hirsch_extend(stage, additions)
     waves = [wave_names]
-    snapshots = [cur]
 
     truncated = True
     for wave in range(1, stage_cap + 1):
@@ -788,7 +759,7 @@ def extend_minimal_model(
             {
                 i: c
                 for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(cur), rep, tgt), k + 2)
+                    tgt.class_coords(apply_chain_map(img_list(cur), rep, target), k + 2)
                 )
                 if c
             }
@@ -803,7 +774,7 @@ def extend_minimal_model(
         for idx, vec in enumerate(kern):
             trans = coh2.class_of([vec.get(t, Fraction(0)) for t in range(coh2.dim)])
             name = _unique_name(name_for(wave, idx), taken)
-            val = apply_chain_map(img_list(cur), trans, tgt)
+            val = apply_chain_map(img_list(cur), trans, target)
             lifted = tgt.lift_exact(val)
             if lifted is None:
                 raise RuntimeError(
@@ -814,9 +785,8 @@ def extend_minimal_model(
             wave_names.append(name)
         cur = hirsch_extend(cur, additions)
         waves.append(wave_names)
-        snapshots.append(cur)
 
-    return ExtensionResult(cur, img_by_name, waves, truncated, snapshots)
+    return ExtensionResult(cur, img_by_name, waves, truncated)
 
 
 # -- bigraded tower -------------------------------------------------------
@@ -830,7 +800,6 @@ class BigradedTower:
     cdga: CDGA
     images: dict[str, RingElement]
     stages: list[list[str]]
-    snapshots: list[CDGA]
     stabilized: bool
 
     @property
@@ -851,29 +820,16 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
     """
     if r.max_degree < 2:
         raise CutoffError("bigraded tower needs a ring cutoff of at least 2")
-    labels = r.labels(1)
-    usable = len(set(labels)) == len(labels) and all(
-        Generator("x", 1) and _valid_name(s) for s in labels
-    )
+    names = [g.name for g in class_symbol_algebra(r).generators]
 
     def namer(wave: int, idx: int) -> str:
-        if wave == 0:
-            return labels[idx] if usable else f"a{idx}"
-        return f"w{wave}_{idx}"
+        return names[idx] if wave == 0 else f"w{wave}_{idx}"
 
     empty = CDGA(Algebra([]))
     ext = extend_minimal_model(
         empty, {}, r, 0, stage_cap=stage_cap, namer=namer
     )
-    return BigradedTower(
-        r, ext.cdga, ext.images, ext.waves, ext.snapshots, not ext.truncated
-    )
-
-
-def _valid_name(s: str) -> bool:
-    import re
-
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", s))
+    return BigradedTower(r, ext.cdga, ext.images, ext.waves, not ext.truncated)
 
 
 # -- sparse polynomials over the solver unknowns --------------------------
@@ -897,13 +853,6 @@ def _p_add_into(dst: Poly, src: Poly, factor: Fraction = Fraction(1)) -> None:
             dst[key] = cur
         else:
             dst.pop(key, None)
-
-
-def _p_scale(p: Poly, c: Fraction) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {key: v * c for key, v in p.items()}
 
 
 def _p_mul(a: Poly, b: Poly) -> Poly:
@@ -990,141 +939,63 @@ class MapSolveResult:
     detail: str = ""
 
 
-class _ExactReducer:
-    """Reduced echelon of the exact subspace in degree 2 with preimages."""
-
-    def __init__(self, tgt):
-        self.keys = tgt.ambient_keys(2)
-        self.flat = {k: i for i, k in enumerate(self.keys)}
-        self.rows: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
-        self.preimages: list[object] = []
-        for col_id, (pre, coords) in enumerate(tgt.exact_columns(2)):
-            row = {self.flat[k]: c for k, c in coords.items() if c}
-            combo = {col_id: Fraction(1)}
-            for pivot, prow, pcombo in self.rows:
-                c = row.get(pivot)
-                if c:
-                    for j, v in prow.items():
-                        cur = row.get(j, Fraction(0)) - c * v
-                        if cur:
-                            row[j] = cur
-                        else:
-                            row.pop(j, None)
-                    for j, v in pcombo.items():
-                        cur = combo.get(j, Fraction(0)) - c * v
-                        if cur:
-                            combo[j] = cur
-                        else:
-                            combo.pop(j, None)
-            if not row:
-                continue
-            pivot = min(row)
-            inv = Fraction(1) / row[pivot]
-            row = {j: v * inv for j, v in row.items()}
-            combo = {j: v * inv for j, v in combo.items()}
-            for opivot, orow, ocombo in self.rows:
-                c = orow.get(pivot)
-                if c:
-                    for j, v in row.items():
-                        cur = orow.get(j, Fraction(0)) - c * v
-                        if cur:
-                            orow[j] = cur
-                        else:
-                            orow.pop(j, None)
-                    for j, v in combo.items():
-                        cur = ocombo.get(j, Fraction(0)) - c * v
-                        if cur:
-                            ocombo[j] = cur
-                        else:
-                            ocombo.pop(j, None)
-            self.rows.append((pivot, row, combo))
-            self.preimages.append(pre)
-        self.rows.sort(key=lambda r: r[0])
-
-    def reduce(self, pel: dict) -> tuple[dict[int, Poly], dict]:
-        """Split a poly-vector into exact-lift coefficients and a residual."""
-        residual: dict[int, Poly] = {}
-        for key, p in pel.items():
-            if p:
-                residual[self.flat[key]] = dict(p)
-        lift: dict[int, Poly] = {}
-        for pivot, row, combo in self.rows:
-            p = residual.pop(pivot, None)
-            if not p:
-                continue
-            for col, c in combo.items():
-                cur = lift.setdefault(col, {})
-                _p_add_into(cur, p, c)
-            for j, v in row.items():
-                if j == pivot:
-                    continue
-                cur = residual.setdefault(j, {})
-                _p_add_into(cur, p, -v)
-        residual = {j: p for j, p in residual.items() if p}
-        lift = {c: p for c, p in lift.items() if p}
-        return lift, {self.keys[j]: p for j, p in residual.items()}
+def _tracked_echelon(keys: Sequence, vectors: Iterable[dict]) -> Echelon:
+    """Tracked echelon of key-indexed vectors over the ambient basis ``keys``."""
+    index = {k: i for i, k in enumerate(keys)}
+    ech = Echelon(len(keys), track=True)
+    for vec in vectors:
+        ech.add({index[k]: c for k, c in vec.items()})
+    return ech
 
 
-class _LinearSystem:
-    """Incremental reduced row echelon over the unknowns plus a constant."""
+def _split_by_span(
+    ech: Echelon, keys: Sequence, pel: dict
+) -> tuple[dict[int, Poly], dict]:
+    """Reduce a poly-vector over ``keys`` modulo a tracked echelon.
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.rows: list[tuple[int, dict[int, Fraction], str]] = []
-
-    def add(self, poly: Poly, note: str) -> str | None:
-        row: dict[int, Fraction] = {}
-        for key, c in poly.items():
-            if len(key) > 1:
-                raise ValueError("non-linear equation in linear solver")
-            col = key[0] if key else self.nvars
-            row[col] = row.get(col, Fraction(0)) + c
-        row = {j: c for j, c in row.items() if c}
-        for pivot, prow, _ in self.rows:
-            c = row.get(pivot)
+    Returns the coefficients over the added vectors and the residual, both
+    with polynomial entries.  Reduction is linear, so each monomial in the
+    unknowns is reduced on its own.
+    """
+    index = {k: i for i, k in enumerate(keys)}
+    by_mono: dict[tuple, Vec] = {}
+    for key, p in pel.items():
+        for mono, c in p.items():
+            by_mono.setdefault(mono, {})[index[key]] = c
+    coeffs: dict[int, Poly] = {}
+    residual: dict = {}
+    for mono, vec in by_mono.items():
+        rest, cs = ech.reduce(vec)
+        for j, c in rest.items():
+            residual.setdefault(keys[j], {})[mono] = c
+        for k, c in enumerate(cs):
             if c:
-                for j, v in prow.items():
-                    cur = row.get(j, Fraction(0)) - c * v
-                    if cur:
-                        row[j] = cur
-                    else:
-                        row.pop(j, None)
-        if not row:
-            return None
-        if set(row) == {self.nvars}:
-            return note
-        pivot = min(j for j in row if j != self.nvars)
-        inv = Fraction(1) / row[pivot]
-        row = {j: v * inv for j, v in row.items()}
-        for _, orow, _ in self.rows:
-            c = orow.get(pivot)
-            if c:
-                for j, v in row.items():
-                    cur = orow.get(j, Fraction(0)) - c * v
-                    if cur:
-                        orow[j] = cur
-                    else:
-                        orow.pop(j, None)
-        self.rows.append((pivot, row, note))
-        self.rows.sort(key=lambda r: r[0])
-        return None
+                coeffs.setdefault(k, {})[mono] = c
+    return coeffs, residual
 
-    def solutions(self) -> tuple[list[Fraction], list[list[Fraction]]]:
-        """Particular solution (free unknowns zero) and null-space basis."""
-        pivots = {pivot for pivot, _, _ in self.rows}
-        particular = [Fraction(0)] * self.nvars
-        for pivot, row, _ in self.rows:
-            particular[pivot] = -row.get(self.nvars, Fraction(0))
-        null = []
-        for free in range(self.nvars):
-            if free in pivots:
-                continue
-            vec = [Fraction(0)] * self.nvars
-            vec[free] = Fraction(1)
-            for pivot, row, _ in self.rows:
-                vec[pivot] = -row.get(free, Fraction(0))
-            null.append(vec)
-        return particular, null
+
+def _solution_family(
+    system: Echelon, nvars: int
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Particular solution (free unknowns zero) and null-space basis.
+
+    ``system`` holds consistent equations over the unknowns, with the
+    constant term in column ``nvars``.
+    """
+    rows = dict(zip(system.pivots, system.rows))
+    particular = [Fraction(0)] * nvars
+    for pivot, row in rows.items():
+        particular[pivot] = Fraction(-row.get(nvars, 0), row[pivot])
+    null = []
+    for free in range(nvars):
+        if free in rows:
+            continue
+        vec = [Fraction(0)] * nvars
+        vec[free] = Fraction(1)
+        for pivot, row in rows.items():
+            vec[pivot] = Fraction(-row.get(free, 0), row[pivot])
+        null.append(vec)
+    return particular, null
 
 
 def _sparse_det(entries: list[list[Poly]]) -> Poly:
@@ -1172,55 +1043,14 @@ def _nonvanishing_point(product: Poly, nfree: int) -> list[Fraction] | None:
     return point
 
 
-def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a small square matrix over the rationals."""
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _h1_reduction_rows(tgt) -> list[tuple[object, list[Fraction]]]:
-    """Linear functionals turning ambient degree-1 coords into class coords.
-
-    Returns pairs (ambient key, row) so that the class vector of a closed
-    degree-1 element with ambient coefficients c is sum_key row * c[key].
-    For a ring target the ambient basis is already the class basis.
-    """
-    keys = tgt.ambient_keys(1)
-    n1 = tgt.h_dim(1)
-    if tgt.kind == "ring":
-        return [(keys[i], [Fraction(int(i == j)) for j in range(n1)]) for i in range(n1)]
-    reps = [
-        dict_coords(tgt.alg, tgt.h_rep(1, i), 1) for i in range(n1)
-    ]
-    span = Span(len(keys))
-    for vec in reps:
-        span.add(vec)
-    pivots = span.pivot_columns()
-    sub = [[reps[i].get(p, Fraction(0)) for i in range(n1)] for p in pivots]
-    left = _invert_matrix(sub)
-    return [
-        (keys[p], [left[j][t] for j in range(n1)])
-        for t, p in enumerate(pivots)
-    ]
-
-
 def _h1_class_matrix_polys(
-    h1_kernel: Sequence[Vec],
-    images_pel: Sequence[dict],
-    reducer: Sequence[tuple[object, list[Fraction]]],
-    n_src: int,
+    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], tgt, n_src: int
 ) -> list[list[Poly]]:
     """Symbolic matrix of the induced map on degree-1 cohomology."""
+    keys = tgt.ambient_keys(1)
+    classes = _tracked_echelon(
+        keys, [tgt.elem_terms(tgt.h_rep(1, i)) for i in range(tgt.h_dim(1))]
+    )
     entries = []
     for vec in h1_kernel:
         ambient: dict[object, Poly] = {}
@@ -1231,15 +1061,8 @@ def _h1_class_matrix_polys(
             for key, p in images_pel[i].items():
                 cur = ambient.setdefault(key, {})
                 _p_add_into(cur, p, c)
-        row = [dict() for _ in range(len(h1_kernel))]
-        for key, lrow in reducer:
-            p = ambient.get(key)
-            if not p:
-                continue
-            for j, c in enumerate(lrow):
-                if c:
-                    _p_add_into(row[j], p, c)
-        entries.append(row)
+        coords, _ = _split_by_span(classes, keys, ambient)
+        entries.append([coords.get(j, {}) for j in range(len(h1_kernel))])
     return entries
 
 
@@ -1285,13 +1108,20 @@ def dga_map_solve(
         if isinstance(value, str):
             if tgt.kind != "cdga":
                 raise TypeError("string images need a CDGA target")
-            return tgt.alg.parse(value)
+            value = tgt.alg.parse(value)
+        # degree raises on mixed degrees and is None for zero
+        if value.degree not in (None, 1):
+            raise ValueError(
+                f"image {value} of a degree-one generator has degree {value.degree}"
+            )
         return value
 
     def const_pel(elem) -> dict:
         return {k: _p_const(c) for k, c in tgt.elem_terms(elem).items() if c}
 
-    reducer = _ExactReducer(tgt)
+    keys2 = tgt.ambient_keys(2)
+    exact = tgt.exact_columns(2)
+    exact_span = _tracked_echelon(keys2, [coords for _, coords in exact])
     kernel_elems = tgt.kernel_elements(1)
     n_src = len(source.algebra.generators)
     images_pel: list[dict | None] = [None] * n_src
@@ -1354,7 +1184,7 @@ def dga_map_solve(
                     )
                     equations.append((poly, note))
         else:
-            lift, residual = reducer.reduce(rhs)
+            lift, residual = _split_by_span(exact_span, keys2, rhs)
             for key in sorted(residual):
                 note = (
                     f"exactness obstruction at {gen.name!r}, "
@@ -1363,7 +1193,7 @@ def dga_map_solve(
                 equations.append((residual[key], note))
             img: dict = {}
             for col, poly in sorted(lift.items()):
-                for key, c in tgt.elem_terms(reducer.preimages[col]).items():
+                for key, c in tgt.elem_terms(exact[col][0]).items():
                     cur = img.setdefault(key, {})
                     _p_add_into(cur, poly, c)
             for t, kelem in enumerate(kernel_elems):
@@ -1385,8 +1215,7 @@ def dga_map_solve(
         conditions.append(
             (poly, f"coefficient of {target_name} in the image of {gen_name!r}")
         )
-    h1_kernel: list[Vec] = []
-    h1_reducer: list[tuple[object, list[Fraction]]] = []
+    h1_matrix: list[list[Poly]] = []
     if require_h1_iso:
         h1_kernel = source.differential_matrix(1).kernel()
         n1 = len(h1_kernel)
@@ -1399,14 +1228,13 @@ def dga_map_solve(
                 nparams,
                 len(equations),
             )
-        h1_reducer = _h1_reduction_rows(tgt)
+        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, tgt, n_src)
         if n1 <= 7:
-            entries = _h1_class_matrix_polys(
-                h1_kernel, images_pel, h1_reducer, n_src
-            )
-            det = _sparse_det(entries)
             conditions.append(
-                (det, "determinant of the induced degree-one cohomology map")
+                (
+                    _sparse_det(h1_matrix),
+                    "determinant of the induced degree-one cohomology map",
+                )
             )
         # beyond that size invertibility is only checked on the found map
 
@@ -1417,26 +1245,21 @@ def dga_map_solve(
     )
 
     if linear:
-        system = _LinearSystem(nparams)
+        # unknown i is column i and the constant term is column nparams; a
+        # pivot there is a row 0 = c, first reached by an inconsistent equation
+        system = Echelon(nparams + 1)
         for poly, note in equations:
-            bad = system.add(poly, note)
-            if bad is not None:
+            system.add({key[0] if key else nparams: c for key, c in poly.items()})
+            if system.pivots and system.pivots[-1] == nparams:
                 return MapSolveResult(
                     "unsatisfiable",
                     None,
-                    f"inconsistent equation: {bad}",
+                    f"inconsistent equation: {note}",
                     nparams,
                     len(equations),
                 )
-        particular, null = system.solutions()
-        subs = [
-            {
-                key: val
-                for key, val in [((), particular[i])]
-                if val
-            }
-            for i in range(nparams)
-        ]
+        particular, null = _solution_family(system, nparams)
+        subs = [_p_const(v) for v in particular]
         for t, vec in enumerate(null):
             for i in range(nparams):
                 if vec[i]:
@@ -1512,8 +1335,8 @@ def dga_map_solve(
     for i in range(n_src):
         gen = source.algebra.generators[i]
         lhs = tgt.d(images_exact[i])
-        rhs = apply_chain_map(images_exact, source.d_generator(gen.name), tgt)
-        if not tgt.equal(lhs, rhs):
+        rhs = apply_chain_map(images_exact, source.d_generator(gen.name), target)
+        if not (lhs - rhs).is_zero():
             raise RuntimeError(f"chain-map verification failed at {gen.name!r}")
     for poly, note in conditions:
         if _p_eval(poly, values) == 0:
@@ -1525,27 +1348,11 @@ def dga_map_solve(
                 len(equations),
                 f"found solution violates: {note}",
             )
-    if require_h1_iso and len(h1_kernel) > 7:
-        n1 = len(h1_kernel)
-        span = Span(n1)
-        for vec in h1_kernel:
-            ambient: dict[object, Fraction] = {}
-            for i in range(n_src):
-                c = vec.get(i)
-                if not c:
-                    continue
-                for key, cc in tgt.elem_terms(images_exact[i]).items():
-                    ambient[key] = ambient.get(key, Fraction(0)) + c * cc
-            row: Vec = {}
-            for key, lrow in h1_reducer:
-                c = ambient.get(key)
-                if not c:
-                    continue
-                for j, l in enumerate(lrow):
-                    if l:
-                        row[j] = row.get(j, Fraction(0)) + l * c
-            span.add(row)
-        if span.dim < n1:
+    if len(h1_matrix) > 7:
+        span = Span(len(h1_matrix))
+        for row in h1_matrix:
+            span.add({j: v for j, p in enumerate(row) if (v := _p_eval(p, values))})
+        if span.dim < len(h1_matrix):
             return MapSolveResult(
                 "unknown",
                 None,
@@ -1642,7 +1449,6 @@ def formality_report(
     """
     _require_model(c)
     report = FormalityReport(k_max)
-    report.bound_exceeded = False
 
     if full_formality(c) == OVERALL_FORMAL:
         report.overall = OVERALL_FORMAL
@@ -1764,14 +1570,13 @@ def formality_report(
                     ),
                 )
             else:
-                report.add_info(
-                    Evidence(
-                        "morphism-solver",
-                        1,
-                        "info",
-                        f"chain-map search inconclusive: {res.detail or res.status}",
+                detail = f"chain-map search inconclusive: {res.detail or res.status}"
+                if not tower.stabilized:
+                    report.bound_exceeded = True
+                    detail += (
+                        f"; the degree-1 tower was truncated at stage cap {tower_cap}"
                     )
-                )
+                report.add_info(Evidence("morphism-solver", 1, "info", detail))
         except EliminationBoundError as exc:
             report.bound_exceeded = True
             report.add_info(
@@ -1787,8 +1592,5 @@ def formality_report(
     if best is not None and report.overall != OVERALL_FORMAL:
         top = c.algebra.top_degree()
         if top is not None:
-            try:
-                infer_prop_k2(report, from_cdga(c, max(top, 1)), best)
-            except RuntimeError:
-                raise
+            infer_prop_k2(report, from_cdga(c, max(top, 1)), best)
     return report

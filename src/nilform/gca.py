@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -455,9 +455,3 @@ def embed(v: Multivector, target: Algebra) -> Multivector:
             factor = factor * target.monomial((j,))
         out = out + factor.scale(c)
     return out
-
-
-def iter_terms(v: Multivector) -> Iterator[tuple[Monomial, Fraction]]:
-    """Deterministic term iteration, sorted by degree then index tuple."""
-    alg = v.algebra
-    yield from sorted(v.terms.items(), key=lambda kv: (alg.degree_of(kv[0]), kv[0]))

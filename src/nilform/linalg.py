@@ -18,6 +18,7 @@ Vec = dict[int, Fraction]
 Row = dict[int, int]
 
 _FAST_PRIME = 2**31 - 1
+_ZERO = Fraction(0)
 
 
 def to_int_row(vec: Vec) -> Row:
@@ -62,8 +63,10 @@ class Echelon:
     """Reduced row echelon form maintained incrementally over primitive rows.
 
     With ``track=True`` every added row is augmented with a marker column at
-    ``ncols + k``; rows that reduce to zero surface exact dependence
-    relations through :attr:`null_rows`.  Marker columns are never pivots.
+    ``ncols + k``, so the real part of each row is the sum of its marker
+    entries times the added vectors; rows that reduce to zero surface exact
+    dependence relations through :attr:`null_rows`.  Marker columns are
+    never pivots.  :meth:`reduce` is the one reduction every caller uses.
     """
 
     def __init__(self, ncols: int | None = None, track: bool = False):
@@ -79,9 +82,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _is_marker(self, col: int) -> bool:
-        return self.track and col >= self.ncols
 
     def _reduce(self, row: Row) -> Row:
         for pivot, base in zip(self.pivots, self.rows):
@@ -119,50 +119,40 @@ class Echelon:
         self.pivots.insert(at, pivot)
         return True
 
-    def residue(self, vec: Vec) -> Vec:
-        """Image of a vector in the quotient by the row space, as a primitive row."""
-        row = self._reduce(to_int_row(vec))
-        return row_to_vec(row_primitive(self._real_part(row)))
+    def reduce(self, vec: Vec) -> tuple[Vec, list[Fraction] | None]:
+        """Residual of a vector modulo the row space, zero at every pivot.
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.residue(vec)
-
-    def reduce_fraction(self, vec: Vec) -> Vec:
-        """Exact linear reduction modulo the row space, marker columns dropped."""
+        With tracking, also the coefficients c over the added vectors with
+        ``vec - residual == sum(c[k] * added[k])``; they vanish on every added
+        vector that did not raise the rank.  Without tracking they are None.
+        """
         w = {j: Fraction(v) for j, v in vec.items() if v}
+        track, ncols = self.track, self.ncols
+        coeffs = [_ZERO] * self.added if track else None
         for pivot, base in zip(self.pivots, self.rows):
             c = w.get(pivot)
             if c:
                 f = c / base[pivot]
                 for j, bv in base.items():
-                    if self._is_marker(j):
+                    if track and j >= ncols:
+                        coeffs[j - ncols] += f * bv
                         continue
-                    cur = w.get(j, Fraction(0)) - f * bv
+                    cur = w.get(j, _ZERO) - f * bv
                     if cur:
                         w[j] = cur
                     else:
-                        w.pop(j, None)
-        return w
+                        del w[j]
+        return w, coeffs
+
+    def contains(self, vec: Vec) -> bool:
+        return not self.reduce(vec)[0]
 
     def express(self, vec: Vec) -> list[Fraction] | None:
         """Coefficients over the added vectors, or None when outside the span."""
         if not self.track:
             raise ValueError("express requires tracking")
-        frac_vec: Vec = {j: Fraction(v) for j, v in vec.items() if v}
-        if not frac_vec:
-            return [Fraction(0)] * self.added
-        marker = self.ncols + self.added
-        frac_vec[marker] = Fraction(1)
-        row = to_int_row(frac_vec)
-        row = self._reduce(row)
-        if self._real_part(row):
-            return None
-        alpha = row[marker]
-        coeffs = [Fraction(0)] * self.added
-        for j, v in row.items():
-            if j >= self.ncols and j != marker:
-                coeffs[j - self.ncols] = Fraction(-v, alpha)
-        return coeffs
+        residual, coeffs = self.reduce(vec)
+        return None if residual else coeffs
 
     def basis_vectors(self) -> list[Vec]:
         return [row_to_vec(self._real_part(r)) for r in self.rows]
@@ -285,9 +275,6 @@ class Span:
 
     def express(self, vec: Vec) -> list[Fraction] | None:
         return self._ech.express(vec)
-
-    def residue(self, vec: Vec) -> Vec:
-        return self._ech.residue(vec)
 
     def basis_vectors(self) -> list[Vec]:
         return self._ech.basis_vectors()

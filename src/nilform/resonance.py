@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 from typing import Iterator, Sequence
 
-from .gca import Algebra, Monomial, Multivector
+from .gca import Monomial, Multivector
 from .linalg import SparseMatrix, Vec
 from .ring import (
     CharacteristicSubspace,

@@ -8,11 +8,13 @@ arithmetic with zero tolerances; where randomness appears it is seeded.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from nilform.catalog import (
     central_extension,
@@ -317,12 +319,17 @@ def test_ac12_cli_determinism():
         ["formality", "--preset", "heisenberg:2", "--k-max", "2", "--seed", "9", "--format", "json"],
         ["preset", "list", "--format", "json"],
     ]
+    # the child imports nilform from the same checkout as this process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     for cmd in commands:
         outs = []
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "nilform.cli", *cmd],
                 capture_output=True,
+                env=env,
                 timeout=300,
             )
             assert proc.returncode == 0, proc.stderr.decode()

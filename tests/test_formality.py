@@ -465,11 +465,30 @@ def test_solver_nonlinear_scaling_family():
     assert (lhs - rhs).is_zero()
 
 
+def test_solver_lifts_through_dependent_exact_columns():
+    # d(z1) = d(z2): the exact columns of degree 2 are linearly dependent
+    tgt = CDGA(
+        Algebra([(n, 1) for n in ("x", "y", "u", "z1", "z2", "z3")]),
+        {"z1": "x*y", "z2": "x*y", "z3": "x*u"},
+    )
+    src = CDGA(Algebra([("a", 1), ("b", 1), ("w", 1)]), {"w": "a*b"})
+    res = dga_map_solve(src, tgt, {"a": "x", "b": "u"})
+    assert res.status == "solution"
+    assert (res.assignment["w"] - tgt.algebra.gen("z3")).is_zero()
+
+
 def test_solver_elimination_bound_guard():
     c = heisenberg(2)
     with pytest.raises(EliminationBoundError) as info:
         dga_map_solve(c, c, {}, elimination_bound=12)
     assert info.value.unknowns > 12
+
+
+def test_solver_rejects_images_outside_degree_one():
+    c = heisenberg(1)
+    for spec in (MapTemplate("x1", ("x1*y1",)), "x1 + x1*y1", "x1*y1"):
+        with pytest.raises(ValueError):
+            dga_map_solve(c, c, {"x1": spec}, require_h1_iso=True)
 
 
 def test_solver_rejects_unknown_constraint_names():
@@ -537,6 +556,38 @@ def test_report_bound_exceeded_flag():
     rep = formality_report(example_contr("y1*y2"), 1, elimination_bound=12)
     assert rep.bound_exceeded is False
     # the twisted solve is linear, so the bound never trips on this input
+
+
+def test_report_truncated_tower_sets_bound_flag():
+    assert FormalityReport(1).bound_exceeded is False
+    rep = formality_report(example_contr("y1*y2"), 2, tower_cap=1)
+    assert rep.verdict(1) == INCONCLUSIVE
+    assert rep.bound_exceeded is True
+    (ev,) = [e for e in rep.evidence if e.rule == "morphism-solver"]
+    assert ev.kind == "info"
+    assert "truncated at stage cap 1" in ev.detail
+    assert formality_report(example_contr("y1*y2"), 2).bound_exceeded is False
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [("0", [FORMAL, FORMAL, NOT_FORMAL]), ("y1*y2", [FORMAL, NOT_FORMAL, NOT_FORMAL])],
+)
+def test_report_with_dependent_differentials_matches_contr(p, expected):
+    # example_contr(p) tensored with one closed generator t = v - w1
+    form = "x1*w1 + x2*w2" + ("" if p == "0" else " + " + p)
+    c = central_extension(
+        ["x1", "x2", "y1", "y2", "z"],
+        [
+            ("w1", "x1*y1 + x2*z"),
+            ("v", "x1*y1 + x2*z"),
+            ("w2", "x1*z + x2*y2"),
+            ("a", form),
+        ],
+    )
+    rep = formality_report(c, 2)
+    assert rep.verdicts() == expected
+    assert rep.verdicts() == formality_report(example_contr(p), 2).verdicts()
 
 
 def test_report_rules_are_known():

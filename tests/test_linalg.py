@@ -157,18 +157,19 @@ def test_express_random_property():
         assert {j: v for j, v in rebuilt.items() if v} == mix
 
 
-def test_reduce_fraction_is_linear():
+def test_reduce_is_linear():
     ech = Echelon(4)
     ech.add({0: frac(1), 1: frac(1)})
     ech.add({2: frac(3), 3: frac(1)})
     u = {0: frac(2), 1: frac(1), 3: frac(1)}
     v = {1: frac(1), 2: frac(5)}
-    ru = ech.reduce_fraction(u)
-    rv = ech.reduce_fraction(v)
+    ru, cu = ech.reduce(u)
+    rv, _ = ech.reduce(v)
+    assert cu is None
     combined = dict(u)
     for j, val in v.items():
         combined[j] = combined.get(j, Fraction(0)) + 2 * val
-    rc = ech.reduce_fraction(combined)
+    rc, _ = ech.reduce(combined)
     expect = dict(ru)
     for j, val in rv.items():
         cur = expect.get(j, Fraction(0)) + 2 * val
@@ -178,7 +179,60 @@ def test_reduce_fraction_is_linear():
             expect.pop(j, None)
     assert rc == expect
     for row_vec in ech.basis_vectors():
-        assert ech.reduce_fraction(row_vec) == {}
+        assert ech.reduce(row_vec)[0] == {}
+
+
+def _combination(weights, vecs):
+    out = {}
+    for c, vec in zip(weights, vecs):
+        for j, v in vec.items():
+            out[j] = out.get(j, Fraction(0)) + c * v
+    return {j: v for j, v in out.items() if v}
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_reduce_splits_off_the_span_exactly(track):
+    rng = random.Random(53 if track else 59)
+
+    def rand_vec(ncols):
+        vec = {
+            j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for j in range(ncols)
+            if rng.random() < 0.6
+        }
+        return {j: v for j, v in vec.items() if v}
+
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        ech = Echelon(ncols, track=track)
+        added = []
+        for _ in range(rng.randint(0, 6)):
+            if added and rng.random() < 0.4:
+                # a dependent row: a rational combination of earlier ones
+                weights = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in added]
+                vec = _combination(weights, added)
+            else:
+                vec = rand_vec(ncols)
+            added.append(vec)
+            ech.add(vec)
+        for _ in range(5):
+            if added and rng.random() < 0.5:
+                weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in added]
+                w = _combination(weights, added)
+            else:
+                w = rand_vec(ncols)
+            residual, coeffs = ech.reduce(w)
+            assert all(residual.get(p, 0) == 0 for p in ech.pivots)
+            # the residual differs from w by an element of the row space
+            diff = _combination([1, -1], [w, residual])
+            assert rank_rows([to_int_row(v) for v in added + [diff]]) == ech.rank
+            assert ech.contains(w) == (not residual)
+            if not track:
+                assert coeffs is None
+                continue
+            assert len(coeffs) == len(added)
+            assert _combination(coeffs + [1], added + [residual]) == w
+            assert ech.express(w) == (None if residual else coeffs)
 
 
 def test_intersection_dimension_formula():
