@@ -58,6 +58,9 @@ class CDGA:
         self._d_mono_cache: dict[Monomial, Multivector] = {}
         self._matrix_cache: dict[int, SparseMatrix] = {}
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
+        # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
+        # shared by every ring presentation of this CDGA
+        self._class_products: dict[tuple[int, int, int, int], Vec] = {}
         if check:
             self.validate()
 
@@ -99,22 +102,39 @@ class CDGA:
         idx = self.algebra.index_of(name)
         return self._d_gen.get(idx, self.algebra.zero())
 
-    def _d_monomial(self, mono: Monomial) -> Multivector:
-        cached = self._d_mono_cache.get(mono)
-        if cached is not None:
-            return cached
+    def _d_terms(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Terms of d(mono) by the Leibniz rule, summed in a fixed order."""
         alg = self.algebra
-        out = alg.zero()
+        product = alg.monomial_product
+        out: dict[Monomial, Fraction] = {}
         sign = 1
         for pos, idx in enumerate(mono):
             dg = self._d_gen.get(idx)
             if dg is not None:
-                term = alg.monomial(mono[:pos]) * dg * alg.monomial(mono[pos + 1 :])
-                out = out + (term if sign > 0 else -term)
+                left, right = mono[:pos], mono[pos + 1 :]
+                for m, c in dg.terms.items():
+                    head = product(left, m)
+                    if head is None:
+                        continue
+                    whole = product(head[1], right)
+                    if whole is None:
+                        continue
+                    key = whole[1]
+                    v = out.get(key, 0) + sign * head[0] * whole[0] * c
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
             if alg._parity[idx]:
                 sign = -sign
-        self._d_mono_cache[mono] = out
         return out
+
+    def _d_monomial(self, mono: Monomial) -> Multivector:
+        cached = self._d_mono_cache.get(mono)
+        if cached is None:
+            cached = Multivector(self.algebra, self._d_terms(mono))
+            self._d_mono_cache[mono] = cached
+        return cached
 
     def d(self, v: Multivector) -> Multivector:
         """Leibniz extension of the generator differential."""
@@ -138,8 +158,9 @@ class CDGA:
         target_index = alg.basis_index(q + 1)
         cols: list[Vec] = []
         for mono in domain:
-            img = self._d_monomial(mono)
-            cols.append({target_index[m]: c for m, c in img.terms.items()})
+            # not through the d(mono) cache: the columns already hold the images
+            img = self._d_terms(mono)
+            cols.append({target_index[m]: c for m, c in img.items()})
         mat = SparseMatrix(len(target_index), len(domain), cols)
         self._matrix_cache[q] = mat
         return mat
@@ -196,33 +217,34 @@ class CohomologyBasis:
 
     Representatives are cocycles in reduced echelon position modulo the
     coboundary space; ``reduction`` is the induced linear map sending a
-    cocycle to its coordinates over them.
+    cocycle to its coordinates over them.  The basis keeps the algebra and
+    the differential out of degree q, not the CDGA, so a dropped CDGA and
+    its cached bases are freed without the cyclic garbage collector.
     """
 
     def __init__(self, cdga: CDGA, degree: int):
-        self.cdga = cdga
+        self.algebra = alg = cdga.algebra
         self.degree = degree
-        alg = cdga.algebra
+        self._d = cdga.differential_matrix(degree)
         n = alg.dim(degree)
         self._image = Echelon(n)
         for col in cdga.differential_matrix(degree - 1).cols:
             self._image.add(col)
-        self._reps = Echelon(n)
-        for z in cdga.differential_matrix(degree).kernel():
-            self._reps.add(self._image.reduce(z)[0])
+        reps = Echelon(n)
+        for z in self._d.kernel():
+            reps.add(self._image.reduce(z)[0])
+        basis = alg.basis(degree)
         self.representatives = tuple(
-            alg.from_coordinates(
-                degree, [Fraction(row.get(j, 0)) for j in range(n)]
-            )
-            for row in self._reps.rows
+            Multivector(alg, {basis[j]: Fraction(row[j]) for j in sorted(row)})
+            for row in reps.rows
         )
 
     @cached_property
     def _classes(self) -> Echelon:
         """The representatives as tracked rows: coefficients are class coordinates."""
-        classes = Echelon(self.cdga.algebra.dim(self.degree), track=True)
-        for row in self._reps.rows:
-            classes.add(row)
+        classes = Echelon(self.algebra.dim(self.degree), track=True)
+        for rep in self.representatives:
+            classes.add(dict_coords(self.algebra, rep, self.degree))
         return classes
 
     @property
@@ -231,13 +253,12 @@ class CohomologyBasis:
 
     def reduction(self, v: Multivector) -> list[Fraction]:
         """Class coordinates of a cocycle over the representatives."""
-        if not self.cdga.is_cocycle(v):
-            raise NotACocycle(f"{v} is not closed")
         if v.is_zero():
             return [Fraction(0)] * self.dim
-        if v.degree != self.degree:
-            raise DegreeError(f"expected degree {self.degree}, got {v.degree}")
-        w = self._image.reduce(dict_coords(self.cdga.algebra, v, self.degree))[0]
+        coords = dict_coords(self.algebra, v, self.degree)
+        if self._d.apply(coords):
+            raise NotACocycle(f"{v} is not closed")
+        w = self._image.reduce(coords)[0]
         residual, coeffs = self._classes.reduce(w)
         if residual:
             raise RuntimeError("reduction did not terminate on a cocycle")
@@ -245,7 +266,7 @@ class CohomologyBasis:
 
     def class_of(self, coeffs: Sequence[Fraction | int]) -> Multivector:
         """Cocycle representative with the given class coordinates."""
-        out = self.cdga.algebra.zero()
+        out = self.algebra.zero()
         for c, rep in zip(coeffs, self.representatives):
             if c:
                 out = out + rep.scale(Fraction(c))

@@ -14,7 +14,7 @@ verdict and an unverified search never becomes a positive one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -982,7 +982,7 @@ def _solution_family(
     ``system`` holds consistent equations over the unknowns, with the
     constant term in column ``nvars``.
     """
-    rows = dict(zip(system.pivots, system.rows))
+    rows = system.by_pivot
     particular = [Fraction(0)] * nvars
     for pivot, row in rows.items():
         particular[pivot] = Fraction(-row.get(nvars, 0), row[pivot])

@@ -158,6 +158,7 @@ class Algebra:
                 acc.pop()
 
         rec(0, q)
+        del rec  # the closure refers to itself; unlink it so no cycle holds the algebra
         result = tuple(out)
         self._basis_cache[q] = result
         self._basis_index_cache[q] = {m: k for k, m in enumerate(result)}

@@ -9,6 +9,7 @@ back to exact elimination.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,6 +68,10 @@ class Echelon:
     entries times the added vectors; rows that reduce to zero surface exact
     dependence relations through :attr:`null_rows`.  Marker columns are
     never pivots.  :meth:`reduce` is the one reduction every caller uses.
+
+    ``by_pivot`` maps each pivot column to its row.  The rows are kept fully
+    reduced, so eliminating one pivot never brings in an entry at another:
+    a reduction visits only the pivot columns already present in the vector.
     """
 
     def __init__(self, ncols: int | None = None, track: bool = False):
@@ -76,6 +81,7 @@ class Echelon:
         self.track = track
         self.rows: list[Row] = []
         self.pivots: list[int] = []
+        self.by_pivot: dict[int, Row] = {}
         self.null_rows: list[Row] = []
         self.added = 0
 
@@ -83,11 +89,13 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def _hit_pivots(self, vec: dict) -> list[int]:
+        return sorted(j for j in vec if j in self.by_pivot)
+
     def _reduce(self, row: Row) -> Row:
-        for pivot, base in zip(self.pivots, self.rows):
-            c = row.get(pivot)
-            if c:
-                row = _combine(row, base[pivot], base, -c)
+        for pivot in self._hit_pivots(row):
+            base = self.by_pivot[pivot]
+            row = _combine(row, base[pivot], base, -row[pivot])
         return row
 
     def _real_part(self, row: Row) -> Row:
@@ -110,13 +118,17 @@ class Echelon:
             return False
         row = row_primitive(row)
         pivot = min(self._real_part(row))
-        for k, base in enumerate(self.rows):
+        at = bisect_left(self.pivots, pivot)
+        # a row with a later pivot has no entry left of it, so only earlier rows change
+        for k in range(at):
+            base = self.rows[k]
             c = base.get(pivot)
             if c:
-                self.rows[k] = row_primitive(_combine(base, row[pivot], row, -c))
-        at = sum(1 for p in self.pivots if p < pivot)
+                base = row_primitive(_combine(base, row[pivot], row, -c))
+                self.rows[k] = self.by_pivot[self.pivots[k]] = base
         self.rows.insert(at, row)
         self.pivots.insert(at, pivot)
+        self.by_pivot[pivot] = row
         return True
 
     def reduce(self, vec: Vec) -> tuple[Vec, list[Fraction] | None]:
@@ -129,19 +141,18 @@ class Echelon:
         w = {j: Fraction(v) for j, v in vec.items() if v}
         track, ncols = self.track, self.ncols
         coeffs = [_ZERO] * self.added if track else None
-        for pivot, base in zip(self.pivots, self.rows):
-            c = w.get(pivot)
-            if c:
-                f = c / base[pivot]
-                for j, bv in base.items():
-                    if track and j >= ncols:
-                        coeffs[j - ncols] += f * bv
-                        continue
-                    cur = w.get(j, _ZERO) - f * bv
-                    if cur:
-                        w[j] = cur
-                    else:
-                        del w[j]
+        for pivot in self._hit_pivots(w):
+            base = self.by_pivot[pivot]
+            f = w[pivot] / base[pivot]
+            for j, bv in base.items():
+                if track and j >= ncols:
+                    coeffs[j - ncols] += f * bv
+                    continue
+                cur = w.get(j, _ZERO) - f * bv
+                if cur:
+                    w[j] = cur
+                else:
+                    del w[j]
         return w, coeffs
 
     def contains(self, vec: Vec) -> bool:
@@ -206,9 +217,6 @@ class SparseMatrix:
             self.cols = [{} for _ in range(self.ncols)]
         if len(self.cols) != self.ncols:
             raise ValueError("column count mismatch")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols[j].get(i, Fraction(0))
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)

@@ -1,8 +1,9 @@
 """Cohomology ring presentations truncated at a degree cutoff.
 
 A presentation stores per-degree class bases of a CDGA's cohomology plus
-lazily computed structure constants; only products of total degree at most
-the cutoff are available.  On top of it sit the degree-1 generation test
+lazily computed structure constants, which are cached on the CDGA and so
+shared by all its presentations; only products of total degree at most the
+cutoff are available.  On top of it sit the degree-1 generation test
 and the characteristic subspace, the kernel of multiplication from the
 second exterior power of H^1 into H^2.
 """
@@ -32,7 +33,7 @@ class RingPresentation:
         self.source = source
         self.max_degree = max_degree
         self._bases = {q: source.cohomology(q) for q in range(max_degree + 1)}
-        self._products: dict[tuple[int, int, int, int], Vec] = {}
+        self._products = source._class_products
         self._labels: dict[int, tuple[str, ...]] = {}
 
     def dim(self, q: int) -> int:

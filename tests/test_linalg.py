@@ -274,3 +274,106 @@ def test_full_rank_fastpath_is_consistent():
         for r in rows:
             brute.add({j: v for j, v in enumerate(r) if v})
         assert mat.rank() == brute.rank
+
+
+class _WalkEchelon:
+    """Reference echelon: every reduction walks all pivots in order."""
+
+    def __init__(self, ncols, track):
+        self.ncols, self.track = ncols, track
+        self.rows, self.pivots, self.null_rows = [], [], []
+        self.added = 0
+
+    @staticmethod
+    def _combine(a, ca, b, cb):
+        out = {j: ca * v for j, v in a.items()}
+        for j, v in b.items():
+            out[j] = out.get(j, 0) + cb * v
+        return {j: v for j, v in out.items() if v}
+
+    def _real(self, row):
+        return {j: v for j, v in row.items() if not self.track or j < self.ncols}
+
+    def add(self, vec):
+        frac_vec = {j: Fraction(v) for j, v in vec.items() if v}
+        if self.track:
+            frac_vec[self.ncols + self.added] = Fraction(1)
+        self.added += 1
+        row = to_int_row(frac_vec)
+        for pivot, base in zip(self.pivots, self.rows):
+            if row.get(pivot):
+                row = self._combine(row, base[pivot], base, -row[pivot])
+        if not self._real(row):
+            if self.track and row:
+                self.null_rows.append(row_primitive(row))
+            return False
+        row = row_primitive(row)
+        pivot = min(self._real(row))
+        for k, base in enumerate(self.rows):
+            if base.get(pivot):
+                self.rows[k] = row_primitive(self._combine(base, row[pivot], row, -base[pivot]))
+        at = sum(1 for p in self.pivots if p < pivot)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, pivot)
+        return True
+
+    def reduce(self, vec):
+        w = {j: Fraction(v) for j, v in vec.items() if v}
+        coeffs = [Fraction(0)] * self.added if self.track else None
+        for pivot, base in zip(self.pivots, self.rows):
+            c = w.get(pivot)
+            if c:
+                f = c / base[pivot]
+                for j, bv in base.items():
+                    if self.track and j >= self.ncols:
+                        coeffs[j - self.ncols] += f * bv
+                        continue
+                    cur = w.get(j, Fraction(0)) - f * bv
+                    if cur:
+                        w[j] = cur
+                    else:
+                        del w[j]
+        return w, coeffs
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_pivot_index_matches_the_full_walk(track):
+    rng = random.Random(71 if track else 73)
+
+    def shuffled(vec):
+        # key order must not matter, so the inputs come in a random one
+        items = list(vec.items())
+        rng.shuffle(items)
+        return dict(items)
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        ech, ref = Echelon(ncols, track=track), _WalkEchelon(ncols, track)
+        added = []
+        for _ in range(rng.randint(1, 10)):
+            if added and rng.random() < 0.4:
+                # a dependent row: an integer combination of earlier ones
+                weights = [rng.randint(-2, 2) for _ in added]
+                vec = _combination(weights, added)
+            else:
+                vec = {j: rng.randint(-5, 5) for j in range(ncols) if rng.random() < 0.5}
+                vec = {j: v for j, v in vec.items() if v}
+            vec = shuffled(vec)
+            added.append(vec)
+            assert ech.add(vec) == ref.add(vec)
+            assert all(a < b for a, b in zip(ech.pivots, ech.pivots[1:]))
+            for p, row in zip(ech.pivots, ech.rows):
+                assert all(other.get(p, 0) == 0 for other in ech.rows if other is not row)
+            assert ech.by_pivot == dict(zip(ech.pivots, ech.rows))
+            assert ech.rank == len(ref.rows)
+            assert ech.rows == ref.rows
+            assert ech.null_rows == ref.null_rows
+        for _ in range(6):
+            w = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(ncols)}
+            if rng.random() < 0.5:
+                w = _combination([rng.randint(-3, 3) for _ in added], added)
+            w = shuffled(w)
+            residual, coeffs = ech.reduce(w)
+            ref_residual, ref_coeffs = ref.reduce(w)
+            # same entries in the same order, so downstream output cannot move
+            assert list(residual.items()) == list(ref_residual.items())
+            assert coeffs == ref_coeffs

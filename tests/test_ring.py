@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,7 +18,7 @@ from nilform.catalog import (
 )
 from nilform.cdga import tensor
 from nilform.gca import Algebra
-from nilform.linalg import Span
+from nilform.linalg import Echelon, Span
 from nilform.ring import (
     CutoffError,
     characteristic_subspace,
@@ -226,3 +229,81 @@ def test_class_symbols_fallback_names():
     assert any(not s.isidentifier() for s in labels)
     alg = class_symbol_algebra(c)
     assert [g.name for g in alg.generators] == ["a0", "a1", "a2"]
+
+
+def _closed_form_betti(n, q):
+    """Santharoubane: C(2n, q) - C(2n, q - 2) up to n, mirrored above."""
+    if q > n:
+        q = 2 * n + 1 - q
+    return comb(2 * n, q) - (comb(2 * n, q - 2) if q >= 2 else 0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_heisenberg_ladder_matches_closed_form_and_oracle(n):
+    top = 2 * n + 1
+    c = heisenberg(n)
+    r = from_cdga(c, top)
+    assert r.dims() == [_closed_form_betti(n, q) for q in range(top + 1)]
+    assert r.dims() == [heisenberg_betti_oracle(n, q) for q in range(top + 1)]
+    rng = random.Random(n)
+    for q in range(top + 1):
+        basis = r.basis(q)
+        assert len(r.labels(q)) == basis.dim
+        for i in rng.sample(range(basis.dim), min(2, basis.dim)):
+            rep = r.representative(q, i)
+            assert c.is_cocycle(rep)
+            assert basis.reduction(rep) == [Fraction(int(j == i)) for j in range(basis.dim)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_representatives_equal_their_dense_rows(n):
+    c = heisenberg(n)
+    alg = c.algebra
+    for q in range(2 * n + 2):
+        # the dense construction: coordinates over basis(q) of each echelon row
+        size = alg.dim(q)
+        image = Echelon(size)
+        for col in c.differential_matrix(q - 1).cols:
+            image.add(col)
+        reps = Echelon(size)
+        for z in c.differential_matrix(q).kernel():
+            reps.add(image.reduce(z)[0])
+        dense = [
+            alg.from_coordinates(q, [Fraction(row.get(j, 0)) for j in range(size)])
+            for row in reps.rows
+        ]
+        got = c.cohomology(q).representatives
+        assert list(got) == dense
+        assert [list(v.terms) for v in got] == [list(v.terms) for v in dense]
+        assert [str(v) for v in got] == [str(v) for v in dense]
+
+
+def test_dropped_ring_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c = heisenberg(3)
+        r = from_cdga(c, 7)
+        for q in range(8):
+            r.labels(q)
+        r.product_coords(1, 0, 2, 0)
+        assert r.basis(3).reduction(r.representative(3, 1))[1] == 1
+        ref_cdga, ref_alg = weakref.ref(c), weakref.ref(c.algebra)
+        del c, r
+        assert ref_cdga() is None
+        assert ref_alg() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_presentations_of_one_cdga_share_structure_constants():
+    c = heisenberg(2)
+    small, large = from_cdga(c, 3), from_cdga(c, 5)
+    prod = large.product_coords(1, 0, 2, 1)
+    assert small.product_coords(1, 0, 2, 1) is prod
+    large.product_coords(2, 0, 2, 1)
+    # the cache is shared, the cutoff is still each presentation's own
+    with pytest.raises(CutoffError):
+        small.product_coords(2, 0, 2, 1)
+    assert from_cdga(heisenberg(2), 3).product_coords(1, 0, 2, 1) is not prod
