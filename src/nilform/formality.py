@@ -698,25 +698,30 @@ def extend_minimal_model(
     def img_list(c: CDGA) -> list:
         return [img_by_name[g.name] for g in c.algebra.generators]
 
+    def image_columns(c: CDGA, q: int) -> list[Vec]:
+        """Target class coordinates of the image of each degree-q class of c."""
+        imgs = img_list(c)
+        return [
+            {
+                i: x
+                for i, x in enumerate(
+                    tgt.class_coords(apply_chain_map(imgs, rep, target), q)
+                )
+                if x
+            }
+            for rep in c.cohomology(q).representatives
+        ]
+
     # precondition: iso below, mono at k+1
     for q in range(1, k + 2):
-        coh = stage.cohomology(q)
-        cols = [
-            {
-                i: c
-                for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(stage), rep, target), q)
-                )
-                if c
-            }
-            for rep in coh.representatives
-        ]
-        rank = SparseMatrix(tgt.h_dim(q), coh.dim, cols).rank()
-        if q <= k and (rank < coh.dim or rank < tgt.h_dim(q)):
+        dim = stage.cohomology(q).dim
+        cols = image_columns(stage, q)
+        rank = SparseMatrix(tgt.h_dim(q), dim, cols).rank()
+        if q <= k and (rank < dim or rank < tgt.h_dim(q)):
             raise ValueError(
                 f"map is not a cohomology isomorphism in degree {q}"
             )
-        if q == k + 1 and rank < coh.dim:
+        if q == k + 1 and rank < dim:
             raise ValueError(
                 f"map is not injective on cohomology in degree {q}"
             )
@@ -726,19 +731,9 @@ def extend_minimal_model(
 
     name_for = namer or default_namer
 
-    # wave 0: cover the cokernel in degree k+1 with closed generators
-    coh = stage.cohomology(k + 1)
-    image_span = Span(tgt.h_dim(k + 1))
-    for rep in coh.representatives:
-        image_span.add(
-            {
-                i: c
-                for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(stage), rep, target), k + 1)
-                )
-                if c
-            }
-        )
+    # wave 0: cover the cokernel in degree k+1 with closed generators; the
+    # last precondition round left the degree-(k+1) columns in cols
+    image_span = Span(tgt.h_dim(k + 1), cols)
     pivots = set(image_span.pivot_columns())
     additions = []
     wave_names: list[str] = []
@@ -755,16 +750,7 @@ def extend_minimal_model(
     truncated = True
     for wave in range(1, stage_cap + 1):
         coh2 = cur.cohomology(k + 2)
-        cols = [
-            {
-                i: c
-                for i, c in enumerate(
-                    tgt.class_coords(apply_chain_map(img_list(cur), rep, target), k + 2)
-                )
-                if c
-            }
-            for rep in coh2.representatives
-        ]
+        cols = image_columns(cur, k + 2)
         kern = SparseMatrix(tgt.h_dim(k + 2), coh2.dim, cols).kernel()
         if not kern:
             truncated = False
@@ -832,91 +818,40 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
     return BigradedTower(r, ext.cdga, ext.images, ext.waves, not ext.truncated)
 
 
-# -- sparse polynomials over the solver unknowns --------------------------
-
-Poly = dict  # monomial (sorted tuple of unknown indices) -> Fraction
-
-
-def _p_const(c) -> Poly:
-    c = Fraction(c)
-    return {(): c} if c else {}
+# -- the chain-map solver -------------------------------------------------
+#
+# Polynomials in the solver unknowns are elements of one sympy PolyRing over
+# QQ (grevlex), built per call once the unknowns are counted.
 
 
-def _p_var(i: int) -> Poly:
-    return {(i,): Fraction(1)}
+def _fraction(c) -> Fraction:
+    """A coefficient of a polynomial (an element of sympy's QQ) as a Fraction."""
+    return Fraction(c.numerator, c.denominator)
 
 
-def _p_add_into(dst: Poly, src: Poly, factor: Fraction = Fraction(1)) -> None:
-    for key, c in src.items():
-        cur = dst.get(key, Fraction(0)) + c * factor
-        if cur:
-            dst[key] = cur
-        else:
-            dst.pop(key, None)
+def _ground(R, c):
+    """A rational as a coefficient of ``R``.
+
+    Built from numerator and denominator: sympy converts a Fraction through
+    ``sympify``, which costs more than the arithmetic it feeds.
+    """
+    return R.domain(c.numerator, c.denominator)
 
 
-def _p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb))
-            cur = out.get(key, Fraction(0)) + ca * cb
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-    return out
+def _evaluate(p, values: Sequence[Fraction]) -> Fraction:
+    """Value of a polynomial at a rational point.
 
-
-def _p_degree(p: Poly) -> int:
-    return max((len(k) for k in p), default=0)
-
-
-def _p_eval(p: Poly, vals: Sequence[Fraction]) -> Fraction:
+    Summed term by term: ``p(*values)`` builds a new ring for every unknown
+    it drops, so its cost grows with the number of unknowns.
+    """
     total = Fraction(0)
-    for key, c in p.items():
-        term = c
-        for i in key:
-            term *= vals[i]
+    for mono, c in p.terms():
+        term = _fraction(c)
+        for v, e in zip(values, mono):
+            if e:
+                term *= v**e
         total += term
     return total
-
-
-def _p_compose(p: Poly, subs: Sequence[Poly]) -> Poly:
-    out: Poly = {}
-    for key, c in p.items():
-        term = _p_const(c)
-        for i in key:
-            term = _p_mul(term, subs[i])
-        _p_add_into(out, term)
-    return out
-
-
-def _p_subst(p: Poly, var: int, value: Fraction) -> Poly:
-    out: Poly = {}
-    for key, c in p.items():
-        count = sum(1 for i in key if i == var)
-        rest = tuple(i for i in key if i != var)
-        _p_add_into(out, {rest: c * value**count})
-    return out
-
-
-def _p_max_var_degree(p: Poly, var: int) -> int:
-    return max((sum(1 for i in key if i == var) for key in p), default=0)
-
-
-def _p_str(p: Poly, names: Sequence[str]) -> str:
-    if not p:
-        return "0"
-    chunks = []
-    for key in sorted(p, key=lambda k: (len(k), k)):
-        c = p[key]
-        mono = "*".join(names[i] for i in key) if key else "1"
-        chunks.append(f"{c}*{mono}" if key else str(c))
-    return " + ".join(chunks)
-
-
-# -- the chain-map solver -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -948,30 +883,31 @@ def _tracked_echelon(keys: Sequence, vectors: Iterable[dict]) -> Echelon:
     return ech
 
 
-def _split_by_span(
-    ech: Echelon, keys: Sequence, pel: dict
-) -> tuple[dict[int, Poly], dict]:
+def _split_by_span(ech: Echelon, keys: Sequence, pel: dict, R) -> tuple[dict, dict]:
     """Reduce a poly-vector over ``keys`` modulo a tracked echelon.
 
     Returns the coefficients over the added vectors and the residual, both
-    with polynomial entries.  Reduction is linear, so each monomial in the
-    unknowns is reduced on its own.
+    with entries in the polynomial ring ``R``.  Reduction is linear, so each
+    monomial in the unknowns is reduced on its own.
     """
     index = {k: i for i, k in enumerate(keys)}
     by_mono: dict[tuple, Vec] = {}
     for key, p in pel.items():
-        for mono, c in p.items():
-            by_mono.setdefault(mono, {})[index[key]] = c
-    coeffs: dict[int, Poly] = {}
+        for mono, c in p.terms():
+            by_mono.setdefault(mono, {})[index[key]] = _fraction(c)
+    coeffs: dict[int, dict] = {}
     residual: dict = {}
     for mono, vec in by_mono.items():
         rest, cs = ech.reduce(vec)
         for j, c in rest.items():
-            residual.setdefault(keys[j], {})[mono] = c
+            residual.setdefault(keys[j], {})[mono] = _ground(R, c)
         for k, c in enumerate(cs):
             if c:
-                coeffs.setdefault(k, {})[mono] = c
-    return coeffs, residual
+                coeffs.setdefault(k, {})[mono] = _ground(R, c)
+    return (
+        {k: R(terms) for k, terms in coeffs.items()},
+        {key: R(terms) for key, terms in residual.items()},
+    )
 
 
 def _solution_family(
@@ -998,14 +934,14 @@ def _solution_family(
     return particular, null
 
 
-def _sparse_det(entries: list[list[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials by sparse Laplace expansion."""
+def _sparse_det(entries: list[list], R):
+    """Determinant of a matrix over ``R`` by sparse Laplace expansion."""
     n = len(entries)
 
-    def rec(row: int, used: int) -> Poly:
+    def rec(row: int, used: int):
         if row == n:
-            return _p_const(1)
-        out: Poly = {}
+            return R.one
+        out = R.zero
         sign = 1
         for col in range(n):
             bit = 1 << col
@@ -1015,37 +951,35 @@ def _sparse_det(entries: list[list[Poly]]) -> Poly:
             if entry:
                 sub = rec(row + 1, used | bit)
                 if sub:
-                    _p_add_into(out, _p_mul(entry, sub), Fraction(sign))
+                    out += sign * (entry * sub)
             sign = -sign
         return out
 
     return rec(0, 0)
 
 
-def _nonvanishing_point(product: Poly, nfree: int) -> list[Fraction] | None:
-    """A rational point where a nonzero polynomial does not vanish."""
-    if not product:
-        return None
+def _nonvanishing_point(product, nfree: int) -> list[Fraction]:
+    """A rational point where a nonzero polynomial does not vanish.
+
+    The polynomial involves only the first ``nfree`` unknowns.  Each of
+    them in turn takes the first of 0, 1, ..., deg that keeps it nonzero.
+    One always does: over the field of the other unknowns, it is a nonzero
+    polynomial of degree deg in this one, so it has at most deg roots.
+    """
     point: list[Fraction] = []
-    cur = product
     for var in range(nfree):
-        deg = _p_max_var_degree(cur, var)
-        for v in range(deg + 1):
-            cand = _p_subst(cur, var, Fraction(v))
+        for v in range(product.degree(var) + 1):
+            cand = product.subs(var, v)
             if cand:
-                point.append(Fraction(v))
-                cur = cand
                 break
-        else:
-            return None
-    if not cur or cur.get(()) in (None, Fraction(0)):
-        return None
+        point.append(Fraction(v))
+        product = cand
     return point
 
 
 def _h1_class_matrix_polys(
-    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], tgt, n_src: int
-) -> list[list[Poly]]:
+    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], tgt, n_src: int, R
+) -> list[list]:
     """Symbolic matrix of the induced map on degree-1 cohomology."""
     keys = tgt.ambient_keys(1)
     classes = _tracked_echelon(
@@ -1053,16 +987,15 @@ def _h1_class_matrix_polys(
     )
     entries = []
     for vec in h1_kernel:
-        ambient: dict[object, Poly] = {}
+        ambient: dict = {}
         for i in range(n_src):
             c = vec.get(i)
             if not c:
                 continue
             for key, p in images_pel[i].items():
-                cur = ambient.setdefault(key, {})
-                _p_add_into(cur, p, c)
-        coords, _ = _split_by_span(classes, keys, ambient)
-        entries.append([coords.get(j, {}) for j in range(len(h1_kernel))])
+                ambient[key] = ambient.get(key, R.zero) + p.mul_ground(_ground(R, c))
+        coords, _ = _split_by_span(classes, keys, ambient, R)
+        entries.append([coords.get(j, R.zero) for j in range(len(h1_kernel))])
     return entries
 
 
@@ -1074,7 +1007,6 @@ def dga_map_solve(
     nonzero: Sequence[tuple[str, str]] = (),
     require_h1_iso: bool = False,
     elimination_bound: int = 12,
-    seed: int = 0,
 ) -> MapSolveResult:
     """Search for a chain map respecting constraints, exactly.
 
@@ -1087,6 +1019,11 @@ def dga_map_solve(
     family.  Non-linear systems go through a Groebner basis when the
     unknown count stays within the elimination bound.
     """
+    from sympy import Symbol
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
     if any(g.degree != 1 for g in source.algebra.generators):
         raise ValueError("source must be generated in degree 1")
     order = _nilpotent_order(source)
@@ -1097,12 +1034,6 @@ def dga_map_solve(
     constraints = dict(constraints or {})
     for name in constraints:
         source.algebra.index_of(name)
-
-    param_names: list[str] = []
-
-    def fresh(label: str) -> int:
-        param_names.append(label)
-        return len(param_names) - 1
 
     def as_element(value):
         if isinstance(value, str):
@@ -1116,44 +1047,71 @@ def dga_map_solve(
             )
         return value
 
-    def const_pel(elem) -> dict:
-        return {k: _p_const(c) for k, c in tgt.elem_terms(elem).items() if c}
-
     keys2 = tgt.ambient_keys(2)
     exact = tgt.exact_columns(2)
     exact_span = _tracked_echelon(keys2, [coords for _, coords in exact])
     kernel_elems = tgt.kernel_elements(1)
     n_src = len(source.algebra.generators)
+
+    # one unknown per template direction, and per closed direction of a free generator
+    labels: list[str] = []
+    for i in order:
+        name = source.algebra.generators[i].name
+        if name not in constraints:
+            labels += [f"{name}<{t}>" for t in range(len(kernel_elems))]
+        elif isinstance(constraints[name], MapTemplate):
+            labels += [f"{name}[{t}]" for t in range(len(constraints[name].freedom))]
+    R, *gens = ring([Symbol(label) for label in labels], QQ, grevlex)
+    nparams = len(gens)
+    unknowns = iter(gens)
+
     images_pel: list[dict | None] = [None] * n_src
-    equations: list[tuple[Poly, str]] = []
+    equations: list[tuple[object, str]] = []
+
+    def add_into(pel: dict, key, p, c) -> None:
+        """pel[key] += c * p for a rational c."""
+        pel[key] = pel.get(key, R.zero) + p.mul_ground(_ground(R, c))
+
+    def nonzero_part(pel: dict) -> dict:
+        return {k: p for k, p in pel.items() if p}
 
     def pel_mul(a: dict, b: dict) -> dict:
         out: dict = {}
         for ka, pa in a.items():
             for kb, pb in b.items():
+                prod = pa * pb
                 for key, c in tgt.pair_product(ka, kb):
-                    cur = out.setdefault(key, {})
-                    _p_add_into(cur, _p_mul(pa, pb), c)
-        return {k: p for k, p in out.items() if p}
+                    add_into(out, key, prod, c)
+        return nonzero_part(out)
 
     def pel_apply(v: Multivector) -> dict:
         out: dict = {}
         for mono, c in sorted(v.terms.items()):
-            cur = {tgt.unit_key(): _p_const(1)}
+            cur = {tgt.unit_key(): R.one}
             for i in mono:
                 cur = pel_mul(cur, images_pel[i])
             for key, p in cur.items():
-                dst = out.setdefault(key, {})
-                _p_add_into(dst, p, c)
-        return {k: p for k, p in out.items() if p}
+                add_into(out, key, p, c)
+        return nonzero_part(out)
 
     def pel_d(pel: dict) -> dict:
         out: dict = {}
         for key, p in pel.items():
             for key2, c in tgt.d_key(key):
-                dst = out.setdefault(key2, {})
-                _p_add_into(dst, p, c)
-        return {k: p for k, p in out.items() if p}
+                add_into(out, key2, p, c)
+        return nonzero_part(out)
+
+    def const_pel(elem) -> dict:
+        img: dict = {}
+        for key, c in tgt.elem_terms(elem).items():
+            add_into(img, key, R.one, c)
+        return img
+
+    def add_directions(img: dict, directions) -> None:
+        for elem in directions:
+            x = next(unknowns)
+            for key, c in tgt.elem_terms(elem).items():
+                add_into(img, key, x, c)
 
     for i in order:
         gen = source.algebra.generators[i]
@@ -1163,20 +1121,13 @@ def dga_map_solve(
             spec = constraints[gen.name]
             if isinstance(spec, MapTemplate):
                 img = const_pel(as_element(spec.base))
-                for t, direction in enumerate(spec.freedom):
-                    delem = as_element(direction)
-                    p = fresh(f"{gen.name}[{t}]")
-                    for key, c in tgt.elem_terms(delem).items():
-                        cur = img.setdefault(key, {})
-                        _p_add_into(cur, _p_var(p), c)
+                add_directions(img, [as_element(e) for e in spec.freedom])
             else:
                 img = const_pel(as_element(spec))
-            img = {k: p for k, p in img.items() if p}
+            img = nonzero_part(img)
             lhs = pel_d(img)
-            diff_keys = set(lhs) | set(rhs)
-            for key in sorted(diff_keys):
-                poly = dict(lhs.get(key, {}))
-                _p_add_into(poly, rhs.get(key, {}), Fraction(-1))
+            for key in sorted(set(lhs) | set(rhs)):
+                poly = lhs.get(key, R.zero) - rhs.get(key, R.zero)
                 if poly:
                     note = (
                         f"chain condition at {gen.name!r}, "
@@ -1184,38 +1135,33 @@ def dga_map_solve(
                     )
                     equations.append((poly, note))
         else:
-            lift, residual = _split_by_span(exact_span, keys2, rhs)
+            lift, residual = _split_by_span(exact_span, keys2, rhs, R)
             for key in sorted(residual):
                 note = (
                     f"exactness obstruction at {gen.name!r}, "
                     f"coordinate {tgt.key_label(key)}"
                 )
                 equations.append((residual[key], note))
-            img: dict = {}
+            img = {}
             for col, poly in sorted(lift.items()):
                 for key, c in tgt.elem_terms(exact[col][0]).items():
-                    cur = img.setdefault(key, {})
-                    _p_add_into(cur, poly, c)
-            for t, kelem in enumerate(kernel_elems):
-                p = fresh(f"{gen.name}<{t}>")
-                for key, c in tgt.elem_terms(kelem).items():
-                    cur = img.setdefault(key, {})
-                    _p_add_into(cur, _p_var(p), c)
-            img = {k: p for k, p in img.items() if p}
+                    add_into(img, key, poly, c)
+            add_directions(img, kernel_elems)
+            img = nonzero_part(img)
         images_pel[i] = img
 
-    nparams = len(param_names)
-
     # side conditions: explicit non-vanishing coefficients, optional iso
-    conditions: list[tuple[Poly, str]] = []
+    conditions: list[tuple[object, str]] = []
     for gen_name, target_name in nonzero:
         i = source.algebra.index_of(gen_name)
         key = tgt.gen_key(target_name)
-        poly = dict(images_pel[i].get(key, {}))
         conditions.append(
-            (poly, f"coefficient of {target_name} in the image of {gen_name!r}")
+            (
+                images_pel[i].get(key, R.zero),
+                f"coefficient of {target_name} in the image of {gen_name!r}",
+            )
         )
-    h1_matrix: list[list[Poly]] = []
+    h1_matrix: list[list] = []
     if require_h1_iso:
         h1_kernel = source.differential_matrix(1).kernel()
         n1 = len(h1_kernel)
@@ -1228,20 +1174,18 @@ def dga_map_solve(
                 nparams,
                 len(equations),
             )
-        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, tgt, n_src)
+        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, tgt, n_src, R)
         if n1 <= 7:
             conditions.append(
                 (
-                    _sparse_det(h1_matrix),
+                    _sparse_det(h1_matrix, R),
                     "determinant of the induced degree-one cohomology map",
                 )
             )
         # beyond that size invertibility is only checked on the found map
 
-    linear = all(_p_degree(p) <= 1 for p, _ in equations) and all(
-        _p_degree(p) <= 1
-        for i in range(n_src)
-        for p in images_pel[i].values()
+    linear = all(p.is_linear for p, _ in equations) and all(
+        p.is_linear for img in images_pel for p in img.values()
     )
 
     if linear:
@@ -1249,7 +1193,12 @@ def dga_map_solve(
         # pivot there is a row 0 = c, first reached by an inconsistent equation
         system = Echelon(nparams + 1)
         for poly, note in equations:
-            system.add({key[0] if key else nparams: c for key, c in poly.items()})
+            system.add(
+                {
+                    mono.index(1) if any(mono) else nparams: _fraction(c)
+                    for mono, c in poly.terms()
+                }
+            )
             if system.pivots and system.pivots[-1] == nparams:
                 return MapSolveResult(
                     "unsatisfiable",
@@ -1259,51 +1208,38 @@ def dga_map_solve(
                     len(equations),
                 )
         particular, null = _solution_family(system, nparams)
-        subs = [_p_const(v) for v in particular]
-        for t, vec in enumerate(null):
-            for i in range(nparams):
-                if vec[i]:
-                    _p_add_into(subs[i], {(t,): vec[i]})
-        product = _p_const(1)
-        for poly, _ in conditions:
-            product = _p_mul(product, _p_compose(poly, subs))
-        if conditions and not product:
-            notes = "; ".join(note for _, note in conditions)
-            return MapSolveResult(
-                "unsatisfiable",
-                None,
-                "every solution of the linear system violates a "
-                f"non-vanishing condition ({notes})",
-                nparams,
-                len(equations),
-            )
+        point = [Fraction(0)] * len(null)
         if conditions:
-            point = _nonvanishing_point(product, len(null))
-            if point is None:
+            # the solution family, with the null-space parameters as the first unknowns
+            subs = [R(_ground(R, v)) for v in particular]
+            for t, vec in enumerate(null):
+                for i in range(nparams):
+                    if vec[i]:
+                        subs[i] += gens[t].mul_ground(_ground(R, vec[i]))
+            family = list(zip(gens, subs))
+            product = R.one
+            for poly, _ in conditions:
+                product *= poly.compose(family)
+            if not product:
+                notes = "; ".join(note for _, note in conditions)
                 return MapSolveResult(
-                    "unknown",
+                    "unsatisfiable",
                     None,
-                    None,
+                    "every solution of the linear system violates a "
+                    f"non-vanishing condition ({notes})",
                     nparams,
                     len(equations),
-                    "no rational point satisfying the side conditions was found",
                 )
-            point = point + [Fraction(0)] * (len(null) - len(point))
-        else:
-            point = [Fraction(0)] * len(null)
+            point = _nonvanishing_point(product, len(null))
         values = list(particular)
         for t, vec in enumerate(null):
             for i in range(nparams):
                 values[i] += point[t] * vec[i]
     else:
         if nparams > elimination_bound:
-            residual = "; ".join(
-                f"{_p_str(p, param_names)} = 0" for p, _ in equations[:6]
-            )
+            residual = "; ".join(f"{p} = 0" for p, _ in equations[:6])
             raise EliminationBoundError(nparams, elimination_bound, residual)
-        values = _nonlinear_solve(
-            equations, conditions, nparams, param_names, seed
-        )
+        values = _nonlinear_solve(equations, conditions, R)
         if values == "unsat":
             return MapSolveResult(
                 "unsatisfiable",
@@ -1326,9 +1262,7 @@ def dga_map_solve(
     assignment: dict[str, object] = {}
     images_exact: list[object] = [None] * n_src
     for i in range(n_src):
-        terms = {
-            key: _p_eval(p, values) for key, p in images_pel[i].items()
-        }
+        terms = {key: _evaluate(p, values) for key, p in images_pel[i].items()}
         elem = tgt.elem_from_terms({k: c for k, c in terms.items() if c})
         images_exact[i] = elem
         assignment[source.algebra.generators[i].name] = elem
@@ -1339,7 +1273,7 @@ def dga_map_solve(
         if not (lhs - rhs).is_zero():
             raise RuntimeError(f"chain-map verification failed at {gen.name!r}")
     for poly, note in conditions:
-        if _p_eval(poly, values) == 0:
+        if _evaluate(poly, values) == 0:
             return MapSolveResult(
                 "unknown",
                 None,
@@ -1351,7 +1285,7 @@ def dga_map_solve(
     if len(h1_matrix) > 7:
         span = Span(len(h1_matrix))
         for row in h1_matrix:
-            span.add({j: v for j, p in enumerate(row) if (v := _p_eval(p, values))})
+            span.add({j: v for j, p in enumerate(row) if (v := _evaluate(p, values))})
         if span.dim < len(h1_matrix):
             return MapSolveResult(
                 "unknown",
@@ -1366,63 +1300,51 @@ def dga_map_solve(
     )
 
 
-def _nonlinear_solve(equations, conditions, nparams, param_names, seed):
+def _nonlinear_solve(equations, conditions, R):
     """Groebner-based decision with a bounded rational point search."""
-    import sympy
+    from sympy import Integer, Symbol, solve, symbols
+    from sympy.polys.groebnertools import groebner
 
-    syms = sympy.symbols(f"q0:{max(nparams, 1)}")
-
-    def to_expr(poly: Poly):
-        expr = sympy.Integer(0)
-        for key, c in poly.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for i in key:
-                term *= syms[i]
-            expr += term
-        return expr
-
-    exprs = [to_expr(p) for p, _ in equations if p]
-    cond_exprs = [to_expr(p) for p, _ in conditions]
-    if any(e == 0 for e in cond_exprs):
+    polys = [p for p, _ in equations]
+    conds = [p for p, _ in conditions]
+    if not all(conds):
         return "unsat"
-    system = list(exprs)
-    extra = []
-    if cond_exprs:
-        t = sympy.Symbol("t_rab")
-        prod = sympy.Integer(1)
-        for e in cond_exprs:
-            prod *= e
-        system = system + [t * prod - 1]
-        extra = [t]
-    if system:
-        gb = sympy.groebner(system, *(list(syms[:nparams]) + extra), order="grevlex")
-        if list(gb.exprs) == [sympy.Integer(1)]:
-            return "unsat"
+    system, S = polys, R
+    if conds:
+        # Rabinowitsch: t * prod(conds) = 1 is solvable only where no condition vanishes
+        S = R.clone(symbols=R.symbols + (Symbol("t_rab"),))
+        prod = S.one
+        for p in conds:
+            prod *= p.set_ring(S)
+        system = [p.set_ring(S) for p in polys] + [S.gens[-1] * prod - 1]
+    if system and groebner(system, S) == [S.one]:
+        return "unsat"
+
+    def satisfies(vals: list[Fraction]) -> bool:
+        return all(_evaluate(p, vals) == 0 for p in polys) and all(
+            _evaluate(p, vals) != 0 for p in conds
+        )
+
+    nparams = R.ngens
     # bounded deterministic search for a rational witness
     if nparams <= 6:
-        grid = range(-2, 3)
-        for cand in itertools.product(grid, repeat=nparams):
+        for cand in itertools.product(range(-2, 3), repeat=nparams):
             vals = [Fraction(v) for v in cand]
-            if all(_p_eval(p, vals) == 0 for p, _ in equations) and all(
-                _p_eval(p, vals) != 0 for p, _ in conditions
-            ):
+            if satisfies(vals):
                 return vals
+    # solve sorts its solutions by symbol name: on the labels it could return
+    # another one first, so it runs on q0, q1, ... in ring order
+    syms = symbols(f"q0:{nparams}")
     try:
-        sols = sympy.solve(exprs, list(syms[:nparams]), dict=True)
+        sols = solve([p.as_expr(*syms) for p in polys], list(syms), dict=True)
     except NotImplementedError:
         sols = []
     for sol in sols:
-        vals = []
-        ok = True
-        for i in range(nparams):
-            v = sol.get(syms[i], sympy.Integer(0))
-            if not v.is_Rational:
-                ok = False
-                break
-            vals.append(Fraction(int(v.p), int(v.q)))
-        if ok and all(_p_eval(p, vals) == 0 for p, _ in equations) and all(
-            _p_eval(p, vals) != 0 for p, _ in conditions
-        ):
+        vals = [sol.get(s, Integer(0)) for s in syms]
+        if not all(v.is_Rational for v in vals):
+            continue
+        vals = [Fraction(int(v.p), int(v.q)) for v in vals]
+        if satisfies(vals):
             return vals
     return None
 
@@ -1543,7 +1465,6 @@ def formality_report(
                 constraints,
                 require_h1_iso=True,
                 elimination_bound=elimination_bound,
-                seed=seed,
             )
             if res.status == "unsatisfiable":
                 report.mark_not_formal_from(

@@ -105,12 +105,12 @@ class Echelon:
 
     def add(self, vec: Vec | Row) -> bool:
         """Insert a vector; returns True when the rank grew."""
-        frac_vec: Vec = {j: Fraction(v) for j, v in vec.items() if v}
+        vec = {j: v for j, v in vec.items() if v}
         if self.track:
             # scale the marker together with the vector, never separately
-            frac_vec[self.ncols + self.added] = Fraction(1)
+            vec[self.ncols + self.added] = 1
         self.added += 1
-        row = to_int_row(frac_vec)
+        row = to_int_row(vec)
         row = self._reduce(row)
         if not self._real_part(row):
             if self.track and row:

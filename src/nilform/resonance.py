@@ -187,32 +187,29 @@ def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: i
 
     Uses a Groebner basis: a homogeneous ideal cuts out exactly the origin
     over the algebraic closure iff every variable has a pure power among
-    the leading monomials.
+    the leading monomials.  The forms are upper triangular, as in
+    :class:`QuadricSystem`.
     """
-    import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
 
-    syms = sympy.symbols(f"c0:{m}")
+    R = ring(f"c0:{m}", QQ, grevlex)[0]
     polys = []
     for form in forms:
-        expr = sympy.Integer(0)
+        terms = {}
         for (a, b), c in form.items():
-            expr += sympy.Rational(c.numerator, c.denominator) * syms[a] * syms[b]
-        if expr != 0:
-            polys.append(sympy.Poly(expr, *syms))
+            exponents = [0] * m
+            exponents[a] += 1
+            exponents[b] += 1
+            terms[tuple(exponents)] = c
+        if p := R(terms):
+            polys.append(p)
     if not polys:
         return False
-    basis = sympy.groebner(polys, *syms, order="grevlex")
-    leading = [sympy.Poly(g, *syms).LM(order="grevlex") for g in basis.exprs]
-    for i in range(m):
-        has_pure_power = False
-        for lm in leading:
-            degs = lm.exponents
-            if degs[i] > 0 and all(d == 0 for j, d in enumerate(degs) if j != i):
-                has_pure_power = True
-                break
-        if not has_pure_power:
-            return False
-    return True
+    leading = [g.LM for g in groebner(polys, R)]
+    return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
 
 def decide_r11_trivial(

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +393,36 @@ def test_table_output_is_reproducible(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+# -- import cost ----------------------------------------------------------
+
+_LIGHT_COMMANDS_PROBE = """
+import sys
+
+import nilform.cli
+
+loaded = ["sympy" in sys.modules]
+for argv in (
+    ["cohomology", "--preset", "heisenberg:4", "--format", "json"],
+    ["resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"],
+    ["formality", "--preset", "heisenberg:3"],
+):
+    assert nilform.cli.main(argv) == 0
+    loaded.append("sympy" in sys.modules)
+sys.stderr.write(repr(loaded))
+"""
+
+
+def test_light_commands_never_import_sympy():
+    # sympy is imported lazily, only by the Groebner decisions and the solver
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIGHT_COMMANDS_PROBE],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == repr([False] * 4)

@@ -465,6 +465,44 @@ def test_solver_nonlinear_scaling_family():
     assert (lhs - rhs).is_zero()
 
 
+def test_solver_nonlinear_system_refuted_under_side_conditions():
+    # d(c) = a*b forces q*q' = 0 at x*y, while q and q' must both be nonzero:
+    # only the Rabinowitsch variable and a Groebner basis settle this
+    src = CDGA(Algebra([("a", 1), ("b", 1), ("c", 1)]), {"c": "a*b"})
+    tgt = CDGA(Algebra([("x", 1), ("y", 1), ("u", 1)]), {})
+    cons = {
+        "a": MapTemplate("0", ("x",)),
+        "b": MapTemplate("0", ("y",)),
+        "c": MapTemplate("0", ("u",)),
+    }
+    assert dga_map_solve(src, tgt, cons).status == "solution"
+    res = dga_map_solve(src, tgt, cons, nonzero=[("a", "x"), ("b", "y")])
+    assert res.status == "unsatisfiable"
+    assert res.certificate == (
+        "the polynomial system has no solution over any field extension "
+        "compatible with the side conditions"
+    )
+    assert (res.unknowns, res.equations) == (3, 1)
+
+
+def test_nonvanishing_point_steps_past_small_roots():
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    from nilform.formality import _nonvanishing_point
+
+    R, x, y, z = ring("x y z", QQ)
+    # vanishes at x = 0, 1 and at y = 0, 1, so the first good value of each is 2
+    assert _nonvanishing_point(x * (x - 1) * y * (y - 1), 2) == [2, 2]
+    rng = random.Random(29)
+    for _ in range(30):
+        p = R.one
+        for _ in range(rng.randint(1, 4)):
+            p *= rng.choice((x, y, z)) - rng.randint(0, 3)
+        point = _nonvanishing_point(p, 3)
+        assert len(point) == 3 and p(*point) != 0
+
+
 def test_solver_lifts_through_dependent_exact_columns():
     # d(z1) = d(z2): the exact columns of degree 2 are linearly dependent
     tgt = CDGA(

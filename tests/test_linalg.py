@@ -336,9 +336,14 @@ class _WalkEchelon:
         return w, coeffs
 
 
-@pytest.mark.parametrize("track", [False, True])
-def test_pivot_index_matches_the_full_walk(track):
-    rng = random.Random(71 if track else 73)
+@pytest.mark.parametrize(
+    "track, entries",
+    [(False, int), (True, int), (False, Fraction), (True, Fraction)],
+    ids=["False", "True", "False-Fraction", "True-Fraction"],
+)
+def test_pivot_index_matches_the_full_walk(track, entries):
+    # entries: every added row has int entries, or Fraction entries with denominators
+    rng = random.Random((71 if track else 73) + (entries is Fraction))
 
     def shuffled(vec):
         # key order must not matter, so the inputs come in a random one
@@ -357,7 +362,10 @@ def test_pivot_index_matches_the_full_walk(track):
             else:
                 vec = {j: rng.randint(-5, 5) for j in range(ncols) if rng.random() < 0.5}
                 vec = {j: v for j, v in vec.items() if v}
-            vec = shuffled(vec)
+                if entries is Fraction:
+                    vec = {j: Fraction(v, rng.randint(1, 3)) for j, v in vec.items()}
+            vec = shuffled({j: entries(v) for j, v in vec.items()})
+            assert all(type(v) is entries for v in vec.values())
             added.append(vec)
             assert ech.add(vec) == ref.add(vec)
             assert all(a < b for a, b in zip(ech.pivots, ech.pivots[1:]))

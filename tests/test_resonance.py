@@ -9,6 +9,7 @@ import pytest
 
 from nilform.catalog import example_initial, free_abelian, heisenberg
 from nilform.cdga import tensor
+from nilform.linalg import SparseMatrix
 from nilform.ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -166,6 +167,73 @@ def test_decide_tensor_square_has_witness():
     v = decide_r11_trivial(r)
     assert v.kind == "witness"
     assert in_resonance(r, v.witness.point, 1)
+
+
+def _change_variables(form, matrix):
+    """The quadric form at c = matrix * c', again upper triangular in c'."""
+    out = {}
+    for (a, b), c in form.items():
+        for j, x in enumerate(matrix[a]):
+            for k, y in enumerate(matrix[b]):
+                if x and y:
+                    key = (min(j, k), max(j, k))
+                    out[key] = out.get(key, Fraction(0)) + c * x * y
+    return {key: c for key, c in out.items() if c}
+
+
+def _invertible(rng, m):
+    while True:
+        rows = [
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)]
+            for _ in range(m)
+        ]
+        cols = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(m)]
+        if SparseMatrix(m, m, cols).rank() == m:
+            return rows
+
+
+@pytest.mark.parametrize(
+    "forms, expected",
+    [
+        ([{(0, 0): 1}, {(1, 1): 1}], True),
+        ([{(0, 1): 1}], False),
+        ([{(0, 0): 1, (1, 1): -1}, {(0, 1): 1}], True),
+    ],
+    ids=["squares", "product", "difference-and-product"],
+)
+def test_zero_locus_is_origin_invariant_under_change_of_variables(forms, expected):
+    from nilform.resonance import _zero_locus_is_origin
+
+    rng = random.Random(17)
+    forms = [{key: Fraction(c) for key, c in f.items()} for f in forms]
+    assert _zero_locus_is_origin(forms, 2) is expected
+    for _ in range(5):
+        matrix = _invertible(rng, 2)
+        moved = [_change_variables(f, matrix) for f in forms]
+        assert _zero_locus_is_origin(moved, 2) is expected
+
+
+def test_zero_locus_is_origin_random_systems_seeded():
+    from nilform.resonance import _zero_locus_is_origin
+
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        pairs = [(a, b) for a in range(m) for b in range(a, m)]
+        forms = [
+            {p: Fraction(rng.choice((-2, -1, 1, 2)))
+             for p in pairs if rng.random() < 0.4}
+            for _ in range(rng.randint(1, m + 1))
+        ]
+        expected = _zero_locus_is_origin(forms, m)
+        seen.add(expected)
+        for _ in range(2):
+            matrix = _invertible(rng, m)
+            moved = [_change_variables(f, matrix) for f in forms]
+            assert _zero_locus_is_origin(moved, m) is expected
+    # both answers occur, so the invariance is not checked on one side only
+    assert seen == {True, False}
 
 
 def test_find_resonance_point():
