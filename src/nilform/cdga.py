@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
-from .linalg import Echelon, Span, SparseMatrix, Vec
+from .linalg import Echelon, Row, Span, SparseMatrix, Vec, row_primitive
 
 
 class NotADifferential(ValueError):
@@ -215,29 +216,69 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
 class CohomologyBasis:
     """Deterministic basis of H^q with exact reduction onto class coordinates.
 
-    Representatives are cocycles in reduced echelon position modulo the
-    coboundary space; ``reduction`` is the induced linear map sending a
-    cocycle to its coordinates over them.  The basis keeps the algebra and
-    the differential out of degree q, not the CDGA, so a dropped CDGA and
-    its cached bases are freed without the cyclic garbage collector.
+    The representatives are the reduced echelon basis of the cocycles that
+    vanish at every pivot of the coboundary space: primitive integer rows
+    with strictly increasing least-index pivots, each zero at the others'
+    pivots.  They are read off one row reduction of d_q: eliminated with
+    its columns in reverse order, the equations d_q(z) = 0 pivot on their
+    last columns, and every free column f gives the null vector
+    k_f = e_f - sum R[f]/R[p] e_p over the reduced rows R with pivot p.
+    Each R is zero right of its pivot, so k_f is zero left of f and at the
+    other free columns: the k_f are the reduced echelon basis of Z^q.  The
+    image B^q lies in Z^q, so its pivots are free columns too, and the k_f
+    with f not among them are the representatives.
+
+    ``reduction`` is the induced linear map sending a cocycle to its
+    coordinates over them.  The basis keeps the algebra and the
+    differential out of degree q, not the CDGA, so a dropped CDGA and its
+    cached bases are freed without the cyclic garbage collector.
     """
 
     def __init__(self, cdga: CDGA, degree: int):
         self.algebra = alg = cdga.algebra
         self.degree = degree
         self._d = cdga.differential_matrix(degree)
-        n = alg.dim(degree)
-        self._image = Echelon(n)
+        self._image = Echelon(alg.dim(degree))
         for col in cdga.differential_matrix(degree - 1).cols:
             self._image.add(col)
-        reps = Echelon(n)
-        for z in self._d.kernel():
-            reps.add(self._image.reduce(z)[0])
         basis = alg.basis(degree)
         self.representatives = tuple(
             Multivector(alg, {basis[j]: Fraction(row[j]) for j in sorted(row)})
-            for row in reps.rows
+            for row in self._cocycle_rows()
         )
+
+    def _cocycle_rows(self) -> list[Row]:
+        """Primitive k_f for the free columns f that are not image pivots."""
+        n = self._d.ncols
+        last = n - 1
+        # the rows of d_q with column j at last - j, so each pivots on its last column
+        eqs: dict[int, Vec] = {}
+        for j, col in enumerate(self._d.cols):
+            for i, v in col.items():
+                eqs.setdefault(i, {})[last - j] = v
+        ech = Echelon(n)
+        for i in sorted(eqs):
+            ech.add(eqs[i])
+        # column f -> (pivot, R[f], R[pivot]) over the reduced rows R holding f
+        entries: dict[int, list[tuple[int, int, int]]] = {}
+        for p, row in zip(ech.pivots, ech.rows):
+            lead = row[p]
+            for j, v in row.items():
+                if j != p:
+                    entries.setdefault(last - j, []).append((last - p, v, lead))
+        skip = {last - p for p in ech.pivots}
+        skip.update(self._image.pivots)
+        out: list[Row] = []
+        for f in range(n):
+            if f in skip:
+                continue
+            terms = entries.get(f, ())
+            scale = lcm(*(lead for _, _, lead in terms))
+            k = {f: scale}
+            for p, v, lead in terms:
+                k[p] = -v * (scale // lead)
+            out.append(row_primitive(k))
+        return out
 
     @cached_property
     def _classes(self) -> Echelon:

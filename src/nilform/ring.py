@@ -49,7 +49,10 @@ class RingPresentation:
     def representative(self, q: int, i: int) -> Multivector:
         if not 0 <= q <= self.max_degree:
             raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
-        return self._bases[q].representatives[i]
+        reps = self._bases[q].representatives
+        if not 0 <= i < len(reps):
+            raise IndexError(f"no class {i} in degree {q}")
+        return reps[i]
 
     def basis(self, q: int):
         if not 0 <= q <= self.max_degree:
@@ -78,6 +81,7 @@ class RingPresentation:
         key = (qa, ia, qb, ib)
         cached = self._products.get(key)
         if cached is None:
+            # representative checks both indices, so only valid keys are cached
             prod = self.representative(qa, ia) * self.representative(qb, ib)
             coords = self._bases[q].reduction(prod)
             cached = {j: c for j, c in enumerate(coords) if c}

@@ -1,0 +1,58 @@
+"""Golden CLI outputs: exact stdout and exit codes of fixed commands.
+
+The fixture ``tests/data/golden_cli.json`` holds, for each command, the
+exit code and stdout of ``nilform.cli.main`` run in process.  A change that
+alters any class representative, label, dimension or verdict shows up
+here as a byte difference.  When an output change is intended, regenerate
+the fixture from a checkout with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of the JSON file before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from nilform import cli
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+
+COMMANDS = (
+    ("cohomology", "--preset", "heisenberg:4", "--format", "json"),
+    ("resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"),
+    ("formality", "--preset", "heisenberg:3"),
+    ("resonance", "--preset", "heisenberg:2", "--q", "1", "--decide"),
+    ("formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3", "--format", "json"),
+    ("cohomology", "--preset", "example_contr:p=x1*y2", "--format", "json"),
+    ("cohomology", "--preset", "heisenberg_type:2,5", "--format", "json"),
+)
+
+
+def run(argv) -> dict:
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[" ".join(c[:3]) for c in COMMANDS])
+def test_cli_output_matches_golden_fixture(k):
+    want = json.loads(FIXTURE.read_text())[k]
+    assert want["argv"] == list(COMMANDS[k])
+    assert run(COMMANDS[k]) == want
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    doc = [run(argv) for argv in COMMANDS]
+    FIXTURE.write_text(json.dumps(doc, indent=1) + "\n")
+    sys.stdout.write(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)\n")

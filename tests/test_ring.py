@@ -6,17 +6,21 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from nilform.catalog import (
+    central_extension,
+    example_contr,
     example_initial,
     free_abelian,
     heisenberg,
     heisenberg_betti_oracle,
+    heisenberg_type,
 )
-from nilform.cdga import tensor
+from nilform.cdga import CDGA, tensor
+from nilform.formality import is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon, Span
 from nilform.ring import (
@@ -216,8 +220,6 @@ def test_class_symbols_tensor_primes():
 def test_class_symbols_fallback_names():
     # here ker d in degree 1 is spanned by a - b, u and v, so one H^1 label
     # is a difference rather than a plain name and symbols fall back
-    from nilform.cdga import CDGA
-
     c = from_cdga(
         CDGA(
             Algebra([("a", 1), ("b", 1), ("u", 1), ("v", 1)]),
@@ -255,12 +257,63 @@ def test_heisenberg_ladder_matches_closed_form_and_oracle(n):
             assert basis.reduction(rep) == [Fraction(int(j == i)) for j in range(basis.dim)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sparse_representatives_equal_their_dense_rows(n):
-    c = heisenberg(n)
+def _three_step_tower(seed):
+    """Seeded central extension: abelian base, then u's over it, then v1 over both.
+
+    d(v1) is a closed 2-form that touches a u and is not exact, so the
+    model is a 3-step nilpotent one.
+    """
+    rng = random.Random(seed)
+    for _ in range(100):
+        base = [f"e{i}" for i in range(1, rng.randint(3, 4) + 1)]
+        pairs = [f"{a}*{b}" for k, a in enumerate(base) for b in base[k + 1 :]]
+        first = [
+            (f"u{k}", " + ".join(f"{rng.choice((-2, -1, 1, 2))}*{t}" for t in rng.sample(pairs, 2)))
+            for k in range(1, rng.randint(1, 2) + 1)
+        ]
+        c = central_extension(base, first)
+        alg = c.algebra
+        touches_u = {j for j, m in enumerate(alg.basis(2)) if m[-1] >= len(base)}
+        picks = [z for z in c.differential_matrix(2).kernel() if touches_u & set(z)]
+        if not picks:
+            continue
+        vec = {}
+        for z in rng.sample(picks, min(2, len(picks))):
+            k = rng.choice((-1, 1, 2))
+            for j, v in z.items():
+                vec[j] = vec.get(j, 0) + k * v
+        form = alg.from_coordinates(2, [vec.get(j, 0) for j in range(alg.dim(2))])
+        if not form.is_zero() and c.is_coboundary(form) is None:
+            return central_extension(base, first + [("v1", form)])
+    raise RuntimeError("no 3-step tower drawn")
+
+
+TOWER_SEEDS = (1, 2, 3, 5, 8, 13)
+
+REPRESENTATIVE_MODELS = [
+    *(pytest.param(lambda n=n: heisenberg(n), None, id=str(n)) for n in (1, 2, 3, 4)),
+    *(pytest.param(lambda s=s: _three_step_tower(s), None, id=f"tower{s}") for s in TOWER_SEEDS),
+    *(
+        pytest.param(lambda p=p: example_contr(p), None, id=f"contr[{p}]")
+        for p in ("0", "y1*y2", "x1*y2", "x1*x2 - 2*y1*z")
+    ),
+    pytest.param(lambda: heisenberg_type(2, 5), None, id="heisenberg_type(2,5)"),
+    pytest.param(lambda: tensor(heisenberg(1), heisenberg(1)), None, id="h1xh1"),
+    pytest.param(
+        lambda: CDGA(Algebra([("c", 2), ("e", 3)]), {"e": "c^2"}), 9, id="even-generator"
+    ),
+]
+
+
+@pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)
+def test_sparse_representatives_equal_their_dense_rows(build, top):
+    c = build()
     alg = c.algebra
-    for q in range(2 * n + 2):
-        # the dense construction: coordinates over basis(q) of each echelon row
+    if top is None:
+        top = sum(g.degree for g in alg.generators)
+    for q in range(top + 1):
+        # the reference construction: kernel of d_q, reduced modulo the
+        # image, then put in reduced echelon form
         size = alg.dim(q)
         image = Echelon(size)
         for col in c.differential_matrix(q - 1).cols:
@@ -276,6 +329,44 @@ def test_sparse_representatives_equal_their_dense_rows(n):
         assert list(got) == dense
         assert [list(v.terms) for v in got] == [list(v.terms) for v in dense]
         assert [str(v) for v in got] == [str(v) for v in dense]
+
+        index = alg.basis_index(q)
+        coords = [{index[m]: v for m, v in rep.terms.items()} for rep in got]
+        pivots = [min(x) for x in coords]
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for k, (rep, x) in enumerate(zip(got, coords)):
+            others = set(pivots[:k] + pivots[k + 1 :]) | set(image.pivots)
+            assert not others & set(x)
+            assert c.is_cocycle(rep)
+            assert all(v.denominator == 1 for v in x.values())
+            assert gcd(*(int(v) for v in x.values())) == 1
+            assert x[pivots[k]] > 0
+
+
+@pytest.mark.parametrize("seed", TOWER_SEEDS)
+def test_three_step_towers_satisfy_duality_and_euler(seed):
+    c = _three_step_tower(seed)
+    top = len(c.algebra.generators)
+    assert not is_twostep(c)
+    dims = from_cdga(c, top).dims()
+    assert dims[top] == 1
+    assert dims == dims[::-1]
+    assert sum((-1) ** q * b for q, b in enumerate(dims)) == 0
+
+
+def test_class_indices_are_checked():
+    c = heisenberg(2)
+    r = from_cdga(c, 5)
+    for args in [(1, -1, 1, 0), (1, 4, 1, 0), (1, 0, 1, 4), (2, 5, 1, 0)]:
+        with pytest.raises(IndexError, match=r"no class -?\d+ in degree \d"):
+            r.product_coords(*args)
+    with pytest.raises(IndexError, match="no class -1 in degree 1"):
+        r.representative(1, -1)
+    with pytest.raises(IndexError, match="no class 4 in degree 1"):
+        r.representative(1, 4)
+    assert not c._class_products
+    assert r.product_coords(1, 0, 1, 3) == {1: Fraction(1)}  # x1 * y2
+    assert set(c._class_products) == {(1, 0, 1, 3)}
 
 
 def test_dropped_ring_is_freed_without_the_cycle_collector():
