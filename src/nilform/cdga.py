@@ -10,7 +10,6 @@ class coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -228,8 +227,10 @@ class CohomologyBasis:
     image B^q lies in Z^q, so its pivots are free columns too, and the k_f
     with f not among them are the representatives.
 
-    ``reduction`` is the induced linear map sending a cocycle to its
-    coordinates over them.  The basis keeps the algebra and the
+    ``coordinates`` is the induced linear map onto class coordinates, read
+    at pivots: reduced modulo the image, a cocycle w is sum c_i rep_i, and
+    only rep_i is nonzero at its pivot p_i, so c_i = w[p_i] / rep_i[p_i].
+    ``reduction`` lists them densely.  The basis keeps the algebra and the
     differential out of degree q, not the CDGA, so a dropped CDGA and its
     cached bases are freed without the cyclic garbage collector.
     """
@@ -242,13 +243,16 @@ class CohomologyBasis:
         for col in cdga.differential_matrix(degree - 1).cols:
             self._image.add(col)
         basis = alg.basis(degree)
+        rows = self._cocycle_rows()
         self.representatives = tuple(
             Multivector(alg, {basis[j]: Fraction(row[j]) for j in sorted(row)})
-            for row in self._cocycle_rows()
+            for _, row in rows
         )
+        # pivot -> (class index, entry of the representative there)
+        self._at_pivot = {f: (i, row[f]) for i, (f, row) in enumerate(rows)}
 
-    def _cocycle_rows(self) -> list[Row]:
-        """Primitive k_f for the free columns f that are not image pivots."""
+    def _cocycle_rows(self) -> list[tuple[int, Row]]:
+        """(f, primitive k_f) for the free columns f that are not image pivots."""
         n = self._d.ncols
         last = n - 1
         # the rows of d_q with column j at last - j, so each pivots on its last column
@@ -268,7 +272,7 @@ class CohomologyBasis:
                     entries.setdefault(last - j, []).append((last - p, v, lead))
         skip = {last - p for p in ech.pivots}
         skip.update(self._image.pivots)
-        out: list[Row] = []
+        out: list[tuple[int, Row]] = []
         for f in range(n):
             if f in skip:
                 continue
@@ -277,33 +281,31 @@ class CohomologyBasis:
             k = {f: scale}
             for p, v, lead in terms:
                 k[p] = -v * (scale // lead)
-            out.append(row_primitive(k))
+            out.append((f, row_primitive(k)))
         return out
-
-    @cached_property
-    def _classes(self) -> Echelon:
-        """The representatives as tracked rows: coefficients are class coordinates."""
-        classes = Echelon(self.algebra.dim(self.degree), track=True)
-        for rep in self.representatives:
-            classes.add(dict_coords(self.algebra, rep, self.degree))
-        return classes
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def reduction(self, v: Multivector) -> list[Fraction]:
-        """Class coordinates of a cocycle over the representatives."""
-        if v.is_zero():
-            return [Fraction(0)] * self.dim
+    def coordinates(self, v: Multivector) -> Vec:
+        """Sparse class coordinates of a cocycle, in increasing class order."""
         coords = dict_coords(self.algebra, v, self.degree)
         if self._d.apply(coords):
             raise NotACocycle(f"{v} is not closed")
         w = self._image.reduce(coords)[0]
-        residual, coeffs = self._classes.reduce(w)
-        if residual:
+        at = self._at_pivot
+        return {at[p][0]: w[p] / at[p][1] for p in sorted(p for p in w if p in at)}
+
+    def reduction(self, v: Multivector) -> list[Fraction]:
+        """Dense class coordinates of a cocycle, checked against the representatives."""
+        out = [Fraction(0)] * self.dim
+        for i, c in self.coordinates(v).items():
+            out[i] = c
+        left = v - self.class_of(out)
+        if not self._image.contains(dict_coords(self.algebra, left, self.degree)):
             raise RuntimeError("reduction did not terminate on a cocycle")
-        return coeffs
+        return out
 
     def class_of(self, coeffs: Sequence[Fraction | int]) -> Multivector:
         """Cocycle representative with the given class coordinates."""

@@ -362,7 +362,9 @@ def certify_prop_art(
                     ideal_rows.append(dict_coords(alg, w, q))
         cocycle_rows = c.differential_matrix(q).kernel()
         inter = intersect_spans(ideal_rows, cocycle_rows, alg.dim(q))
-        image = Span(alg.dim(q), c.differential_matrix(q - 1).cols)
+        image = Echelon(alg.dim(q))
+        for col in c.differential_matrix(q - 1).cols:
+            image.add(col)
         for vec in inter:
             if not image.contains(vec):
                 return None
@@ -387,7 +389,7 @@ def is_twostep(c: CDGA) -> bool:
         alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
         for v in kernel
     ]
-    wedge = Span(alg.dim(2))
+    wedge = Echelon(alg.dim(2))
     for a in range(len(closed)):
         for b in range(a + 1, len(closed)):
             w = closed[a] * closed[b]
@@ -478,8 +480,6 @@ class _CdgaTarget:
         return self.cdga.cohomology(q).dim
 
     def class_coords(self, elem, q: int) -> list[Fraction]:
-        if elem.is_zero():
-            return [Fraction(0)] * self.h_dim(q)
         return self.cdga.cohomology(q).reduction(elem)
 
     def h_rep(self, q: int, i: int):
@@ -733,8 +733,10 @@ def extend_minimal_model(
 
     # wave 0: cover the cokernel in degree k+1 with closed generators; the
     # last precondition round left the degree-(k+1) columns in cols
-    image_span = Span(tgt.h_dim(k + 1), cols)
-    pivots = set(image_span.pivot_columns())
+    image_span = Echelon(tgt.h_dim(k + 1))
+    for col in cols:
+        image_span.add(col)
+    pivots = set(image_span.pivots)
     additions = []
     wave_names: list[str] = []
     for idx, j in enumerate(
@@ -1283,10 +1285,10 @@ def dga_map_solve(
                 f"found solution violates: {note}",
             )
     if len(h1_matrix) > 7:
-        span = Span(len(h1_matrix))
+        span = Echelon(len(h1_matrix))
         for row in h1_matrix:
             span.add({j: v for j, p in enumerate(row) if (v := _evaluate(p, values))})
-        if span.dim < len(h1_matrix):
+        if span.rank < len(h1_matrix):
             return MapSolveResult(
                 "unknown",
                 None,
@@ -1512,6 +1514,10 @@ def formality_report(
     best = report.best_formal
     if best is not None and report.overall != OVERALL_FORMAL:
         top = c.algebra.top_degree()
-        if top is not None:
+        # Generators have degree 1 and each d(g_j) uses earlier ones only, so
+        # d(vol/g_i) would need g_i*g_j in d(g_j): d_(top-1) = 0 and
+        # H^top = Q.  The rule reads H^q = 0 for k+2 <= q <= top, so it can
+        # act (here: raise on the conflict) only when that range is empty.
+        if top is not None and best + 2 > top:
             infer_prop_k2(report, from_cdga(c, max(top, 1)), best)
     return report

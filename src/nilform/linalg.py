@@ -27,7 +27,7 @@ def to_int_row(vec: Vec) -> Row:
     if not vec:
         return {}
     denom = lcm(*(c.denominator for c in vec.values()))
-    row = {j: int(c * denom) for j, c in vec.items() if c}
+    row = {j: c.numerator * (denom // c.denominator) for j, c in vec.items() if c}
     return row_primitive(row)
 
 
@@ -263,7 +263,11 @@ class SparseMatrix:
 
 
 class Span:
-    """Subspace of Q^n with exact membership, coordinates and quotients."""
+    """Subspace of Q^n with exact coordinates: a tracked ``Echelon``.
+
+    Use it where ``express`` or the tracked basis is read; where only rank,
+    membership or pivots are, an untracked ``Echelon`` is cheaper.
+    """
 
     def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
         self.ncols = ncols
@@ -295,18 +299,11 @@ def intersect_spans(a: Sequence[Vec], b: Sequence[Vec], ncols: int) -> list[Vec]
     """Basis of span(a) ∩ span(b) inside Q^ncols."""
     cols = [dict(v) for v in a] + [dict(v) for v in b]
     mat = SparseMatrix(ncols, len(cols), cols)
-    out = Span(ncols)
+    out = Echelon(ncols)
     basis = []
     for rel in mat.kernel():
-        w: Vec = {}
-        for k, c in rel.items():
-            if k < len(a):
-                for j, v in a[k].items():
-                    cur = w.get(j, Fraction(0)) + c * v
-                    if cur:
-                        w[j] = cur
-                    else:
-                        w.pop(j, None)
+        # the a-part of a relation between the columns lies in both spans
+        w = mat.apply({k: c for k, c in rel.items() if k < len(a)})
         if w and out.add(w):
             basis.append(w)
     return basis

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .cdga import CDGA
 from .gca import Algebra, Multivector
-from .linalg import Span, SparseMatrix, Vec
+from .linalg import Echelon, SparseMatrix, Vec
 
 
 class CutoffError(ValueError):
@@ -83,9 +83,7 @@ class RingPresentation:
         if cached is None:
             # representative checks both indices, so only valid keys are cached
             prod = self.representative(qa, ia) * self.representative(qb, ib)
-            coords = self._bases[q].reduction(prod)
-            cached = {j: c for j, c in enumerate(coords) if c}
-            self._products[key] = cached
+            cached = self._products[key] = self._bases[q].coordinates(prod)
         return cached
 
     def multiply_coords(self, qa: int, va: Vec, qb: int, vb: Vec) -> Vec:
@@ -111,10 +109,7 @@ class RingPresentation:
         for q, part in v.homogeneous_parts().items():
             if q > self.max_degree:
                 raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
-            coords = self._bases[q].reduction(part)
-            sparse = {j: c for j, c in enumerate(coords) if c}
-            if sparse:
-                parts[q] = sparse
+            parts[q] = self._bases[q].coordinates(part)
         return RingElement(self, parts)
 
     def unit(self) -> RingElement:
@@ -259,12 +254,12 @@ def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVe
         {i: Fraction(1)} for i in range(b1)
     ]
     for q in range(2, m + 1):
-        span = Span(ring.dim(q))
+        span = Echelon(ring.dim(q))
         for vec in prev:
             for j in range(b1):
                 span.add(ring.multiply_coords(q - 1, vec, 1, {j: Fraction(1)}))
-        if span.dim < ring.dim(q):
-            return GenerationVerdict(False, m, q, ring.dim(q) - span.dim)
+        if span.rank < ring.dim(q):
+            return GenerationVerdict(False, m, q, ring.dim(q) - span.rank)
         prev = span.basis_vectors()
     return GenerationVerdict(True, m)
 

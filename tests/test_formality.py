@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from nilform.catalog import (
     heisenberg,
     heisenberg_type,
 )
-from nilform.cdga import CDGA, hirsch_extend
+from nilform.cdga import CDGA, hirsch_extend, tensor
 from nilform.formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -605,6 +607,65 @@ def test_report_truncated_tower_sets_bound_flag():
     assert ev.kind == "info"
     assert "truncated at stage cap 1" in ev.detail
     assert formality_report(example_contr("y1*y2"), 2).bound_exceeded is False
+
+
+def _formality_mix_models():
+    """The formality-mix models of seeds 3 and 11 (176 each), from the benchmark's generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_formality_mix_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    # 38 example_contr forms and 128 towers, as the workload draws them
+    return [
+        inputs.build_model(s)
+        for seed in (3, 11)
+        for s in inputs.formality_specs(random.Random(seed), 38, 128)
+    ]
+
+
+TOP_CLASS_MODELS = [
+    *(pytest.param(lambda n=n: heisenberg(n), id=f"heisenberg({n})") for n in (1, 2, 3, 4)),
+    *(
+        pytest.param(lambda m=m, n=n: heisenberg_type(m, n), id=f"heisenberg_type({m},{n})")
+        for m, n in ((1, 3), (2, 5), (3, 7))
+    ),
+    pytest.param(example_initial, id="example_initial"),
+    *(
+        pytest.param(lambda p=p: example_contr(p), id=f"contr[{p}]")
+        for p in ("0", "y1*y2", "x1*y2", "x1*x2 - 2*y1*z")
+    ),
+    pytest.param(lambda: free_abelian(["e1", "e2", "e3"]), id="free_abelian(3)"),
+    pytest.param(lambda: tensor(heisenberg(1), heisenberg(1)), id="h1xh1"),
+    pytest.param(lambda: tensor(heisenberg(1), example_initial()), id="h1xinitial"),
+    pytest.param(lambda: tensor(heisenberg(2), example_contr("y1*y2")), id="h2xcontr"),
+    pytest.param(lambda: tensor(free_abelian(["t"]), heisenberg_type(1, 3)), id="txht"),
+]
+
+
+def _assert_top_class_is_volume(c):
+    top = c.algebra.top_degree()
+    assert c.differential_matrix(top - 1).is_zero()
+    assert c.betti(top) == 1
+
+
+@pytest.mark.parametrize("build", TOP_CLASS_MODELS)
+def test_top_cohomology_is_the_volume_class(build):
+    # why formality_report builds no top-degree ring unless k+2 > top
+    _assert_top_class_is_volume(build())
+
+
+def test_top_cohomology_is_the_volume_class_on_the_formality_mix():
+    models = _formality_mix_models()
+    assert len(models) == 352
+    for c in models:
+        _assert_top_class_is_volume(c)
+
+
+def test_report_builds_no_cohomology_above_what_its_rules_read():
+    c = example_contr("y1*y2")
+    rep = formality_report(c, 3)
+    assert rep.overall == OVERALL_NOT_FORMAL and rep.best_formal is not None
+    assert max(c._cohomology_cache) == 4 < c.algebra.top_degree()
 
 
 @pytest.mark.parametrize(

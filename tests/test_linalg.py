@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -233,6 +234,55 @@ def test_reduce_splits_off_the_span_exactly(track):
             assert len(coeffs) == len(added)
             assert _combination(coeffs + [1], added + [residual]) == w
             assert ech.express(w) == (None if residual else coeffs)
+
+
+def test_untracked_echelon_agrees_with_tracked():
+    rng = random.Random(67)
+
+    def rand_vec(ncols):
+        vec = {
+            j: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+            for j in range(ncols)
+            if rng.random() < 0.6
+        }
+        return {j: v for j, v in vec.items() if v}
+
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        tracked, plain = Echelon(ncols, track=True), Echelon(ncols)
+        added = []
+        for _ in range(rng.randint(0, 9)):
+            if added and rng.random() < 0.4:
+                weights = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in added]
+                vec = _combination(weights, added)
+            else:
+                vec = rand_vec(ncols)
+            added.append(vec)
+            assert tracked.add(vec) == plain.add(vec)
+            assert tracked.rank == plain.rank
+            assert tracked.pivots == plain.pivots
+        for _ in range(6):
+            if added and rng.random() < 0.5:
+                weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in added]
+                w = _combination(weights, added)
+            else:
+                w = rand_vec(ncols)
+            assert tracked.contains(w) == plain.contains(w)
+            assert tracked.reduce(w)[0] == plain.reduce(w)[0]
+
+
+def test_to_int_row_matches_fraction_scaling():
+    rng = random.Random(71)
+    for _ in range(200):
+        vec = {
+            j: Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+            for j in range(rng.randint(1, 6))
+        }
+        denom = lcm(*(c.denominator for c in vec.values()))
+        scaled = {j: int(c * denom) for j, c in vec.items() if c}
+        assert to_int_row(vec) == row_primitive(scaled)
+        ints = {j: int(c * denom) for j, c in vec.items()}
+        assert to_int_row(ints) == row_primitive(scaled)
 
 
 def test_intersection_dimension_formula():

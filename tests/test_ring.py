@@ -19,7 +19,7 @@ from nilform.catalog import (
     heisenberg_betti_oracle,
     heisenberg_type,
 )
-from nilform.cdga import CDGA, tensor
+from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
 from nilform.formality import is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon, Span
@@ -341,6 +341,46 @@ def test_sparse_representatives_equal_their_dense_rows(build, top):
             assert all(v.denominator == 1 for v in x.values())
             assert gcd(*(int(v) for v in x.values())) == 1
             assert x[pivots[k]] > 0
+
+
+@pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)
+def test_pivot_read_coordinates_match_a_tracked_echelon(build, top):
+    c = build()
+    alg = c.algebra
+    if top is None:
+        top = sum(g.degree for g in alg.generators)
+    rng = random.Random(len(alg.generators) * 100 + top)
+    for q in range(top + 1):
+        basis = c.cohomology(q)
+        size = alg.dim(q)
+        image = Echelon(size)
+        for col in c.differential_matrix(q - 1).cols:
+            image.add(col)
+        # the reference: coefficients over the representatives, tracked
+        classes = Echelon(size, track=True)
+        for rep in basis.representatives:
+            classes.add(dict_coords(alg, rep, q))
+        lower = alg.basis(q - 1) if q else ()
+        for _ in range(4):
+            want = {i: Fraction(k) for i in range(basis.dim) if (k := rng.randint(-3, 3))}
+            dense = [want.get(i, Fraction(0)) for i in range(basis.dim)]
+            v = basis.class_of(dense)
+            for mono in rng.sample(lower, min(3, len(lower))):
+                v = v + c.d(alg.monomial(mono)).scale(rng.choice((-2, -1, 1, 3)))
+            residual, coeffs = classes.reduce(image.reduce(dict_coords(alg, v, q))[0])
+            assert not residual and coeffs == dense
+            got = basis.coordinates(v)
+            assert got == want and list(got) == sorted(want)
+            assert basis.reduction(v) == dense
+        open_cols = [j for j, col in enumerate(c.differential_matrix(q).cols) if col]
+        if open_cols:
+            v = basis.class_of([1] * basis.dim) + alg.monomial(alg.basis(q)[open_cols[-1]])
+            with pytest.raises(NotACocycle):
+                basis.coordinates(v)
+            with pytest.raises(NotACocycle):
+                basis.reduction(v)
+            with pytest.raises(NotACocycle):
+                from_cdga(c, max(q, 1)).reduce(v)
 
 
 @pytest.mark.parametrize("seed", TOWER_SEEDS)
