@@ -14,7 +14,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
-from .linalg import Echelon, Row, Span, SparseMatrix, Vec, row_primitive
+from .linalg import Echelon, Row, SparseMatrix, Vec, row_primitive
 
 
 class NotADifferential(ValueError):
@@ -187,10 +187,10 @@ class CDGA:
             raise NotACocycle(f"{v} is not closed")
         q = v.degree
         coords = dict_coords(self.algebra, v, q)
-        span = Span(self.algebra.dim(q))
+        image = Echelon(self.algebra.dim(q), track=True)
         for col in self.differential_matrix(q - 1).cols:
-            span.add(col)
-        coeffs = span.express(coords)
+            image.add(col)
+        coeffs = image.express(coords)
         if coeffs is None:
             return None
         out = self.algebra.zero()

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cdga import CDGA, dict_coords, hirsch_extend
 from .gca import Algebra, Generator, Multivector
-from .linalg import Echelon, Span, SparseMatrix, Vec, intersect_spans
+from .linalg import Echelon, SparseMatrix, Vec
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     CutoffError,
@@ -208,16 +208,17 @@ class Decomposition:
 
 def default_decomposition(c: CDGA) -> Decomposition:
     """Closed kernel plus the unit-vector complement in declaration order."""
-    span = Span(len(c.algebra.generators))
-    for vec in c.differential_matrix(1).kernel():
+    kernel = c.differential_matrix(1).kernel()
+    span = Echelon(len(c.algebra.generators))
+    for vec in kernel:
         span.add(vec)
-    pivots = set(span.pivot_columns())
+    pivots = set(span.pivots)
     complement = tuple(
         {j: Fraction(1)}
         for j in range(len(c.algebra.generators))
         if j not in pivots
     )
-    return Decomposition(tuple(span.basis_vectors()), complement)
+    return Decomposition(tuple(kernel), complement)
 
 
 def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
@@ -234,19 +235,19 @@ def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
 def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
     n = len(c.algebra.generators)
     nullity = n - c.differential_matrix(1).rank()
-    kspan = Span(n)
+    kspan = Echelon(n)
     for vec in dec.kernel:
         v = c.algebra.from_coordinates(1, [vec.get(j, Fraction(0)) for j in range(n)])
         if not c.d(v).is_zero():
             raise ValueError("invalid decomposition: kernel vector is not closed")
         kspan.add(vec)
-    if kspan.dim != nullity or len(dec.kernel) != nullity:
+    if kspan.rank != nullity or len(dec.kernel) != nullity:
         raise ValueError("invalid decomposition: kernel part has wrong dimension")
-    total = Span(n)
+    total = Echelon(n)
     for vec in dec.kernel + dec.complement:
         if not total.add(vec):
             raise ValueError("invalid decomposition: vectors are dependent")
-    if total.dim != n:
+    if total.rank != n:
         raise ValueError("invalid decomposition: parts do not span degree 1")
 
 
@@ -291,7 +292,7 @@ def obstruction_resonance(
     _require_model(c)
     if s < 1:
         return None
-    r = from_cdga(c, max(2, min(s + 1, _top_degree(c))))
+    r = from_cdga(c, max(2, min(s + 1, c.algebra.top_degree())))
     verdict = decide_r11_trivial(r, seed=seed)
     if verdict.kind == "witness":
         point = verdict.witness.point
@@ -326,18 +327,15 @@ def obstruction_resonance(
     return None
 
 
-def _top_degree(c: CDGA) -> int:
-    top = c.algebra.top_degree()
-    return top if top is not None else 10**9
-
-
 def certify_prop_art(
     c: CDGA, k: int, dec: Decomposition | None = None
 ) -> Evidence | None:
     """Sufficient certificate: the complement ideal meets cocycles in exacts.
 
-    Checks, for every degree q <= k+1, that each cocycle inside the ideal
+    Checks, for every degree q <= k+1, that each cocycle inside the ideal I
     generated by the complement of the closed degree-1 part is a coboundary.
+    I cap Z^q is the kernel of d_q on I and always holds I cap B^q, so it
+    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q.
     Passing certifies k-formality; failing certifies nothing.
     """
     _require_model(c)
@@ -352,22 +350,22 @@ def certify_prop_art(
         alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
         for v in dec.complement
     ]
-    top = _top_degree(c)
-    for q in range(1, min(k + 1, top) + 1):
-        ideal_rows: list[Vec] = []
+    for q in range(1, min(k + 1, alg.top_degree()) + 1):
+        d_q = c.differential_matrix(q)
+        ideal_plus_image = Echelon(alg.dim(q))
+        for col in c.differential_matrix(q - 1).cols:
+            ideal_plus_image.add(col)
+        image_rank = ideal_plus_image.rank
+        d_ideal = Echelon(alg.dim(q + 1))
         for nv in complement_mvs:
             for mono in alg.basis(q - 1):
                 w = nv * alg.monomial(mono)
                 if not w.is_zero():
-                    ideal_rows.append(dict_coords(alg, w, q))
-        cocycle_rows = c.differential_matrix(q).kernel()
-        inter = intersect_spans(ideal_rows, cocycle_rows, alg.dim(q))
-        image = Echelon(alg.dim(q))
-        for col in c.differential_matrix(q - 1).cols:
-            image.add(col)
-        for vec in inter:
-            if not image.contains(vec):
-                return None
+                    row = dict_coords(alg, w, q)
+                    ideal_plus_image.add(row)
+                    d_ideal.add(d_q.apply(row))
+        if d_ideal.rank != ideal_plus_image.rank - image_rank:
+            return None
     names = dec.complement_names(alg)
     return Evidence(
         "prop-art-certificate",
@@ -1397,9 +1395,11 @@ def formality_report(
         )
     )
 
-    if is_twostep(c):
-        r = from_cdga(c, k_max + 1)
-        v = generated_in_degree_one_upto(r, k_max + 1)
+    try:
+        v = decide_twostep(c, k_max).generation
+    except NotTwoStep:
+        pass
+    else:
         if v.generated:
             report.mark_formal_upto(
                 k_max,
@@ -1445,6 +1445,8 @@ def formality_report(
     elif ev is not None:
         report.add_info(ev)
 
+    if decomposition is None:
+        decomposition = default_decomposition(c)
     for k in range(k_max, -1, -1):
         if report.verdict(k) == NOT_FORMAL:
             continue
@@ -1518,6 +1520,6 @@ def formality_report(
         # d(vol/g_i) would need g_i*g_j in d(g_j): d_(top-1) = 0 and
         # H^top = Q.  The rule reads H^q = 0 for k+2 <= q <= top, so it can
         # act (here: raise on the conflict) only when that range is empty.
-        if top is not None and best + 2 > top:
+        if best + 2 > top:
             infer_prop_k2(report, from_cdga(c, max(top, 1)), best)
     return report

@@ -265,8 +265,9 @@ class SparseMatrix:
 class Span:
     """Subspace of Q^n with exact coordinates: a tracked ``Echelon``.
 
-    Use it where ``express`` or the tracked basis is read; where only rank,
-    membership or pivots are, an untracked ``Echelon`` is cheaper.
+    No module of the package uses it; it stays for the benchmark's input
+    generators and the tests.  Where only rank, membership or pivots are
+    read, an untracked ``Echelon`` is cheaper.
     """
 
     def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
@@ -294,16 +295,3 @@ class Span:
     def pivot_columns(self) -> list[int]:
         return list(self._ech.pivots)
 
-
-def intersect_spans(a: Sequence[Vec], b: Sequence[Vec], ncols: int) -> list[Vec]:
-    """Basis of span(a) ∩ span(b) inside Q^ncols."""
-    cols = [dict(v) for v in a] + [dict(v) for v in b]
-    mat = SparseMatrix(ncols, len(cols), cols)
-    out = Echelon(ncols)
-    basis = []
-    for rel in mat.kernel():
-        # the a-part of a relation between the columns lies in both spans
-        w = mat.apply({k: c for k, c in rel.items() if k < len(a)})
-        if w and out.add(w):
-            basis.append(w)
-    return basis

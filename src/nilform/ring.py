@@ -243,24 +243,20 @@ class GenerationVerdict:
 def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVerdict:
     """Check that products of degree-1 classes span H^q for every q <= m.
 
-    Works on the incremental filtration: the span in degree q is generated
-    by products of the degree q-1 span with H^1.  Reports the first failing
-    degree and the dimension missed there.
+    Degree q is reached only once H^(q-1) is generated, so the products of
+    the basis classes of H^(q-1) with those of H^1 span the generated part
+    of H^q.  Reports the first failing degree and the dimension missed there.
     """
     if not 1 <= m <= ring.max_degree:
         raise CutoffError(f"generation bound {m} outside 1..{ring.max_degree}")
     b1 = ring.dim(1)
-    prev = [
-        {i: Fraction(1)} for i in range(b1)
-    ]
     for q in range(2, m + 1):
         span = Echelon(ring.dim(q))
-        for vec in prev:
+        for i in range(ring.dim(q - 1)):
             for j in range(b1):
-                span.add(ring.multiply_coords(q - 1, vec, 1, {j: Fraction(1)}))
+                span.add(ring.product_coords(q - 1, i, 1, j))
         if span.rank < ring.dim(q):
             return GenerationVerdict(False, m, q, ring.dim(q) - span.rank)
-        prev = span.basis_vectors()
     return GenerationVerdict(True, m)
 
 

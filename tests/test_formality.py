@@ -17,7 +17,7 @@ from nilform.catalog import (
     heisenberg,
     heisenberg_type,
 )
-from nilform.cdga import CDGA, hirsch_extend, tensor
+from nilform.cdga import CDGA, dict_coords, hirsch_extend, tensor
 from nilform.formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -49,7 +49,9 @@ from nilform.formality import (
     validate_decomposition,
 )
 from nilform.gca import Algebra, Generator
+from nilform.linalg import Echelon, SparseMatrix
 from nilform.ring import CutoffError, from_cdga
+from test_ring import REPRESENTATIVE_MODELS
 
 
 # -- report bookkeeping ---------------------------------------------------
@@ -219,6 +221,58 @@ def test_prop_certificate_matches_twostep_decision():
                 assert exact == FORMAL
 
 
+def _ideal_cocycles_are_exact(c, dec, q):
+    """Oracle: every vector of I_q cap Z^q lies in the span of the d_(q-1) columns.
+
+    I_q cap Z^q is spanned by the ideal parts of the relations between the
+    ideal rows and the kernel() columns of d_q.
+    """
+    alg = c.algebra
+    n = len(alg.generators)
+    ideal = []
+    for v in dec.complement:
+        nv = alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
+        for mono in alg.basis(q - 1):
+            w = nv * alg.monomial(mono)
+            if not w.is_zero():
+                ideal.append(dict_coords(alg, w, q))
+    cocycles = c.differential_matrix(q).kernel()
+    both = SparseMatrix(alg.dim(q), len(ideal) + len(cocycles), ideal + cocycles)
+    image = Echelon(alg.dim(q))
+    for col in c.differential_matrix(q - 1).cols:
+        image.add(col)
+    for rel in both.kernel():
+        if not image.contains(both.apply({j: x for j, x in rel.items() if j < len(ideal)})):
+            return False
+    return True
+
+
+def _prop_art_verdicts_match_the_oracle(c):
+    """certify_prop_art(c, k) for k <= 3 against the oracle; the verdicts."""
+    dec = default_decomposition(c)
+    exact = [_ideal_cocycles_are_exact(c, dec, q) for q in range(1, 5)]
+    verdicts = [certify_prop_art(c, k) is not None for k in range(4)]
+    assert verdicts == [all(exact[: k + 1]) for k in range(4)]
+    return verdicts
+
+
+# the certificate admits only degree-1 generators
+PROP_ART_MODELS = [p for p in REPRESENTATIVE_MODELS if p.id != "even-generator"]
+
+
+@pytest.mark.parametrize("build, top", PROP_ART_MODELS)
+def test_prop_certificate_rank_criterion_matches_the_intersection(build, top):
+    _prop_art_verdicts_match_the_oracle(build())
+
+
+def test_prop_certificate_rank_criterion_matches_the_intersection_on_the_formality_mix():
+    models = _formality_mix_models(seeds=(3,))
+    assert len(models) == 176
+    verdicts = [v for c in models for v in _prop_art_verdicts_match_the_oracle(c)]
+    # both outcomes occur, so neither direction of the criterion goes untested
+    assert any(verdicts) and not all(verdicts)
+
+
 # -- two-step decisions ---------------------------------------------------
 
 
@@ -317,6 +371,28 @@ def test_extend_minimal_model_covers_cokernel():
     wave1 = ext.waves[1][0]
     t = ext.cdga.d_generator(wave1)
     assert not t.is_zero() and t.degree == 2
+
+
+@pytest.mark.parametrize(
+    "build, waves",
+    [
+        pytest.param(lambda: heisenberg(1), [2, 1], id="heisenberg(1)"),
+        pytest.param(lambda: heisenberg(2), [4, 1], id="heisenberg(2)"),
+        pytest.param(lambda: example_contr("0"), [5, 2, 1], id="contr[0]"),
+    ],
+)
+def test_extend_minimal_model_into_a_cdga(build, waves):
+    target = build()
+    ext = extend_minimal_model(CDGA(Algebra([])), {}, target, 0)
+    assert [len(w) for w in ext.waves] == waves
+    assert not ext.truncated
+    model = ext.cdga
+    images = [ext.images[g.name] for g in model.algebra.generators]
+    for g in model.algebra.generators:
+        # a chain map: f(d g) = d(f g)
+        image_of_d = apply_chain_map(images, model.d_generator(g.name), target)
+        assert (image_of_d - target.d(ext.images[g.name])).is_zero()
+    assert model.betti_numbers(2) == target.betti_numbers(2)
 
 
 def test_extend_minimal_model_checks_preconditions():
@@ -609,8 +685,8 @@ def test_report_truncated_tower_sets_bound_flag():
     assert formality_report(example_contr("y1*y2"), 2).bound_exceeded is False
 
 
-def _formality_mix_models():
-    """The formality-mix models of seeds 3 and 11 (176 each), from the benchmark's generator."""
+def _formality_mix_models(seeds=(3, 11)):
+    """The formality-mix models of the given seeds (176 each), from the benchmark's generator."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("_formality_mix_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
@@ -618,7 +694,7 @@ def _formality_mix_models():
     # 38 example_contr forms and 128 towers, as the workload draws them
     return [
         inputs.build_model(s)
-        for seed in (3, 11)
+        for seed in seeds
         for s in inputs.formality_specs(random.Random(seed), 38, 128)
     ]
 

@@ -10,7 +10,6 @@ from nilform.linalg import (
     Echelon,
     Span,
     SparseMatrix,
-    intersect_spans,
     rank_mod_p,
     rank_rows,
     row_primitive,
@@ -283,35 +282,6 @@ def test_to_int_row_matches_fraction_scaling():
         assert to_int_row(vec) == row_primitive(scaled)
         ints = {j: int(c * denom) for j, c in vec.items()}
         assert to_int_row(ints) == row_primitive(scaled)
-
-
-def test_intersection_dimension_formula():
-    rng = random.Random(31)
-    for _ in range(20):
-        ncols = rng.randint(2, 6)
-
-        def sample(count):
-            out = []
-            for _ in range(count):
-                vec = {
-                    j: Fraction(rng.randint(-3, 3))
-                    for j in range(ncols)
-                    if rng.random() < 0.8
-                }
-                out.append({j: v for j, v in vec.items() if v})
-            return out
-
-        a = sample(rng.randint(1, 3))
-        b = sample(rng.randint(1, 3))
-        inter = intersect_spans(a, b, ncols)
-        ra = rank_rows([to_int_row(v) for v in a])
-        rb = rank_rows([to_int_row(v) for v in b])
-        rab = rank_rows([to_int_row(v) for v in a + b])
-        assert len(inter) == ra + rb - rab
-        span_a, span_b = Span(ncols, a), Span(ncols, b)
-        for w in inter:
-            assert span_a.contains(w)
-            assert span_b.contains(w)
 
 
 def test_full_rank_fastpath_is_consistent():

@@ -6,9 +6,12 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilform.catalog import (
     central_extension,
@@ -438,3 +441,52 @@ def test_presentations_of_one_cdga_share_structure_constants():
     with pytest.raises(CutoffError):
         small.product_coords(2, 0, 2, 1)
     assert from_cdga(heisenberg(2), 3).product_coords(1, 0, 2, 1) is not prod
+
+
+# -- ring-product properties ----------------------------------------------
+
+PRODUCT_MODELS = {
+    **{f"heisenberg({n})": (lambda n=n: heisenberg(n)) for n in (1, 2, 3)},
+    "contr[0]": lambda: example_contr("0"),
+    **{f"tower{s}": (lambda s=s: _three_step_tower(s)) for s in TOWER_SEEDS[:3]},
+}
+
+# derandomized and without an example database, so tier-1 stays deterministic
+PRODUCT_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@cache
+def _full_ring(name):
+    c = PRODUCT_MODELS[name]()
+    return from_cdga(c, c.algebra.top_degree())
+
+
+def _draw_class(data, r, lo, hi):
+    """A basis class (q, i) with lo <= q <= hi."""
+    q = data.draw(st.integers(lo, hi))
+    return q, data.draw(st.integers(0, r.dim(q) - 1))
+
+
+@PRODUCT_SETTINGS
+@given(st.data())
+def test_class_products_are_graded_commutative(data):
+    r = _full_ring(data.draw(st.sampled_from(sorted(PRODUCT_MODELS))))
+    qa, ia = _draw_class(data, r, 0, r.max_degree)
+    qb, ib = _draw_class(data, r, 0, r.max_degree - qa)
+    # straight from the representatives, in the opposite order
+    swapped = r.basis(qa + qb).coordinates(r.representative(qb, ib) * r.representative(qa, ia))
+    sign = -1 if qa * qb % 2 else 1
+    assert r.product_coords(qa, ia, qb, ib) == {j: sign * c for j, c in swapped.items()}
+
+
+@PRODUCT_SETTINGS
+@given(st.data())
+def test_class_products_are_associative(data):
+    r = _full_ring(data.draw(st.sampled_from(sorted(PRODUCT_MODELS))))
+    qa, ia = _draw_class(data, r, 1, r.max_degree - 2)
+    qb, ib = _draw_class(data, r, 1, r.max_degree - qa - 1)
+    qc, ic = _draw_class(data, r, 1, r.max_degree - qa - qb)
+    a, b, c = {ia: Fraction(1)}, {ib: Fraction(1)}, {ic: Fraction(1)}
+    left = r.multiply_coords(qa + qb, r.multiply_coords(qa, a, qb, b), qc, c)
+    right = r.multiply_coords(qa, a, qb + qc, r.multiply_coords(qb, b, qc, c))
+    assert left == right
