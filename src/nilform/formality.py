@@ -453,193 +453,22 @@ def infer_prop_k2(
     return ev
 
 
-# -- chain-map targets ----------------------------------------------------
+# -- chain maps -----------------------------------------------------------
 
 
-class _CdgaTarget:
-    """A CDGA viewed as the target of chain maps."""
-
-    kind = "cdga"
-
-    def __init__(self, c: CDGA):
-        self.cdga = c
-        self.alg = c.algebra
-
-    def zero(self):
-        return self.alg.zero()
-
-    def unit(self):
-        return self.alg.one()
-
-    def check_max(self, q: int) -> None:
-        pass
-
-    def h_dim(self, q: int) -> int:
-        return self.cdga.cohomology(q).dim
-
-    def class_coords(self, elem, q: int) -> list[Fraction]:
-        return self.cdga.cohomology(q).reduction(elem)
-
-    def h_rep(self, q: int, i: int):
-        return self.cdga.cohomology(q).representatives[i]
-
-    def lift_exact(self, elem):
-        return self.cdga.is_coboundary(elem)
-
-    def d(self, elem):
-        return self.cdga.d(elem)
-
-    # polynomial-coefficient support
-    def ambient_keys(self, q: int) -> list:
-        return list(self.alg.basis(q))
-
-    def key_label(self, key) -> str:
-        return str(self.alg.monomial(key))
-
-    def unit_key(self):
-        return ()
-
-    def pair_product(self, ka, kb):
-        res = self.alg.monomial_product(ka, kb)
-        if res is None:
-            return []
-        sign, mono = res
-        return [(mono, Fraction(sign))]
-
-    def d_key(self, key):
-        dv = self.cdga._d_monomial(key)
-        return list(dv.terms.items())
-
-    def elem_terms(self, elem) -> dict:
-        return dict(elem.terms)
-
-    def elem_from_terms(self, terms: dict):
-        out = self.alg.zero()
-        for key, c in terms.items():
-            if c:
-                out = out + self.alg.monomial(key).scale(c)
-        return out
-
-    def exact_columns(self, q: int):
-        """Pairs (primitive element, differential coordinates in degree q)."""
-        out = []
-        for mono in self.alg.basis(q - 1):
-            dv = self.cdga._d_monomial(mono)
-            if not dv.is_zero():
-                out.append((self.alg.monomial(mono), dict(dv.terms)))
-        return out
-
-    def kernel_elements(self, q: int):
-        basis = self.alg.basis(q)
-        out = []
-        for vec in self.cdga.differential_matrix(q).kernel():
-            out.append(
-                self.alg.from_coordinates(
-                    q, [vec.get(i, Fraction(0)) for i in range(len(basis))]
-                )
-            )
-        return out
-
-    def gen_key(self, name: str):
-        return (self.alg.index_of(name),)
-
-
-class _RingTarget:
-    """A cohomology ring with zero differential as a chain-map target."""
-
-    kind = "ring"
-
-    def __init__(self, r: RingPresentation):
-        self.ring = r
-
-    def zero(self):
-        return RingElement(self.ring, {})
-
-    def unit(self):
-        return self.ring.unit()
-
-    def check_max(self, q: int) -> None:
-        if q > self.ring.max_degree:
-            raise CutoffError(
-                f"need ring degree {q} but cutoff is {self.ring.max_degree}"
-            )
-
-    def h_dim(self, q: int) -> int:
-        return self.ring.dim(q)
-
-    def class_coords(self, elem, q: int) -> list[Fraction]:
-        part = elem.part(q)
-        return [part.get(i, Fraction(0)) for i in range(self.ring.dim(q))]
-
-    def h_rep(self, q: int, i: int):
-        return self.ring.h_class(q, i)
-
-    def lift_exact(self, elem):
-        return self.zero() if elem.is_zero() else None
-
-    def d(self, elem):
-        return self.zero()
-
-    def ambient_keys(self, q: int) -> list:
-        return [(q, i) for i in range(self.ring.dim(q))]
-
-    def key_label(self, key) -> str:
-        q, i = key
-        return f"[{self.ring.labels(q)[i]}]"
-
-    def unit_key(self):
-        return (0, 0)
-
-    def pair_product(self, ka, kb):
-        qa, ia = ka
-        qb, ib = kb
-        coords = self.ring.product_coords(qa, ia, qb, ib)
-        return [((qa + qb, j), c) for j, c in sorted(coords.items())]
-
-    def d_key(self, key):
-        return []
-
-    def elem_terms(self, elem) -> dict:
-        out = {}
-        for q, part in elem.parts.items():
-            for i, c in part.items():
-                out[(q, i)] = c
-        return out
-
-    def elem_from_terms(self, terms: dict):
-        parts: dict[int, Vec] = {}
-        for (q, i), c in terms.items():
-            if c:
-                parts.setdefault(q, {})[i] = c
-        return RingElement(self.ring, parts)
-
-    def exact_columns(self, q: int):
-        return []
-
-    def kernel_elements(self, q: int):
-        return [self.ring.h_class(q, i) for i in range(self.ring.dim(q))]
-
-    def gen_key(self, name: str):
-        for i, lab in enumerate(self.ring.labels(1)):
-            if lab == name:
-                return (1, i)
-        raise ValueError(f"no degree-1 class labeled {name!r}")
-
-
-def _wrap_target(target):
-    if isinstance(target, CDGA):
-        return _CdgaTarget(target)
-    if isinstance(target, RingPresentation):
-        return _RingTarget(target)
-    raise TypeError(f"unsupported chain-map target {type(target).__name__}")
-
-
-def apply_chain_map(images: Sequence, v: Multivector, target) -> object:
+def apply_chain_map(
+    images: Sequence, v: Multivector, target: CDGA | RingPresentation
+) -> Multivector | RingElement:
     """Multiplicative extension of generator images to a multivector."""
-    tgt = _wrap_target(target)
-    out = tgt.zero()
+    if isinstance(target, CDGA):
+        unit = target.algebra.one()
+    elif isinstance(target, RingPresentation):
+        unit = target.unit()
+    else:
+        raise TypeError(f"unsupported chain-map target {type(target).__name__}")
+    out = unit.scale(0)
     for mono, c in sorted(v.terms.items()):
-        cur = tgt.unit()
+        cur = unit
         for i in mono:
             cur = cur * images[i]
         out = out + cur.scale(c)
@@ -654,7 +483,7 @@ class ExtensionResult:
     """A partial minimal model extended by one degree, wave by wave."""
 
     cdga: CDGA
-    images: dict[str, object]
+    images: dict[str, RingElement]
     waves: list[list[str]]
     truncated: bool
 
@@ -669,8 +498,8 @@ def _unique_name(base: str, taken: set[str]) -> str:
 
 def extend_minimal_model(
     stage: CDGA,
-    images: Mapping[str, object],
-    target: CDGA | RingPresentation,
+    images: Mapping[str, RingElement],
+    target: RingPresentation,
     k: int,
     *,
     stage_cap: int = 8,
@@ -680,13 +509,18 @@ def extend_minimal_model(
 
     Wave 0 adds closed generators covering the cokernel in degree k+1; the
     following waves transgress kernel classes one degree higher until the
-    kernel empties or the wave cap is hit (reported as truncation).  Every
-    added generator keeps the chain-map property of the extended images.
+    kernel empties or the wave cap is hit (reported as truncation).  The
+    ring's differential is zero, so a transgressed class maps to zero and
+    every added generator keeps the chain-map property of the images.
     """
+    if not isinstance(target, RingPresentation):
+        raise TypeError(f"unsupported chain-map target {type(target).__name__}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    tgt = _wrap_target(target)
-    tgt.check_max(k + 2)
+    if k + 2 > target.max_degree:
+        raise CutoffError(
+            f"need ring degree {k + 2} but cutoff is {target.max_degree}"
+        )
     taken = {g.name for g in stage.algebra.generators}
     img_by_name = dict(images)
     missing = taken - set(img_by_name)
@@ -697,16 +531,10 @@ def extend_minimal_model(
         return [img_by_name[g.name] for g in c.algebra.generators]
 
     def image_columns(c: CDGA, q: int) -> list[Vec]:
-        """Target class coordinates of the image of each degree-q class of c."""
+        """Ring class coordinates of the image of each degree-q class of c."""
         imgs = img_list(c)
         return [
-            {
-                i: x
-                for i, x in enumerate(
-                    tgt.class_coords(apply_chain_map(imgs, rep, target), q)
-                )
-                if x
-            }
+            dict(sorted(apply_chain_map(imgs, rep, target).part(q).items()))
             for rep in c.cohomology(q).representatives
         ]
 
@@ -714,8 +542,8 @@ def extend_minimal_model(
     for q in range(1, k + 2):
         dim = stage.cohomology(q).dim
         cols = image_columns(stage, q)
-        rank = SparseMatrix(tgt.h_dim(q), dim, cols).rank()
-        if q <= k and (rank < dim or rank < tgt.h_dim(q)):
+        rank = SparseMatrix(target.dim(q), dim, cols).rank()
+        if q <= k and (rank < dim or rank < target.dim(q)):
             raise ValueError(
                 f"map is not a cohomology isomorphism in degree {q}"
             )
@@ -731,18 +559,18 @@ def extend_minimal_model(
 
     # wave 0: cover the cokernel in degree k+1 with closed generators; the
     # last precondition round left the degree-(k+1) columns in cols
-    image_span = Echelon(tgt.h_dim(k + 1))
+    image_span = Echelon(target.dim(k + 1))
     for col in cols:
         image_span.add(col)
     pivots = set(image_span.pivots)
     additions = []
     wave_names: list[str] = []
     for idx, j in enumerate(
-        j for j in range(tgt.h_dim(k + 1)) if j not in pivots
+        j for j in range(target.dim(k + 1)) if j not in pivots
     ):
         name = _unique_name(name_for(0, idx), taken)
         additions.append((Generator(name, k + 1, word=0), stage.algebra.zero()))
-        img_by_name[name] = tgt.h_rep(k + 1, j)
+        img_by_name[name] = target.h_class(k + 1, j)
         wave_names.append(name)
     cur = hirsch_extend(stage, additions)
     waves = [wave_names]
@@ -751,7 +579,7 @@ def extend_minimal_model(
     for wave in range(1, stage_cap + 1):
         coh2 = cur.cohomology(k + 2)
         cols = image_columns(cur, k + 2)
-        kern = SparseMatrix(tgt.h_dim(k + 2), coh2.dim, cols).kernel()
+        kern = SparseMatrix(target.dim(k + 2), coh2.dim, cols).kernel()
         if not kern:
             truncated = False
             break
@@ -761,13 +589,10 @@ def extend_minimal_model(
             trans = coh2.class_of([vec.get(t, Fraction(0)) for t in range(coh2.dim)])
             name = _unique_name(name_for(wave, idx), taken)
             val = apply_chain_map(img_list(cur), trans, target)
-            lifted = tgt.lift_exact(val)
-            if lifted is None:
-                raise RuntimeError(
-                    "kernel transgression image is not exact in the target"
-                )
+            if not val.is_zero():
+                raise RuntimeError("kernel transgression image is not zero in the ring")
             additions.append((Generator(name, k + 1, word=wave), trans))
-            img_by_name[name] = lifted
+            img_by_name[name] = val
             wave_names.append(name)
         cur = hirsch_extend(cur, additions)
         waves.append(wave_names)
@@ -867,7 +692,7 @@ class MapSolveResult:
     """Outcome of the symbolic search for a constrained chain map."""
 
     status: str  # "solution" | "unsatisfiable" | "unknown"
-    assignment: dict[str, object] | None
+    assignment: dict[str, Multivector] | None
     certificate: str | None
     unknowns: int
     equations: int
@@ -978,12 +803,12 @@ def _nonvanishing_point(product, nfree: int) -> list[Fraction]:
 
 
 def _h1_class_matrix_polys(
-    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], tgt, n_src: int, R
+    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], target: CDGA, n_src: int, R
 ) -> list[list]:
     """Symbolic matrix of the induced map on degree-1 cohomology."""
-    keys = tgt.ambient_keys(1)
+    keys = target.algebra.basis(1)
     classes = _tracked_echelon(
-        keys, [tgt.elem_terms(tgt.h_rep(1, i)) for i in range(tgt.h_dim(1))]
+        keys, [rep.terms for rep in target.cohomology(1).representatives]
     )
     entries = []
     for vec in h1_kernel:
@@ -1001,7 +826,7 @@ def _h1_class_matrix_polys(
 
 def dga_map_solve(
     source: CDGA,
-    target: CDGA | RingPresentation,
+    target: CDGA,
     constraints: Mapping[str, object] | None = None,
     *,
     nonzero: Sequence[tuple[str, str]] = (),
@@ -1019,6 +844,8 @@ def dga_map_solve(
     family.  Non-linear systems go through a Groebner basis when the
     unknown count stays within the elimination bound.
     """
+    if not isinstance(target, CDGA):
+        raise TypeError(f"unsupported chain-map target {type(target).__name__}")
     from sympy import Symbol
     from sympy.polys.domains import QQ
     from sympy.polys.orderings import grevlex
@@ -1029,17 +856,14 @@ def dga_map_solve(
     order = _nilpotent_order(source)
     if order is None:
         raise ValueError("source differential admits no nilpotent order")
-    tgt = _wrap_target(target)
-    tgt.check_max(2)
+    alg = target.algebra
     constraints = dict(constraints or {})
     for name in constraints:
         source.algebra.index_of(name)
 
     def as_element(value):
         if isinstance(value, str):
-            if tgt.kind != "cdga":
-                raise TypeError("string images need a CDGA target")
-            value = tgt.alg.parse(value)
+            value = alg.parse(value)
         # degree raises on mixed degrees and is None for zero
         if value.degree not in (None, 1):
             raise ValueError(
@@ -1047,10 +871,15 @@ def dga_map_solve(
             )
         return value
 
-    keys2 = tgt.ambient_keys(2)
-    exact = tgt.exact_columns(2)
-    exact_span = _tracked_echelon(keys2, [coords for _, coords in exact])
-    kernel_elems = tgt.kernel_elements(1)
+    # the polynomial vectors below are keyed by the target's monomials
+    basis1, keys2 = alg.basis(1), alg.basis(2)
+    # the degree-1 monomials with d != 0, whose images span the exact degree-2 part
+    exact = [m for m in basis1 if not target._d_monomial(m).is_zero()]
+    exact_span = _tracked_echelon(keys2, [target._d_monomial(m).terms for m in exact])
+    closed = [
+        {basis1[j]: c for j, c in sorted(vec.items()) if c}
+        for vec in target.differential_matrix(1).kernel()
+    ]
     n_src = len(source.algebra.generators)
 
     # one unknown per template direction, and per closed direction of a free generator
@@ -1058,7 +887,7 @@ def dga_map_solve(
     for i in order:
         name = source.algebra.generators[i].name
         if name not in constraints:
-            labels += [f"{name}<{t}>" for t in range(len(kernel_elems))]
+            labels += [f"{name}<{t}>" for t in range(len(closed))]
         elif isinstance(constraints[name], MapTemplate):
             labels += [f"{name}[{t}]" for t in range(len(constraints[name].freedom))]
     R, *gens = ring([Symbol(label) for label in labels], QQ, grevlex)
@@ -1079,15 +908,15 @@ def dga_map_solve(
         out: dict = {}
         for ka, pa in a.items():
             for kb, pb in b.items():
-                prod = pa * pb
-                for key, c in tgt.pair_product(ka, kb):
-                    add_into(out, key, prod, c)
+                prod = alg.monomial_product(ka, kb)
+                if prod is not None:
+                    add_into(out, prod[1], pa * pb, prod[0])
         return nonzero_part(out)
 
     def pel_apply(v: Multivector) -> dict:
         out: dict = {}
         for mono, c in sorted(v.terms.items()):
-            cur = {tgt.unit_key(): R.one}
+            cur = {(): R.one}
             for i in mono:
                 cur = pel_mul(cur, images_pel[i])
             for key, p in cur.items():
@@ -1097,20 +926,20 @@ def dga_map_solve(
     def pel_d(pel: dict) -> dict:
         out: dict = {}
         for key, p in pel.items():
-            for key2, c in tgt.d_key(key):
+            for key2, c in target._d_monomial(key).terms.items():
                 add_into(out, key2, p, c)
         return nonzero_part(out)
 
-    def const_pel(elem) -> dict:
+    def const_pel(elem: Multivector) -> dict:
         img: dict = {}
-        for key, c in tgt.elem_terms(elem).items():
+        for key, c in elem.terms.items():
             add_into(img, key, R.one, c)
         return img
 
-    def add_directions(img: dict, directions) -> None:
-        for elem in directions:
+    def add_directions(img: dict, directions: Iterable[dict]) -> None:
+        for terms in directions:
             x = next(unknowns)
-            for key, c in tgt.elem_terms(elem).items():
+            for key, c in terms.items():
                 add_into(img, key, x, c)
 
     for i in order:
@@ -1121,7 +950,7 @@ def dga_map_solve(
             spec = constraints[gen.name]
             if isinstance(spec, MapTemplate):
                 img = const_pel(as_element(spec.base))
-                add_directions(img, [as_element(e) for e in spec.freedom])
+                add_directions(img, [as_element(e).terms for e in spec.freedom])
             else:
                 img = const_pel(as_element(spec))
             img = nonzero_part(img)
@@ -1131,7 +960,7 @@ def dga_map_solve(
                 if poly:
                     note = (
                         f"chain condition at {gen.name!r}, "
-                        f"coordinate {tgt.key_label(key)}"
+                        f"coordinate {alg.monomial(key)}"
                     )
                     equations.append((poly, note))
         else:
@@ -1139,14 +968,13 @@ def dga_map_solve(
             for key in sorted(residual):
                 note = (
                     f"exactness obstruction at {gen.name!r}, "
-                    f"coordinate {tgt.key_label(key)}"
+                    f"coordinate {alg.monomial(key)}"
                 )
                 equations.append((residual[key], note))
             img = {}
             for col, poly in sorted(lift.items()):
-                for key, c in tgt.elem_terms(exact[col][0]).items():
-                    add_into(img, key, poly, c)
-            add_directions(img, kernel_elems)
+                add_into(img, exact[col], poly, 1)
+            add_directions(img, closed)
             img = nonzero_part(img)
         images_pel[i] = img
 
@@ -1154,10 +982,9 @@ def dga_map_solve(
     conditions: list[tuple[object, str]] = []
     for gen_name, target_name in nonzero:
         i = source.algebra.index_of(gen_name)
-        key = tgt.gen_key(target_name)
         conditions.append(
             (
-                images_pel[i].get(key, R.zero),
+                images_pel[i].get((alg.index_of(target_name),), R.zero),
                 f"coefficient of {target_name} in the image of {gen_name!r}",
             )
         )
@@ -1165,16 +992,17 @@ def dga_map_solve(
     if require_h1_iso:
         h1_kernel = source.differential_matrix(1).kernel()
         n1 = len(h1_kernel)
-        if n1 != tgt.h_dim(1):
+        h1 = target.cohomology(1).dim
+        if n1 != h1:
             return MapSolveResult(
                 "unsatisfiable",
                 None,
                 f"closed degree-one dimensions differ: source {n1}, "
-                f"target {tgt.h_dim(1)}",
+                f"target {h1}",
                 nparams,
                 len(equations),
             )
-        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, tgt, n_src, R)
+        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, target, n_src, R)
         if n1 <= 7:
             conditions.append(
                 (
@@ -1259,16 +1087,16 @@ def dga_map_solve(
                 "no rational solution found within the search bounds",
             )
 
-    assignment: dict[str, object] = {}
-    images_exact: list[object] = [None] * n_src
+    assignment: dict[str, Multivector] = {}
+    images_exact: list[Multivector] = [None] * n_src
     for i in range(n_src):
         terms = {key: _evaluate(p, values) for key, p in images_pel[i].items()}
-        elem = tgt.elem_from_terms({k: c for k, c in terms.items() if c})
+        elem = Multivector(alg, terms)
         images_exact[i] = elem
         assignment[source.algebra.generators[i].name] = elem
     for i in range(n_src):
         gen = source.algebra.generators[i]
-        lhs = tgt.d(images_exact[i])
+        lhs = target.d(images_exact[i])
         rhs = apply_chain_map(images_exact, source.d_generator(gen.name), target)
         if not (lhs - rhs).is_zero():
             raise RuntimeError(f"chain-map verification failed at {gen.name!r}")
@@ -1439,8 +1267,8 @@ def formality_report(
     ev = obstruction_generation(c, k_max)
     if ev is not None:
         report.mark_not_formal_from(ev.k, ev)
-    ev = obstruction_resonance(c, max(k_max, 1), seed=seed)
-    if ev is not None and report.verdict(min(ev.k, k_max)) != NOT_FORMAL:
+    ev = obstruction_resonance(c, k_max, seed=seed)
+    if ev is not None and report.verdict(ev.k) != NOT_FORMAL:
         report.mark_not_formal_from(ev.k, ev)
     elif ev is not None:
         report.add_info(ev)

@@ -407,6 +407,7 @@ for argv in (
     ["cohomology", "--preset", "heisenberg:4", "--format", "json"],
     ["resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"],
     ["formality", "--preset", "heisenberg:3"],
+    ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "0"],
 ):
     assert nilform.cli.main(argv) == 0
     loaded.append("sympy" in sys.modules)
@@ -425,4 +426,4 @@ def test_light_commands_never_import_sympy():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode() == repr([False] * 4)
+    assert proc.stderr.decode() == repr([False] * 5)

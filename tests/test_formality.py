@@ -374,25 +374,50 @@ def test_extend_minimal_model_covers_cokernel():
 
 
 @pytest.mark.parametrize(
-    "build, waves",
+    "build, waves, truncated",
     [
-        pytest.param(lambda: heisenberg(1), [2, 1], id="heisenberg(1)"),
-        pytest.param(lambda: heisenberg(2), [4, 1], id="heisenberg(2)"),
-        pytest.param(lambda: example_contr("0"), [5, 2, 1], id="contr[0]"),
+        pytest.param(lambda: heisenberg(1), [2, 1, 2, 3], True, id="heisenberg(1)"),
+        pytest.param(lambda: heisenberg(2), [4, 1], False, id="heisenberg(2)"),
+        pytest.param(lambda: heisenberg(3), [6, 1], False, id="heisenberg(3)"),
+        pytest.param(lambda: example_contr("0"), [5, 2, 1], False, id="contr[0]"),
     ],
 )
-def test_extend_minimal_model_into_a_cdga(build, waves):
-    target = build()
-    ext = extend_minimal_model(CDGA(Algebra([])), {}, target, 0)
+def test_extend_minimal_model_into_the_ring(build, waves, truncated):
+    r = from_cdga(build(), 2)
+    ext = extend_minimal_model(CDGA(Algebra([])), {}, r, 0, stage_cap=3)
     assert [len(w) for w in ext.waves] == waves
-    assert not ext.truncated
+    assert ext.truncated is truncated
     model = ext.cdga
     images = [ext.images[g.name] for g in model.algebra.generators]
+    # wave 0 maps onto the basis classes of H^1
+    assert [ext.images[name] for name in ext.waves[0]] == [
+        r.h_class(1, i) for i in range(r.dim(1))
+    ]
     for g in model.algebra.generators:
-        # a chain map: f(d g) = d(f g)
-        image_of_d = apply_chain_map(images, model.d_generator(g.name), target)
-        assert (image_of_d - target.d(ext.images[g.name])).is_zero()
-    assert model.betti_numbers(2) == target.betti_numbers(2)
+        # a chain map into a ring with zero differential: f(d g) = 0
+        assert apply_chain_map(images, model.d_generator(g.name), r).is_zero()
+
+
+@pytest.mark.parametrize(
+    "solve, target, type_name",
+    [
+        pytest.param(
+            lambda t: dga_map_solve(heisenberg(1), t, {}),
+            lambda: from_cdga(heisenberg(1), 2),
+            "RingPresentation",
+            id="solver-into-a-ring",
+        ),
+        pytest.param(
+            lambda t: extend_minimal_model(CDGA(Algebra([])), {}, t, 0),
+            lambda: heisenberg(1),
+            "CDGA",
+            id="extension-into-a-model",
+        ),
+    ],
+)
+def test_chain_map_routines_reject_the_other_target(solve, target, type_name):
+    with pytest.raises(TypeError, match=f"unsupported chain-map target {type_name}$"):
+        solve(target())
 
 
 def test_extend_minimal_model_checks_preconditions():
@@ -450,16 +475,6 @@ def test_solver_lifts_free_generator_over_cdga():
     assert res.status == "solution"
     img = res.assignment["z"]
     assert (c.d(img) - c.d(c.algebra.gen("z"))).is_zero()
-
-
-def test_solver_model_to_ring_sends_relation_to_zero():
-    c = heisenberg(2)
-    r = from_cdga(c, 3)
-    labels = r.labels(1)
-    cons = {nm: r.h_class(1, labels.index(nm)) for nm in ["x1", "y1", "x2", "y2"]}
-    res = dga_map_solve(c, r, cons)
-    assert res.status == "solution"
-    assert res.assignment["z"].is_zero()
 
 
 def test_solver_tower_onto_formal_model():
@@ -770,6 +785,14 @@ def test_report_rules_are_known():
         rep = formality_report(c, 1)
         for ev in rep.evidence:
             assert ev.rule in RULES
+
+
+def test_report_evidence_stays_within_its_table():
+    # the degree-1 resonance rule runs only when degree 1 is in the table
+    c = tensor(heisenberg(1), example_contr("0"))
+    for k_max in range(4):
+        rep = formality_report(c, k_max)
+        assert all(ev.k <= k_max for ev in rep.evidence)
 
 
 def test_random_twostep_extensions_full_formality(seed=11):
