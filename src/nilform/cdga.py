@@ -9,7 +9,10 @@ class coordinates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -55,9 +58,15 @@ class CDGA:
                 raise AlgebraError(f"d({name}) lives in a different algebra")
             if not value.is_zero():
                 self._d_gen[idx] = value
+        # (m, c, -c) per term of d(g), so the Leibniz terms share their coefficients
+        self._d_signed = {
+            i: [(m, c, -c) for m, c in v.terms.items()] for i, v in self._d_gen.items()
+        }
         self._d_mono_cache: dict[Monomial, Multivector] = {}
         self._matrix_cache: dict[int, SparseMatrix] = {}
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
+        # q -> least-index pivots of B^q, recorded by the row pass of d_(q-1)
+        self._image_pivots: dict[int, list[int]] = {}
         # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
         # shared by every ring presentation of this CDGA
         self._class_products: dict[tuple[int, int, int, int], Vec] = {}
@@ -103,30 +112,40 @@ class CDGA:
         return self._d_gen.get(idx, self.algebra.zero())
 
     def _d_terms(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Terms of d(mono) by the Leibniz rule, summed in a fixed order."""
-        alg = self.algebra
-        product = alg.monomial_product
+        """Terms of d(mono) by the Leibniz rule, summed in a fixed order.
+
+        A term m of d(g), g at ``pos``, goes into ``rest`` (mono without g) by
+        insertion counts: an odd factor of m already in rest kills it, and the
+        sign flips once per odd factor of rest before each odd factor's
+        insertion point and, for odd g, once per odd factor before ``pos``.
+        """
+        parity = self.algebra._parity
         out: dict[Monomial, Fraction] = {}
-        sign = 1
         for pos, idx in enumerate(mono):
-            dg = self._d_gen.get(idx)
-            if dg is not None:
-                left, right = mono[:pos], mono[pos + 1 :]
-                for m, c in dg.terms.items():
-                    head = product(left, m)
-                    if head is None:
-                        continue
-                    whole = product(head[1], right)
-                    if whole is None:
-                        continue
-                    key = whole[1]
-                    v = out.get(key, 0) + sign * head[0] * whole[0] * c
-                    if v:
+            dg = self._d_signed.get(idx)
+            if dg is None:
+                continue
+            rest = mono[:pos] + mono[pos + 1 :]
+            odd = list(accumulate((parity[x] for x in rest), initial=0))
+            lead = odd[pos] if parity[idx] else 0
+            for m, c, neg in dg:
+                flips = lead
+                for x in m:
+                    if parity[x]:
+                        at = bisect_left(rest, x)
+                        if at < len(rest) and rest[at] == x:
+                            break
+                        flips += odd[at]
+                else:
+                    key = tuple(sorted(rest + m))
+                    v = neg if flips % 2 else c
+                    prev = out.get(key)
+                    if prev is None:
                         out[key] = v
+                    elif total := prev + v:
+                        out[key] = total
                     else:
                         del out[key]
-            if alg._parity[idx]:
-                sign = -sign
         return out
 
     def _d_monomial(self, mono: Monomial) -> Multivector:
@@ -156,11 +175,8 @@ class CDGA:
         alg = self.algebra
         domain = alg.basis(q)
         target_index = alg.basis_index(q + 1)
-        cols: list[Vec] = []
-        for mono in domain:
-            # not through the d(mono) cache: the columns already hold the images
-            img = self._d_terms(mono)
-            cols.append({target_index[m]: c for m, c in img.items()})
+        # not through the d(mono) cache: the columns already hold the images
+        cols = [{target_index[m]: c for m, c in self._d_terms(mono).items()} for mono in domain]
         mat = SparseMatrix(len(target_index), len(domain), cols)
         self._matrix_cache[q] = mat
         return mat
@@ -191,13 +207,7 @@ class CDGA:
         for col in self.differential_matrix(q - 1).cols:
             image.add(col)
         coeffs = image.express(coords)
-        if coeffs is None:
-            return None
-        out = self.algebra.zero()
-        for mono, c in zip(self.algebra.basis(q - 1), coeffs):
-            if c:
-                out = out + self.algebra.monomial(mono).scale(c)
-        return out
+        return None if coeffs is None else self.algebra.from_coordinates(q - 1, coeffs)
 
 
 def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
@@ -210,6 +220,18 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
             raise DegreeError(f"term outside degree {q}")
         out[pos] = c
     return out
+
+
+def _row_pass(d: SparseMatrix) -> tuple[Echelon, list[int]]:
+    """Echelon of the rows of d in increasing order, column j at ncols-1-j,
+    and the rows that raised its rank: the least-index pivots of d's image."""
+    last = d.ncols - 1
+    eqs: dict[int, Vec] = {}
+    for j, col in enumerate(d.cols):
+        for i, v in col.items():
+            eqs.setdefault(i, {})[last - j] = v
+    ech = Echelon(d.ncols)
+    return ech, [i for i in sorted(eqs) if ech.add(eqs[i])]
 
 
 class CohomologyBasis:
@@ -227,23 +249,31 @@ class CohomologyBasis:
     image B^q lies in Z^q, so its pivots are free columns too, and the k_f
     with f not among them are the representatives.
 
+    Each d is eliminated once: the pivots of B^q are the rows of d_(q-1)
+    that raise the rank in increasing order (the pivot columns of RREF(D^T)
+    are the columns of D^T, the rows of D, independent of earlier ones).
+    Degree q-1 records them on the CDGA, else a rank-only row pass reads
+    them, and ``_image``, the column echelon of d_(q-1), is built lazily.
+
     ``coordinates`` is the induced linear map onto class coordinates, read
     at pivots: reduced modulo the image, a cocycle w is sum c_i rep_i, and
     only rep_i is nonzero at its pivot p_i, so c_i = w[p_i] / rep_i[p_i].
     ``reduction`` lists them densely.  The basis keeps the algebra and the
-    differential out of degree q, not the CDGA, so a dropped CDGA and its
-    cached bases are freed without the cyclic garbage collector.
+    differentials into and out of degree q, not the CDGA, so a dropped CDGA
+    and its cached bases are freed without the cyclic garbage collector.
     """
 
     def __init__(self, cdga: CDGA, degree: int):
         self.algebra = alg = cdga.algebra
         self.degree = degree
         self._d = cdga.differential_matrix(degree)
-        self._image = Echelon(alg.dim(degree))
-        for col in cdga.differential_matrix(degree - 1).cols:
-            self._image.add(col)
+        self._d_prev = cdga.differential_matrix(degree - 1)
+        image_pivots = cdga._image_pivots.get(degree)
+        if image_pivots is None:
+            image_pivots = _row_pass(self._d_prev)[1]
+        ech, cdga._image_pivots[degree + 1] = _row_pass(self._d)
         basis = alg.basis(degree)
-        rows = self._cocycle_rows()
+        rows = self._cocycle_rows(ech, image_pivots)
         self.representatives = tuple(
             Multivector(alg, {basis[j]: Fraction(row[j]) for j in sorted(row)})
             for _, row in rows
@@ -251,18 +281,17 @@ class CohomologyBasis:
         # pivot -> (class index, entry of the representative there)
         self._at_pivot = {f: (i, row[f]) for i, (f, row) in enumerate(rows)}
 
-    def _cocycle_rows(self) -> list[tuple[int, Row]]:
+    @cached_property
+    def _image(self) -> Echelon:
+        """Column echelon of d_(q-1), built on the first reduction."""
+        image = Echelon(self.algebra.dim(self.degree))
+        for col in self._d_prev.cols:
+            image.add(col)
+        return image
+
+    def _cocycle_rows(self, ech: Echelon, image_pivots: list[int]) -> list[tuple[int, Row]]:
         """(f, primitive k_f) for the free columns f that are not image pivots."""
-        n = self._d.ncols
-        last = n - 1
-        # the rows of d_q with column j at last - j, so each pivots on its last column
-        eqs: dict[int, Vec] = {}
-        for j, col in enumerate(self._d.cols):
-            for i, v in col.items():
-                eqs.setdefault(i, {})[last - j] = v
-        ech = Echelon(n)
-        for i in sorted(eqs):
-            ech.add(eqs[i])
+        last = self._d.ncols - 1
         # column f -> (pivot, R[f], R[pivot]) over the reduced rows R holding f
         entries: dict[int, list[tuple[int, int, int]]] = {}
         for p, row in zip(ech.pivots, ech.rows):
@@ -270,10 +299,9 @@ class CohomologyBasis:
             for j, v in row.items():
                 if j != p:
                     entries.setdefault(last - j, []).append((last - p, v, lead))
-        skip = {last - p for p in ech.pivots}
-        skip.update(self._image.pivots)
+        skip = {last - p for p in ech.pivots}.union(image_pivots)
         out: list[tuple[int, Row]] = []
-        for f in range(n):
+        for f in range(last + 1):
             if f in skip:
                 continue
             terms = entries.get(f, ())

@@ -344,12 +344,14 @@ def certify_prop_art(
     if dec is None:
         dec = default_decomposition(c)
     validate_decomposition(c, dec)
+    return None if _prop_art_failure(c, k, dec) is not None else _prop_art_evidence(c, k, dec)
+
+
+def _prop_art_failure(c: CDGA, k: int, dec: Decomposition) -> int | None:
+    """The first degree q <= k+1 failing the certificate, None when all pass."""
     alg = c.algebra
     n = len(alg.generators)
-    complement_mvs = [
-        alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
-        for v in dec.complement
-    ]
+    complement = [alg.from_coordinates(1, [v.get(j, 0) for j in range(n)]) for v in dec.complement]
     for q in range(1, min(k + 1, alg.top_degree()) + 1):
         d_q = c.differential_matrix(q)
         ideal_plus_image = Echelon(alg.dim(q))
@@ -357,7 +359,7 @@ def certify_prop_art(
             ideal_plus_image.add(col)
         image_rank = ideal_plus_image.rank
         d_ideal = Echelon(alg.dim(q + 1))
-        for nv in complement_mvs:
+        for nv in complement:
             for mono in alg.basis(q - 1):
                 w = nv * alg.monomial(mono)
                 if not w.is_zero():
@@ -365,16 +367,15 @@ def certify_prop_art(
                     ideal_plus_image.add(row)
                     d_ideal.add(d_q.apply(row))
         if d_ideal.rank != ideal_plus_image.rank - image_rank:
-            return None
-    names = dec.complement_names(alg)
-    return Evidence(
-        "prop-art-certificate",
-        k,
-        "formal",
-        "every cocycle in the ideal of the chosen complement is exact "
-        f"up to degree {k + 1}",
-        {"complement": list(names) if names else "custom vectors"},
-    )
+            return q
+    return None
+
+
+def _prop_art_evidence(c: CDGA, k: int, dec: Decomposition) -> Evidence:
+    names = dec.complement_names(c.algebra)
+    detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
+    data = {"complement": list(names) if names else "custom vectors"}
+    return Evidence("prop-art-certificate", k, "formal", detail, data)
 
 
 def is_twostep(c: CDGA) -> bool:
@@ -1275,13 +1276,14 @@ def formality_report(
 
     if decomposition is None:
         decomposition = default_decomposition(c)
-    for k in range(k_max, -1, -1):
-        if report.verdict(k) == NOT_FORMAL:
-            continue
-        cert = certify_prop_art(c, k, decomposition)
-        if cert is not None:
-            report.mark_formal_upto(k, cert)
-            break
+    # the largest k not ruled out; a failure at q certifies every k <= q-2
+    k = k_max if report.least_not_formal is None else report.least_not_formal - 1
+    if k >= 0:
+        validate_decomposition(c, decomposition)
+        q = _prop_art_failure(c, k, decomposition)
+        k = k if q is None else q - 2
+        if k >= 0:
+            report.mark_formal_upto(k, _prop_art_evidence(c, k, decomposition))
 
     if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
         try:

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilform.cdga import CDGA, NotACocycle, NotADifferential, hirsch_extend, tensor
 from nilform.gca import Algebra, DegreeError, Generator
@@ -13,6 +16,10 @@ from nilform.catalog import (
     heisenberg,
     heisenberg_betti_oracle,
 )
+from nilform.linalg import Echelon
+from nilform.ring import from_cdga
+from test_formality import _formality_mix_models
+from test_ring import REPRESENTATIVE_MODELS, TOWER_SEEDS, _three_step_tower
 
 
 def exterior(*names):
@@ -204,3 +211,141 @@ def test_euler_characteristic_vanishes():
         top = c.algebra.top_degree()
         chi = sum((-1) ** q * c.betti(q) for q in range(top + 1))
         assert chi == 0
+
+
+# -- the Leibniz expansion and the recorded image pivots -------------------
+
+
+def _reference_d_terms(c, mono):
+    """d(mono) by two monomial merges per Leibniz term, summed in the same order."""
+    alg = c.algebra
+    out = {}
+    sign = 1
+    for pos, idx in enumerate(mono):
+        gen = alg.generators[idx]
+        for m, coef in c.d_generator(gen.name).terms.items():
+            head = alg.monomial_product(mono[:pos], m)
+            if head is None:
+                continue
+            whole = alg.monomial_product(head[1], mono[pos + 1 :])
+            if whole is None:
+                continue
+            v = out.get(whole[1], 0) + sign * head[0] * whole[0] * coef
+            if v:
+                out[whole[1]] = v
+            else:
+                del out[whole[1]]
+        if gen.degree % 2:
+            sign = -sign
+    return out
+
+
+@cache
+def _mix_models():
+    """The 176 seed-3 formality-mix models, shared: the tests below build fresh CDGAs."""
+    return _formality_mix_models(seeds=(3,))
+
+
+def _top(c, top):
+    return sum(g.degree for g in c.algebra.generators) if top is None else top
+
+
+# an even generator whose differential has an odd factor, so that the sign of
+# d passing the factors before it cancels against that factor
+EVEN_WITH_ODD_TERMS = pytest.param(
+    lambda: CDGA(
+        Algebra([("a", 1), ("b", 1), ("y", 2), ("x", 2), ("u", 3)]),
+        {"b": "y", "x": "a*y", "u": "y^2 + x*y + a*b*y"},
+    ),
+    8,
+    id="even-with-odd-terms",
+)
+
+
+def _assert_d_terms_match_the_reference(c, top):
+    for q in range(top + 1):
+        for mono in c.algebra.basis(q):
+            assert list(c._d_terms(mono).items()) == list(_reference_d_terms(c, mono).items())
+
+
+@pytest.mark.parametrize("build, top", [*REPRESENTATIVE_MODELS, EVEN_WITH_ODD_TERMS])
+def test_d_terms_match_the_two_merge_expansion(build, top):
+    c = build()
+    _assert_d_terms_match_the_reference(c, _top(c, top))
+
+
+def test_d_terms_match_the_two_merge_expansion_on_the_formality_mix():
+    for c in _mix_models():
+        _assert_d_terms_match_the_reference(c, c.algebra.top_degree())
+
+
+def _assert_recorded_image_pivots(build, top):
+    c = build()
+    for q in range(top + 1):
+        c.cohomology(q)
+    # degree q records the pivots of B^(q+1), read off its row pass of d_q
+    for q in range(1, top + 2):
+        image = Echelon(c.algebra.dim(q))
+        for col in c.differential_matrix(q - 1).cols:
+            image.add(col)
+        assert c._image_pivots[q] == image.pivots
+    # a degree asked first, with no degree below it, reads the same pivots
+    for q in range(top + 1):
+        fresh = build()
+        assert not fresh._image_pivots
+        got = fresh.cohomology(q).representatives
+        assert [list(v.terms.items()) for v in got] == [
+            list(v.terms.items()) for v in c.cohomology(q).representatives
+        ]
+
+
+@pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)
+def test_recorded_image_pivots_are_the_column_echelon_pivots(build, top):
+    _assert_recorded_image_pivots(build, _top(build(), top))
+
+
+def test_recorded_image_pivots_are_the_column_echelon_pivots_on_the_formality_mix():
+    for c in _mix_models():
+        spec = (c.algebra, c.differential())
+        _assert_recorded_image_pivots(lambda spec=spec: CDGA(*spec), c.algebra.top_degree())
+
+
+def test_a_labelled_table_builds_no_image_echelon():
+    r = from_cdga(heisenberg(3), 7)
+    for q in range(8):
+        r.labels(q)
+    assert not any("_image" in vars(r.basis(q)) for q in range(8))
+    # the first reduction builds it
+    r.basis(2).coordinates(r.representative(2, 0))
+    assert "_image" in vars(r.basis(2))
+
+
+# -- Kunneth ----------------------------------------------------------------
+
+KUNNETH_FACTORS = {
+    **{f"heisenberg({n})": (lambda n=n: heisenberg(n)) for n in (1, 2)},
+    "contr[0]": lambda: example_contr("0"),
+    "free_abelian(2)": lambda: free_abelian(["t1", "t2"]),
+    **{f"tower{s}": (lambda s=s: _three_step_tower(s)) for s in TOWER_SEEDS},
+}
+
+
+@cache
+def _factor_betti(name):
+    c = KUNNETH_FACTORS[name]()
+    return tuple(c.betti_numbers(c.algebra.top_degree()))
+
+
+# derandomized and without an example database, so tier-1 stays deterministic
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(KUNNETH_FACTORS)), st.sampled_from(sorted(KUNNETH_FACTORS)))
+def test_tensor_betti_numbers_are_the_convolution_of_the_factors(left, right):
+    a, b = _factor_betti(left), _factor_betti(right)
+    c = tensor(KUNNETH_FACTORS[left](), KUNNETH_FACTORS[right]())
+    # the degrees through 5: the largest products have 16 generators
+    cap = min(c.algebra.top_degree(), 5)
+    want = [
+        sum(a[i] * b[q - i] for i in range(len(a)) if 0 <= q - i < len(b))
+        for q in range(cap + 1)
+    ]
+    assert c.betti_numbers(cap) == want

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nilform import formality
 from nilform.catalog import (
     central_extension,
     example_contr,
@@ -271,6 +272,23 @@ def test_prop_certificate_rank_criterion_matches_the_intersection_on_the_formali
     verdicts = [v for c in models for v in _prop_art_verdicts_match_the_oracle(c)]
     # both outcomes occur, so neither direction of the criterion goes untested
     assert any(verdicts) and not all(verdicts)
+
+
+def test_report_checks_the_prop_art_degrees_in_one_pass(monkeypatch):
+    calls = []
+    for name in ("validate_decomposition", "_prop_art_failure"):
+        real = getattr(formality, name)
+        monkeypatch.setattr(
+            formality, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    rep = formality_report(example_contr("y1*y2"), 3)
+    monkeypatch.undo()
+    # degree 2 fails the certificate, so the one pass certifies k = 0, and k = 1 fails
+    assert calls == ["validate_decomposition", "_prop_art_failure"]
+    assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
+    (ev,) = [e for e in rep.evidence if e.rule == "prop-art-certificate"]
+    assert ev == certify_prop_art(example_contr("y1*y2"), 0)
+    assert certify_prop_art(example_contr("y1*y2"), 1) is None
 
 
 # -- two-step decisions ---------------------------------------------------
