@@ -13,11 +13,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
-from .linalg import Echelon, Row, SparseMatrix, Vec, row_primitive
+from .linalg import Echelon, Row, SparseMatrix, Vec
 
 
 class NotADifferential(ValueError):
@@ -45,8 +44,6 @@ class CDGA:
         self,
         algebra: Algebra,
         differential: Mapping[str, Multivector | str] | None = None,
-        *,
-        check: bool = True,
     ):
         self.algebra = algebra
         self._d_gen: dict[int, Multivector] = {}
@@ -70,8 +67,7 @@ class CDGA:
         # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
         # shared by every ring presentation of this CDGA
         self._class_products: dict[tuple[int, int, int, int], Vec] = {}
-        if check:
-            self.validate()
+        self.validate()
 
     # -- validation ------------------------------------------------------
 
@@ -242,12 +238,12 @@ class CohomologyBasis:
     with strictly increasing least-index pivots, each zero at the others'
     pivots.  They are read off one row reduction of d_q: eliminated with
     its columns in reverse order, the equations d_q(z) = 0 pivot on their
-    last columns, and every free column f gives the null vector
-    k_f = e_f - sum R[f]/R[p] e_p over the reduced rows R with pivot p.
-    Each R is zero right of its pivot, so k_f is zero left of f and at the
-    other free columns: the k_f are the reduced echelon basis of Z^q.  The
-    image B^q lies in Z^q, so its pivots are free columns too, and the k_f
-    with f not among them are the representatives.
+    last columns, and ``Echelon.null_vectors`` gives one null vector k_f
+    per free column f, with entries at f and at the pivots of the rows
+    holding f.  Those pivots lie right of f, so k_f is zero left of f and
+    at the other free columns: the k_f are the reduced echelon basis of
+    Z^q.  The image B^q lies in Z^q, so its pivots are free columns too,
+    and the k_f with f not among them are the representatives.
 
     Each d is eliminated once: the pivots of B^q are the rows of d_(q-1)
     that raise the rank in increasing order (the pivot columns of RREF(D^T)
@@ -290,27 +286,14 @@ class CohomologyBasis:
         return image
 
     def _cocycle_rows(self, ech: Echelon, image_pivots: list[int]) -> list[tuple[int, Row]]:
-        """(f, primitive k_f) for the free columns f that are not image pivots."""
+        """(f, primitive k_f, positive at f) for the free columns f that are not image pivots."""
         last = self._d.ncols - 1
-        # column f -> (pivot, R[f], R[pivot]) over the reduced rows R holding f
-        entries: dict[int, list[tuple[int, int, int]]] = {}
-        for p, row in zip(ech.pivots, ech.rows):
-            lead = row[p]
-            for j, v in row.items():
-                if j != p:
-                    entries.setdefault(last - j, []).append((last - p, v, lead))
-        skip = {last - p for p in ech.pivots}.union(image_pivots)
-        out: list[tuple[int, Row]] = []
-        for f in range(last + 1):
-            if f in skip:
-                continue
-            terms = entries.get(f, ())
-            scale = lcm(*(lead for _, _, lead in terms))
-            k = {f: scale}
-            for p, v, lead in terms:
-                k[p] = -v * (scale // lead)
-            out.append((f, row_primitive(k)))
-        return out
+        skip = set(image_pivots)
+        columns = [last - f for f in range(last + 1) if f not in skip]
+        return [
+            (last - j, {last - i: v for i, v in k.items()})
+            for j, k in ech.null_vectors(columns)
+        ]
 
     @property
     def dim(self) -> int:

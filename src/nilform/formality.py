@@ -736,30 +736,6 @@ def _split_by_span(ech: Echelon, keys: Sequence, pel: dict, R) -> tuple[dict, di
     )
 
 
-def _solution_family(
-    system: Echelon, nvars: int
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Particular solution (free unknowns zero) and null-space basis.
-
-    ``system`` holds consistent equations over the unknowns, with the
-    constant term in column ``nvars``.
-    """
-    rows = system.by_pivot
-    particular = [Fraction(0)] * nvars
-    for pivot, row in rows.items():
-        particular[pivot] = Fraction(-row.get(nvars, 0), row[pivot])
-    null = []
-    for free in range(nvars):
-        if free in rows:
-            continue
-        vec = [Fraction(0)] * nvars
-        vec[free] = Fraction(1)
-        for pivot, row in rows.items():
-            vec[pivot] = Fraction(-row.get(free, 0), row[pivot])
-        null.append(vec)
-    return particular, null
-
-
 def _sparse_det(entries: list[list], R):
     """Determinant of a matrix over ``R`` by sparse Laplace expansion."""
     n = len(entries)
@@ -1036,7 +1012,13 @@ def dga_map_solve(
                     nparams,
                     len(equations),
                 )
-        particular, null = _solution_family(system, nparams)
+        # consistent, so the constant column is free: its null vector scaled
+        # to 1 there is the solution with every free unknown zero, and each
+        # free unknown's null vector scaled to 1 at it is a direction
+        *null, particular = [
+            [Fraction(k.get(i, 0), k[f]) for i in range(nparams)]
+            for f, k in system.null_vectors(range(nparams + 1))
+        ]
         point = [Fraction(0)] * len(null)
         if conditions:
             # the solution family, with the null-space parameters as the first unknowns

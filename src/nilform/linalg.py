@@ -65,9 +65,10 @@ class Echelon:
 
     With ``track=True`` every added row is augmented with a marker column at
     ``ncols + k``, so the real part of each row is the sum of its marker
-    entries times the added vectors; rows that reduce to zero surface exact
-    dependence relations through :attr:`null_rows`.  Marker columns are
-    never pivots.  :meth:`reduce` is the one reduction every caller uses.
+    entries times the added vectors.  Marker columns are never pivots.
+    Tracking serves coefficient reads only (:meth:`express`); null spaces
+    are read off the rows themselves by :meth:`null_vectors`.
+    :meth:`reduce` is the one reduction every caller uses.
 
     ``by_pivot`` maps each pivot column to its row.  The rows are kept fully
     reduced, so eliminating one pivot never brings in an entry at another:
@@ -82,7 +83,6 @@ class Echelon:
         self.rows: list[Row] = []
         self.pivots: list[int] = []
         self.by_pivot: dict[int, Row] = {}
-        self.null_rows: list[Row] = []
         self.added = 0
 
     @property
@@ -113,8 +113,6 @@ class Echelon:
         row = to_int_row(vec)
         row = self._reduce(row)
         if not self._real_part(row):
-            if self.track and row:
-                self.null_rows.append(row_primitive(row))
             return False
         row = row_primitive(row)
         pivot = min(self._real_part(row))
@@ -168,8 +166,41 @@ class Echelon:
     def basis_vectors(self) -> list[Vec]:
         return [row_to_vec(self._real_part(r)) for r in self.rows]
 
+    def null_vectors(self, columns: Iterable[int]) -> list[tuple[int, Row]]:
+        """(f, k_f) for each listed column f that is not a pivot, in order.
 
-def rank_mod_p(rows: Iterable[Row], p: int = _FAST_PRIME) -> int:
+        k_f = L e_f - sum (L / R[p]) R[f] e_p over the rows R that hold f,
+        with pivot p, and L the lcm of those R[p], divided by the gcd of its
+        entries: a primitive integer vector, positive at f.  It solves every
+        row: a row holding f meets it at f and its own pivot only, since the
+        rows are zero at each other's pivots, and L R[f] - (L / R[p]) R[f]
+        R[p] = 0; a row not holding f meets it at its pivot alone, where k_f
+        is zero.  Its only non-pivot entry is at f, so the k_f of all free
+        columns are a basis of the null space, each zero at the other free
+        columns.
+        """
+        holding: dict[int, list[tuple[int, int, int]]] = {}
+        for p, row in zip(self.pivots, self.rows):
+            lead = row[p]
+            for j, v in row.items():
+                if j != p:
+                    holding.setdefault(j, []).append((p, v, lead))
+        out: list[tuple[int, Row]] = []
+        for f in columns:
+            if f in self.by_pivot:
+                continue
+            terms = holding.get(f, ())
+            scale = lcm(*(lead for _, _, lead in terms))
+            k = {f: scale}
+            for p, v, lead in terms:
+                k[p] = -v * (scale // lead)
+            g = gcd(*k.values())
+            out.append((f, k if g == 1 else {j: v // g for j, v in k.items()}))
+        return out
+
+
+def rank_mod_p(rows: Iterable[Row]) -> int:
+    p = _FAST_PRIME
     pivots: dict[int, Row] = {}
     for raw in rows:
         row = {j: v % p for j, v in raw.items() if v % p}
@@ -244,15 +275,20 @@ class SparseMatrix:
         return rank_rows(rows, max_rank=self.nrows)
 
     def kernel(self) -> list[Vec]:
-        """Deterministic rational basis of the null space."""
-        ech = Echelon(self.nrows, track=True)
-        for c in self.cols:
-            ech.add(c)
-        out = []
-        for null in ech.null_rows:
-            vec = {j - self.nrows: Fraction(v) for j, v in null.items()}
-            out.append(vec)
-        return out
+        """Reduced echelon basis of the null space, one vector per free column.
+
+        One row pass: the matrix's rows go into an untracked echelon, and
+        each free column f, in increasing order, gives the primitive null
+        vector of f's dependence on the earlier independent columns.
+        """
+        rows: dict[int, Vec] = {}
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                rows.setdefault(i, {})[j] = v
+        ech = Echelon(self.ncols)
+        for row in rows.values():
+            ech.add(row)
+        return [row_to_vec(row_primitive(k)) for _, k in ech.null_vectors(range(self.ncols))]
 
     def to_dense(self) -> list[list[Fraction]]:
         dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
@@ -291,7 +327,3 @@ class Span:
 
     def basis_vectors(self) -> list[Vec]:
         return self._ech.basis_vectors()
-
-    def pivot_columns(self) -> list[int]:
-        return list(self._ech.pivots)
-

@@ -51,7 +51,8 @@ from nilform.formality import (
 )
 from nilform.gca import Algebra, Generator
 from nilform.linalg import Echelon, SparseMatrix
-from nilform.ring import CutoffError, from_cdga
+from nilform.resonance import decide_r11_trivial, find_resonance_point
+from nilform.ring import CutoffError, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
 
 
@@ -478,6 +479,64 @@ def test_bigraded_tower_needs_degree_two():
 # -- the map solver -------------------------------------------------------
 
 
+def _reference_solution_family(system, nvars):
+    """The solver's particular solution and null basis as read off ``by_pivot``,
+    before the read-off moved to ``Echelon.null_vectors``; kept as the reference."""
+    rows = system.by_pivot
+    particular = [Fraction(0)] * nvars
+    for pivot, row in rows.items():
+        particular[pivot] = Fraction(-row.get(nvars, 0), row[pivot])
+    null = []
+    for free in range(nvars):
+        if free in rows:
+            continue
+        vec = [Fraction(0)] * nvars
+        vec[free] = Fraction(1)
+        for pivot, row in rows.items():
+            vec[pivot] = Fraction(-row.get(free, 0), row[pivot])
+        null.append(vec)
+    return particular, null
+
+
+def test_solver_family_matches_the_pivot_read_off():
+    rng = random.Random(89)
+    for _ in range(200):
+        nparams = rng.randint(0, 7)
+        solution = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nparams)]
+        system, equations = Echelon(nparams + 1), []
+        for _ in range(rng.randint(0, 8)):
+            if equations and rng.random() < 0.3:
+                # a dependent equation: a combination of earlier ones
+                eq = {}
+                for prev in rng.sample(equations, min(2, len(equations))):
+                    w = rng.randint(-2, 2)
+                    for j, v in prev.items():
+                        eq[j] = eq.get(j, 0) + w * v
+            else:
+                eq = {
+                    i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for i in range(nparams)
+                    if rng.random() < 0.6
+                }
+                # the constant column makes the solution satisfy it
+                eq[nparams] = -sum(v * solution[i] for i, v in eq.items())
+            eq = {j: v for j, v in eq.items() if v}
+            equations.append(eq)
+            system.add(eq)
+        assert nparams not in system.pivots
+        # the read-off in dga_map_solve: the constant column's null vector
+        # gives the particular solution, the free unknowns' the directions
+        *null, particular = [
+            [Fraction(k.get(i, 0), k[f]) for i in range(nparams)]
+            for f, k in system.null_vectors(range(nparams + 1))
+        ]
+        assert (particular, null) == _reference_solution_family(system, nparams)
+        for eq in equations:
+            assert sum(v * particular[i] for i, v in eq.items() if i < nparams) == -eq.get(nparams, 0)
+            for vec in null:
+                assert sum(v * vec[i] for i, v in eq.items() if i < nparams) == 0
+
+
 def test_solver_identity_with_fixed_images():
     c = heisenberg(2)
     cons = {g.name: g.name for g in c.algebra.generators}
@@ -844,3 +903,37 @@ def test_random_seeded_reports_are_reproducible(seed=5):
     assert [e.detail for e in rep1.sorted_evidence()] == [
         e.detail for e in rep2.sorted_evidence()
     ]
+
+
+def _assert_certified_degrees_obey_the_theorem(c, k_max):
+    """k-formal implies H^<=k+1 generated in degree 1 and trivial resonance up to degree k.
+
+    Returns the largest certified k, or None.
+    """
+    certified = [k for k, v in enumerate(formality_report(c, k_max).verdicts()) if v == FORMAL]
+    if not certified:
+        return None
+    best, top = max(certified), c.algebra.top_degree()
+    r = from_cdga(c, max(2, min(best + 1, top)))
+    for k in certified:
+        assert generated_in_degree_one_upto(r, min(k + 1, top)).generated
+    if best >= 1:
+        verdict = decide_r11_trivial(r)
+        assert verdict.witness is None and not verdict.nontrivial_certified
+        # a third of the default search, which would double the test's time
+        for i in range(2, best + 1):
+            assert find_resonance_point(r, i, budget=20) is None
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_verdicts_obey_the_theorem_on_heisenberg(n):
+    # the paper's threshold: heisenberg(n) is (n-1)-formal
+    assert _assert_certified_degrees_obey_the_theorem(heisenberg(n), n + 1) == n - 1
+
+
+def test_certified_verdicts_obey_the_theorem_on_the_formality_mix():
+    models = _formality_mix_models(seeds=(3,))
+    best = [_assert_certified_degrees_obey_the_theorem(c, 3) for c in models]
+    # the degrees above 0 are where resonance is checked at all
+    assert sum(1 for k in best if k is not None and k >= 1) == 18

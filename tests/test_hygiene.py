@@ -1,7 +1,8 @@
-"""Static hygiene of the package: no unused imports and no dead private names.
+"""Static hygiene of the package: no unused imports and no dead names.
 
-Both checks read the source of ``src/nilform`` with ``ast``; nothing is
-imported or run.
+The checks read the source of ``src/nilform`` with ``ast``; nothing is
+imported or run.  A public name counts as used when the package, the tests
+or the benchmark harness read it, so those are parsed too.
 """
 
 from __future__ import annotations
@@ -9,11 +10,18 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nilform"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nilform"
 TREES = {
     path.name: ast.parse(path.read_text(), str(path))
     for path in sorted(PACKAGE.glob("*.py"))
 }
+# every reader of the public names: the package, the tests and the harness
+READERS = [
+    ast.parse(path.read_text(), str(path))
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -42,18 +50,22 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """Private module-level functions and classes, and private methods of classes."""
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(tree: ast.Module, keep) -> list[str]:
+    """Module-level functions and classes, and methods of classes, whose name passes ``keep``."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
-        if isinstance(node, defs) and _is_private(node.name):
+        if isinstance(node, defs) and keep(node.name):
             out.append(node.name)
         if isinstance(node, ast.ClassDef):
             out += [
                 f"{node.name}.{item.name}"
                 for item in node.body
-                if isinstance(item, defs) and _is_private(item.name)
+                if isinstance(item, defs) and keep(item.name)
             ]
     return out
 
@@ -74,7 +86,18 @@ def test_every_private_definition_is_referenced():
     dead = [
         f"{name}: {qualname}"
         for name, tree in TREES.items()
-        for qualname in _private_definitions(tree)
+        for qualname in _definitions(tree, _is_private)
+        if qualname.rsplit(".", 1)[-1] not in referenced
+    ]
+    assert dead == []
+
+
+def test_every_public_definition_is_referenced():
+    referenced = set().union(*(_loaded_names(tree) for tree in READERS))
+    dead = [
+        f"{name}: {qualname}"
+        for name, tree in TREES.items()
+        for qualname in _definitions(tree, _is_public)
         if qualname.rsplit(".", 1)[-1] not in referenced
     ]
     assert dead == []

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilform.linalg import (
     Echelon,
@@ -15,6 +17,7 @@ from nilform.linalg import (
     row_primitive,
     to_int_row,
 )
+from test_ring import REPRESENTATIVE_MODELS
 
 
 def frac(n, d=1):
@@ -394,7 +397,6 @@ def test_pivot_index_matches_the_full_walk(track, entries):
             assert ech.by_pivot == dict(zip(ech.pivots, ech.rows))
             assert ech.rank == len(ref.rows)
             assert ech.rows == ref.rows
-            assert ech.null_rows == ref.null_rows
         for _ in range(6):
             w = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(ncols)}
             if rng.random() < 0.5:
@@ -405,3 +407,74 @@ def test_pivot_index_matches_the_full_walk(track, entries):
             # same entries in the same order, so downstream output cannot move
             assert list(residual.items()) == list(ref_residual.items())
             assert coeffs == ref_coeffs
+
+
+def _walk_kernel(mat):
+    """Reference null space: the tracked column walk, markers shifted back by nrows.
+
+    Each column that adds nothing to the span of the earlier ones leaves one
+    null relation: its own marker and those of the earlier independent
+    columns, made primitive.
+    """
+    ref = _WalkEchelon(mat.nrows, track=True)
+    for col in mat.cols:
+        ref.add(col)
+    return [{j - mat.nrows: Fraction(v) for j, v in null.items()} for null in ref.null_rows]
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Up to 8x8, with zero rows and columns, empty shapes and dependent columns."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    )
+    cols = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            # a combination of earlier columns
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
+            col = _combination(weights, cols)
+        else:
+            col = {i: v for i in range(nrows) if (v := draw(entry))}
+        cols.append(col)
+    return SparseMatrix(nrows, ncols, cols)
+
+
+# derandomized and without an example database, so tier-1 stays deterministic
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_rational_matrices())
+def test_kernel_is_the_tracked_column_walk(mat):
+    kern = mat.kernel()
+    assert kern == _walk_kernel(mat)
+    assert all(mat.apply(vec) == {} for vec in kern)
+
+
+@pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)
+def test_kernel_of_every_differential_is_the_tracked_column_walk(build, top):
+    c = build()
+    for q in range((c.algebra.top_degree() if top is None else top) + 1):
+        d = c.differential_matrix(q)
+        assert d.kernel() == _walk_kernel(d)
+
+
+def test_null_vectors_solve_every_row_and_skip_the_pivots():
+    rng = random.Random(83)
+    for _ in range(60):
+        ncols = rng.randint(0, 8)
+        ech = Echelon(ncols)
+        rows = [
+            {j: v for j in range(ncols) if rng.random() < 0.5 and (v := rng.randint(-4, 4))}
+            for _ in range(rng.randint(0, 8))
+        ]
+        for row in rows:
+            ech.add(row)
+        columns = rng.sample(range(ncols), ncols)
+        got = ech.null_vectors(columns)
+        assert [f for f, _ in got] == [f for f in columns if f not in ech.pivots]
+        for f, k in got:
+            assert k[f] > 0 and gcd(*k.values()) == 1
+            assert set(k) - {f} <= set(ech.pivots)
+            for row in rows:
+                assert sum(v * k.get(j, 0) for j, v in row.items()) == 0
