@@ -192,18 +192,20 @@ class CDGA:
         return [self.betti(q) for q in range(q_max + 1)]
 
     def is_coboundary(self, v: Multivector) -> Multivector | None:
-        """A primitive u with d(u) = v, or None; v must be a cocycle."""
+        """A u with d(u) = v, or None; v must be a cocycle.
+
+        u is zero at every monomial whose d depends on the d of earlier ones.
+        """
         if v.is_zero():
             return self.algebra.zero()
         if not self.is_cocycle(v):
             raise NotACocycle(f"{v} is not closed")
         q = v.degree
-        coords = dict_coords(self.algebra, v, q)
-        image = Echelon(self.algebra.dim(q), track=True)
-        for col in self.differential_matrix(q - 1).cols:
-            image.add(col)
-        coeffs = image.express(coords)
-        return None if coeffs is None else self.algebra.from_coordinates(q - 1, coeffs)
+        d = self.differential_matrix(q - 1)
+        x = d.solve(dict_coords(self.algebra, v, q))
+        if x is None:
+            return None
+        return self.algebra.from_coordinates(q - 1, [x.get(j, 0) for j in range(d.ncols)])
 
 
 def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
@@ -226,7 +228,7 @@ def _row_pass(d: SparseMatrix) -> tuple[Echelon, list[int]]:
     for j, col in enumerate(d.cols):
         for i, v in col.items():
             eqs.setdefault(i, {})[last - j] = v
-    ech = Echelon(d.ncols)
+    ech = Echelon()
     return ech, [i for i in sorted(eqs) if ech.add(eqs[i])]
 
 
@@ -280,7 +282,7 @@ class CohomologyBasis:
     @cached_property
     def _image(self) -> Echelon:
         """Column echelon of d_(q-1), built on the first reduction."""
-        image = Echelon(self.algebra.dim(self.degree))
+        image = Echelon()
         for col in self._d_prev.cols:
             image.add(col)
         return image
@@ -304,7 +306,7 @@ class CohomologyBasis:
         coords = dict_coords(self.algebra, v, self.degree)
         if self._d.apply(coords):
             raise NotACocycle(f"{v} is not closed")
-        w = self._image.reduce(coords)[0]
+        w = self._image.reduce(coords)
         at = self._at_pivot
         return {at[p][0]: w[p] / at[p][1] for p in sorted(p for p in w if p in at)}
 

@@ -209,7 +209,7 @@ class Decomposition:
 def default_decomposition(c: CDGA) -> Decomposition:
     """Closed kernel plus the unit-vector complement in declaration order."""
     kernel = c.differential_matrix(1).kernel()
-    span = Echelon(len(c.algebra.generators))
+    span = Echelon()
     for vec in kernel:
         span.add(vec)
     pivots = set(span.pivots)
@@ -235,7 +235,7 @@ def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
 def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
     n = len(c.algebra.generators)
     nullity = n - c.differential_matrix(1).rank()
-    kspan = Echelon(n)
+    kspan = Echelon()
     for vec in dec.kernel:
         v = c.algebra.from_coordinates(1, [vec.get(j, Fraction(0)) for j in range(n)])
         if not c.d(v).is_zero():
@@ -243,7 +243,7 @@ def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
         kspan.add(vec)
     if kspan.rank != nullity or len(dec.kernel) != nullity:
         raise ValueError("invalid decomposition: kernel part has wrong dimension")
-    total = Echelon(n)
+    total = Echelon()
     for vec in dec.kernel + dec.complement:
         if not total.add(vec):
             raise ValueError("invalid decomposition: vectors are dependent")
@@ -354,11 +354,11 @@ def _prop_art_failure(c: CDGA, k: int, dec: Decomposition) -> int | None:
     complement = [alg.from_coordinates(1, [v.get(j, 0) for j in range(n)]) for v in dec.complement]
     for q in range(1, min(k + 1, alg.top_degree()) + 1):
         d_q = c.differential_matrix(q)
-        ideal_plus_image = Echelon(alg.dim(q))
+        ideal_plus_image = Echelon()
         for col in c.differential_matrix(q - 1).cols:
             ideal_plus_image.add(col)
         image_rank = ideal_plus_image.rank
-        d_ideal = Echelon(alg.dim(q + 1))
+        d_ideal = Echelon()
         for nv in complement:
             for mono in alg.basis(q - 1):
                 w = nv * alg.monomial(mono)
@@ -388,7 +388,7 @@ def is_twostep(c: CDGA) -> bool:
         alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
         for v in kernel
     ]
-    wedge = Echelon(alg.dim(2))
+    wedge = Echelon()
     for a in range(len(closed)):
         for b in range(a + 1, len(closed)):
             w = closed[a] * closed[b]
@@ -560,7 +560,7 @@ def extend_minimal_model(
 
     # wave 0: cover the cokernel in degree k+1 with closed generators; the
     # last precondition round left the degree-(k+1) columns in cols
-    image_span = Echelon(target.dim(k + 1))
+    image_span = Echelon()
     for col in cols:
         image_span.add(col)
     pivots = set(image_span.pivots)
@@ -700,21 +700,16 @@ class MapSolveResult:
     detail: str = ""
 
 
-def _tracked_echelon(keys: Sequence, vectors: Iterable[dict]) -> Echelon:
-    """Tracked echelon of key-indexed vectors over the ambient basis ``keys``."""
-    index = {k: i for i, k in enumerate(keys)}
-    ech = Echelon(len(keys), track=True)
-    for vec in vectors:
-        ech.add({index[k]: c for k, c in vec.items()})
-    return ech
+def _split_by_span(
+    span: Echelon, mat: SparseMatrix, keys: Sequence, pel: dict, R
+) -> tuple[dict, dict]:
+    """Split a poly-vector over ``keys`` along the columns of ``mat``.
 
-
-def _split_by_span(ech: Echelon, keys: Sequence, pel: dict, R) -> tuple[dict, dict]:
-    """Reduce a poly-vector over ``keys`` modulo a tracked echelon.
-
-    Returns the coefficients over the added vectors and the residual, both
-    with entries in the polynomial ring ``R``.  Reduction is linear, so each
-    monomial in the unknowns is reduced on its own.
+    ``span`` is the echelon of those columns.  Returns the coefficients over
+    the columns, zero at each column dependent on earlier ones, and the
+    residual modulo their span, both with entries in the polynomial ring
+    ``R``.  Both are linear, so each monomial in the unknowns is split on
+    its own.
     """
     index = {k: i for i, k in enumerate(keys)}
     by_mono: dict[tuple, Vec] = {}
@@ -724,12 +719,12 @@ def _split_by_span(ech: Echelon, keys: Sequence, pel: dict, R) -> tuple[dict, di
     coeffs: dict[int, dict] = {}
     residual: dict = {}
     for mono, vec in by_mono.items():
-        rest, cs = ech.reduce(vec)
+        rest = span.reduce(vec)
         for j, c in rest.items():
             residual.setdefault(keys[j], {})[mono] = _ground(R, c)
-        for k, c in enumerate(cs):
-            if c:
-                coeffs.setdefault(k, {})[mono] = _ground(R, c)
+            vec[j] = vec.get(j, 0) - c
+        for k, c in mat.solve(vec).items():
+            coeffs.setdefault(k, {})[mono] = _ground(R, c)
     return (
         {k: R(terms) for k, terms in coeffs.items()},
         {key: R(terms) for key, terms in residual.items()},
@@ -782,11 +777,15 @@ def _nonvanishing_point(product, nfree: int) -> list[Fraction]:
 def _h1_class_matrix_polys(
     h1_kernel: Sequence[Vec], images_pel: Sequence[dict], target: CDGA, n_src: int, R
 ) -> list[list]:
-    """Symbolic matrix of the induced map on degree-1 cohomology."""
-    keys = target.algebra.basis(1)
-    classes = _tracked_echelon(
-        keys, [rep.terms for rep in target.cohomology(1).representatives]
-    )
+    """Symbolic matrix of the induced map on degree-1 cohomology.
+
+    B^1 = 0, so the representatives are the reduced echelon basis of Z^1:
+    only rep_i is nonzero at its pivot p_i, and class i of an image is its
+    entry at p_i over rep_i[p_i], read on the polynomials directly.
+    """
+    reps = target.cohomology(1).representatives
+    pivots = [min(rep.terms) for rep in reps]
+    scales = [_ground(R, 1 / rep.terms[p]) for rep, p in zip(reps, pivots)]
     entries = []
     for vec in h1_kernel:
         ambient: dict = {}
@@ -796,8 +795,7 @@ def _h1_class_matrix_polys(
                 continue
             for key, p in images_pel[i].items():
                 ambient[key] = ambient.get(key, R.zero) + p.mul_ground(_ground(R, c))
-        coords, _ = _split_by_span(classes, keys, ambient, R)
-        entries.append([coords.get(j, R.zero) for j in range(len(h1_kernel))])
+        entries.append([ambient.get(p, R.zero).mul_ground(f) for p, f in zip(pivots, scales)])
     return entries
 
 
@@ -850,13 +848,12 @@ def dga_map_solve(
 
     # the polynomial vectors below are keyed by the target's monomials
     basis1, keys2 = alg.basis(1), alg.basis(2)
-    # the degree-1 monomials with d != 0, whose images span the exact degree-2 part
-    exact = [m for m in basis1 if not target._d_monomial(m).is_zero()]
-    exact_span = _tracked_echelon(keys2, [target._d_monomial(m).terms for m in exact])
-    closed = [
-        {basis1[j]: c for j, c in sorted(vec.items()) if c}
-        for vec in target.differential_matrix(1).kernel()
-    ]
+    # the columns of d_1 span the exact degree-2 part
+    d1 = target.differential_matrix(1)
+    exact_span = Echelon()
+    for col in d1.cols:
+        exact_span.add(col)
+    closed = [{basis1[j]: c for j, c in sorted(vec.items()) if c} for vec in d1.kernel()]
     n_src = len(source.algebra.generators)
 
     # one unknown per template direction, and per closed direction of a free generator
@@ -941,7 +938,7 @@ def dga_map_solve(
                     )
                     equations.append((poly, note))
         else:
-            lift, residual = _split_by_span(exact_span, keys2, rhs, R)
+            lift, residual = _split_by_span(exact_span, d1, keys2, rhs, R)
             for key in sorted(residual):
                 note = (
                     f"exactness obstruction at {gen.name!r}, "
@@ -950,7 +947,7 @@ def dga_map_solve(
                 equations.append((residual[key], note))
             img = {}
             for col, poly in sorted(lift.items()):
-                add_into(img, exact[col], poly, 1)
+                add_into(img, basis1[col], poly, 1)
             add_directions(img, closed)
             img = nonzero_part(img)
         images_pel[i] = img
@@ -996,7 +993,7 @@ def dga_map_solve(
     if linear:
         # unknown i is column i and the constant term is column nparams; a
         # pivot there is a row 0 = c, first reached by an inconsistent equation
-        system = Echelon(nparams + 1)
+        system = Echelon()
         for poly, note in equations:
             system.add(
                 {
@@ -1094,7 +1091,7 @@ def dga_map_solve(
                 f"found solution violates: {note}",
             )
     if len(h1_matrix) > 7:
-        span = Echelon(len(h1_matrix))
+        span = Echelon()
         for row in h1_matrix:
             span.add({j: v for j, p in enumerate(row) if (v := _evaluate(p, values))})
         if span.rank < len(h1_matrix):

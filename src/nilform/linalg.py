@@ -63,27 +63,18 @@ def _combine(a: Row, ca: int, b: Row, cb: int) -> Row:
 class Echelon:
     """Reduced row echelon form maintained incrementally over primitive rows.
 
-    With ``track=True`` every added row is augmented with a marker column at
-    ``ncols + k``, so the real part of each row is the sum of its marker
-    entries times the added vectors.  Marker columns are never pivots.
-    Tracking serves coefficient reads only (:meth:`express`); null spaces
-    are read off the rows themselves by :meth:`null_vectors`.
-    :meth:`reduce` is the one reduction every caller uses.
+    :meth:`reduce` is the one reduction every caller uses, and null spaces
+    are read off the rows by :meth:`null_vectors`.
 
     ``by_pivot`` maps each pivot column to its row.  The rows are kept fully
     reduced, so eliminating one pivot never brings in an entry at another:
     a reduction visits only the pivot columns already present in the vector.
     """
 
-    def __init__(self, ncols: int | None = None, track: bool = False):
-        if track and ncols is None:
-            raise ValueError("tracking requires an explicit column count")
-        self.ncols = ncols
-        self.track = track
+    def __init__(self):
         self.rows: list[Row] = []
         self.pivots: list[int] = []
         self.by_pivot: dict[int, Row] = {}
-        self.added = 0
 
     @property
     def rank(self) -> int:
@@ -98,24 +89,13 @@ class Echelon:
             row = _combine(row, base[pivot], base, -row[pivot])
         return row
 
-    def _real_part(self, row: Row) -> Row:
-        if not self.track:
-            return row
-        return {j: v for j, v in row.items() if j < self.ncols}
-
     def add(self, vec: Vec | Row) -> bool:
         """Insert a vector; returns True when the rank grew."""
-        vec = {j: v for j, v in vec.items() if v}
-        if self.track:
-            # scale the marker together with the vector, never separately
-            vec[self.ncols + self.added] = 1
-        self.added += 1
-        row = to_int_row(vec)
-        row = self._reduce(row)
-        if not self._real_part(row):
+        row = self._reduce(to_int_row(vec))
+        if not row:
             return False
         row = row_primitive(row)
-        pivot = min(self._real_part(row))
+        pivot = min(row)
         at = bisect_left(self.pivots, pivot)
         # a row with a later pivot has no entry left of it, so only earlier rows change
         for k in range(at):
@@ -129,42 +109,22 @@ class Echelon:
         self.by_pivot[pivot] = row
         return True
 
-    def reduce(self, vec: Vec) -> tuple[Vec, list[Fraction] | None]:
-        """Residual of a vector modulo the row space, zero at every pivot.
-
-        With tracking, also the coefficients c over the added vectors with
-        ``vec - residual == sum(c[k] * added[k])``; they vanish on every added
-        vector that did not raise the rank.  Without tracking they are None.
-        """
+    def reduce(self, vec: Vec) -> Vec:
+        """Residual of a vector modulo the row space, zero at every pivot."""
         w = {j: Fraction(v) for j, v in vec.items() if v}
-        track, ncols = self.track, self.ncols
-        coeffs = [_ZERO] * self.added if track else None
         for pivot in self._hit_pivots(w):
             base = self.by_pivot[pivot]
             f = w[pivot] / base[pivot]
             for j, bv in base.items():
-                if track and j >= ncols:
-                    coeffs[j - ncols] += f * bv
-                    continue
                 cur = w.get(j, _ZERO) - f * bv
                 if cur:
                     w[j] = cur
                 else:
                     del w[j]
-        return w, coeffs
+        return w
 
     def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)[0]
-
-    def express(self, vec: Vec) -> list[Fraction] | None:
-        """Coefficients over the added vectors, or None when outside the span."""
-        if not self.track:
-            raise ValueError("express requires tracking")
-        residual, coeffs = self.reduce(vec)
-        return None if residual else coeffs
-
-    def basis_vectors(self) -> list[Vec]:
-        return [row_to_vec(self._real_part(r)) for r in self.rows]
+        return not self.reduce(vec)
 
     def null_vectors(self, columns: Iterable[int]) -> list[tuple[int, Row]]:
         """(f, k_f) for each listed column f that is not a pivot, in order.
@@ -274,21 +234,44 @@ class SparseMatrix:
         rows = [to_int_row(c) for c in self.cols]
         return rank_rows(rows, max_rank=self.nrows)
 
-    def kernel(self) -> list[Vec]:
-        """Reduced echelon basis of the null space, one vector per free column.
-
-        One row pass: the matrix's rows go into an untracked echelon, and
-        each free column f, in increasing order, gives the primitive null
-        vector of f's dependence on the earlier independent columns.
-        """
+    def _row_echelon(self, extra: Vec | None = None) -> Echelon:
+        """Echelon of the matrix's rows, with ``extra`` as one more column."""
         rows: dict[int, Vec] = {}
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        ech = Echelon(self.ncols)
+        for i, v in (extra or {}).items():
+            rows.setdefault(i, {})[self.ncols] = v
+        ech = Echelon()
         for row in rows.values():
             ech.add(row)
+        return ech
+
+    def kernel(self) -> list[Vec]:
+        """Reduced echelon basis of the null space, one vector per free column.
+
+        One row pass: the matrix's rows go into an echelon, and each free
+        column f, in increasing order, gives the primitive null vector of
+        f's dependence on the earlier independent columns.
+        """
+        ech = self._row_echelon()
         return [row_to_vec(row_primitive(k)) for _, k in ech.null_vectors(range(self.ncols))]
+
+    def solve(self, b: Vec) -> Vec | None:
+        """The x with A x = b that is zero at each column dependent on earlier ones.
+
+        None when b is outside the column span.  Read off the row echelon of
+        [A | -b]: b is in the span exactly when the constant column
+        ``ncols`` is free, and its null vector, scaled to 1 there, is a
+        solution with every other free unknown zero.  The remaining columns
+        are independent, so that solution is unique.
+        """
+        n = self.ncols
+        found = self._row_echelon({i: -v for i, v in b.items() if v}).null_vectors([n])
+        if not found:
+            return None
+        k = found[0][1]
+        return {j: Fraction(v, k[n]) for j, v in sorted(k.items()) if j != n}
 
     def to_dense(self) -> list[list[Fraction]]:
         dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
@@ -299,16 +282,18 @@ class SparseMatrix:
 
 
 class Span:
-    """Subspace of Q^n with exact coordinates: a tracked ``Echelon``.
+    """Subspace of Q^n with exact coordinates over the vectors added to it.
 
-    No module of the package uses it; it stays for the benchmark's input
-    generators and the tests.  Where only rank, membership or pivots are
-    read, an untracked ``Echelon`` is cheaper.
+    An ``Echelon`` answers rank and membership, and ``express`` solves for
+    the coefficients with :meth:`SparseMatrix.solve`: zero on every added
+    vector that did not raise the rank.  No module of the package uses it;
+    it stays for the benchmark's input generators and the tests.
     """
 
     def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
         self.ncols = ncols
-        self._ech = Echelon(ncols, track=True)
+        self._ech = Echelon()
+        self._added: list[Vec] = []
         for v in vectors:
             self.add(v)
 
@@ -317,13 +302,13 @@ class Span:
         return self._ech.rank
 
     def add(self, vec: Vec) -> bool:
+        self._added.append({j: Fraction(v) for j, v in vec.items() if v})
         return self._ech.add(vec)
 
     def contains(self, vec: Vec) -> bool:
         return self._ech.contains(vec)
 
     def express(self, vec: Vec) -> list[Fraction] | None:
-        return self._ech.express(vec)
-
-    def basis_vectors(self) -> list[Vec]:
-        return self._ech.basis_vectors()
+        """Coefficients over the added vectors, or None when outside the span."""
+        x = SparseMatrix(self.ncols, len(self._added), list(self._added)).solve(vec)
+        return None if x is None else [x.get(k, _ZERO) for k in range(len(self._added))]

@@ -10,6 +10,7 @@ second exterior power of H^1 into H^2.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,12 +252,15 @@ def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVe
         raise CutoffError(f"generation bound {m} outside 1..{ring.max_degree}")
     b1 = ring.dim(1)
     for q in range(2, m + 1):
-        span = Echelon(ring.dim(q))
-        for i in range(ring.dim(q - 1)):
-            for j in range(b1):
-                span.add(ring.product_coords(q - 1, i, 1, j))
-        if span.rank < ring.dim(q):
-            return GenerationVerdict(False, m, q, ring.dim(q) - span.rank)
+        dim = ring.dim(q)
+        span = Echelon()
+        for i, j in itertools.product(range(ring.dim(q - 1)), range(b1)):
+            # no product is formed once the span is all of H^q
+            if span.rank == dim:
+                break
+            span.add(ring.product_coords(q - 1, i, 1, j))
+        if span.rank < dim:
+            return GenerationVerdict(False, m, q, dim - span.rank)
     return GenerationVerdict(True, m)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilform.cdga import CDGA, NotACocycle, NotADifferential, hirsch_extend, tensor
+from nilform.cdga import CDGA, NotACocycle, NotADifferential, dict_coords, hirsch_extend, tensor
 from nilform.gca import Algebra, DegreeError, Generator
 from nilform.catalog import (
     example_contr,
@@ -20,6 +20,7 @@ from nilform.linalg import Echelon
 from nilform.ring import from_cdga
 from test_formality import _formality_mix_models
 from test_ring import REPRESENTATIVE_MODELS, TOWER_SEEDS, _three_step_tower
+from tracked_reference import _WalkEchelon
 
 
 def exterior(*names):
@@ -154,6 +155,44 @@ def test_is_coboundary():
         c.is_coboundary(alg.gen("z") + alg.parse("x1*y1"))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: heisenberg(2),
+        lambda: heisenberg(3),
+        lambda: _three_step_tower(TOWER_SEEDS[0]),
+        lambda: _three_step_tower(TOWER_SEEDS[1]),
+    ],
+    ids=["heisenberg2", "heisenberg3", "tower1", "tower2"],
+)
+def test_is_coboundary_lift_is_the_tracked_column_walk(build):
+    c = build()
+    alg = c.algebra
+    rng = random.Random(97)
+    for q in range(1, alg.top_degree() + 1):
+        d = c.differential_matrix(q - 1)
+        ref = _WalkEchelon(d.nrows, track=True)
+        for col in d.cols:
+            ref.add(col)
+        # the d of every basis monomial spans B^q; then combinations, and cocycles off B^q
+        forms = [c.d(alg.monomial(m)) for m in alg.basis(q - 1)]
+        for _ in range(4):
+            mix = alg.zero()
+            for v in rng.sample(forms, min(3, len(forms))):
+                mix = mix + v.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            forms.append(mix)
+        forms += [rep + forms[0] for rep in c.cohomology(q).representatives]
+        for v in forms:
+            residual, coeffs = ref.reduce(dict_coords(alg, v, q))
+            want = None if residual else alg.from_coordinates(q - 1, coeffs)
+            got = c.is_coboundary(v)
+            if want is None:
+                assert got is None
+            else:
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert c.d(got) == v
+
+
 def test_hirsch_extension_builds_heisenberg():
     base = free_abelian(["x1", "y1"])
     ext = hirsch_extend(base, [(Generator("z", 1), "x1*y1")])
@@ -285,7 +324,7 @@ def _assert_recorded_image_pivots(build, top):
         c.cohomology(q)
     # degree q records the pivots of B^(q+1), read off its row pass of d_q
     for q in range(1, top + 2):
-        image = Echelon(c.algebra.dim(q))
+        image = Echelon()
         for col in c.differential_matrix(q - 1).cols:
             image.add(col)
         assert c._image_pivots[q] == image.pivots

@@ -54,6 +54,7 @@ from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import CutoffError, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
+from tracked_reference import _WalkEchelon
 
 
 # -- report bookkeeping ---------------------------------------------------
@@ -240,7 +241,7 @@ def _ideal_cocycles_are_exact(c, dec, q):
                 ideal.append(dict_coords(alg, w, q))
     cocycles = c.differential_matrix(q).kernel()
     both = SparseMatrix(alg.dim(q), len(ideal) + len(cocycles), ideal + cocycles)
-    image = Echelon(alg.dim(q))
+    image = Echelon()
     for col in c.differential_matrix(q - 1).cols:
         image.add(col)
     for rel in both.kernel():
@@ -503,7 +504,7 @@ def test_solver_family_matches_the_pivot_read_off():
     for _ in range(200):
         nparams = rng.randint(0, 7)
         solution = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nparams)]
-        system, equations = Echelon(nparams + 1), []
+        system, equations = Echelon(), []
         for _ in range(rng.randint(0, 8)):
             if equations and rng.random() < 0.3:
                 # a dependent equation: a combination of earlier ones
@@ -683,6 +684,74 @@ def test_solver_lifts_through_dependent_exact_columns():
     res = dga_map_solve(src, tgt, {"a": "x", "b": "u"})
     assert res.status == "solution"
     assert (res.assignment["w"] - tgt.algebra.gen("z3")).is_zero()
+
+
+def _tracked_class_matrix(h1_kernel, images_pel, target, n_src, R):
+    """The induced map on H^1 by a tracked reduction of each monomial in the unknowns."""
+    alg = target.algebra
+    reps = target.cohomology(1).representatives
+    ref = _WalkEchelon(alg.dim(1), track=True)
+    for rep in reps:
+        ref.add(dict_coords(alg, rep, 1))
+    index = alg.basis_index(1)
+    entries = []
+    for vec in h1_kernel:
+        by_mono = {}
+        for i in range(n_src):
+            for key, p in images_pel[i].items():
+                for mono, a in p.terms():
+                    w = by_mono.setdefault(mono, {})
+                    j = index[key]
+                    w[j] = w.get(j, 0) + vec.get(i, 0) * Fraction(a.numerator, a.denominator)
+        row = [{} for _ in reps]
+        for mono, w in by_mono.items():
+            _, coeffs = ref.reduce(w)
+            for t, x in enumerate(coeffs):
+                if x:
+                    row[t][mono] = R.domain(x.numerator, x.denominator)
+        entries.append([R(terms) for terms in row])
+    return entries
+
+
+def _dependent_exact_columns():
+    # d(a) and d(b) are dependent, so Z^1 holds 2a - b, with 2 at its pivot a
+    return CDGA(Algebra([(n, 1) for n in ("x", "y", "a", "b")]), {"a": "x*y", "b": "2*x*y"})
+
+
+@pytest.mark.parametrize(
+    "build, constraints, templated",
+    [
+        (
+            lambda: heisenberg(2),
+            {"x1": MapTemplate("x1", ("z", "y1")), "y1": "y1", "x2": "x2", "y2": "y2"},
+            "x1",
+        ),
+        (
+            _dependent_exact_columns,
+            {"x": MapTemplate("x", ("a",)), "y": "y", "a": MapTemplate("a", ("b", "y"))},
+            "x",
+        ),
+    ],
+    ids=["heisenberg2", "dependent-exact"],
+)
+def test_h1_class_matrix_is_the_tracked_reduction(monkeypatch, build, constraints, templated):
+    c = build()
+    calls = []
+    read_at_pivots = formality._h1_class_matrix_polys
+
+    def recorded(*args):
+        calls.append((args, read_at_pivots(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(formality, "_h1_class_matrix_polys", recorded)
+    assert dga_map_solve(c, c, constraints, require_h1_iso=True).status == "solution"
+    [(args, got)] = calls
+    _, images_pel, target, _, _ = args
+    # the template's direction leaves the image of a closed generator non-closed
+    image = images_pel[c.algebra.index_of(templated)]
+    assert c.is_cocycle(c.algebra.gen(templated))
+    assert any(not target.d(target.algebra.monomial(key)).is_zero() for key in image)
+    assert got == _tracked_class_matrix(*args)
 
 
 def test_solver_elimination_bound_guard():

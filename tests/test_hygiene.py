@@ -1,4 +1,4 @@
-"""Static hygiene of the package: no unused imports and no dead names.
+"""Static hygiene of the package: no unused imports, dead names or unread parameters.
 
 The checks read the source of ``src/nilform`` with ``ast``; nothing is
 imported or run.  A public name counts as used when the package, the tests
@@ -101,3 +101,41 @@ def test_every_public_definition_is_referenced():
         if qualname.rsplit(".", 1)[-1] not in referenced
     ]
     assert dead == []
+
+
+def _unread_parameters(tree: ast.AST) -> list[str]:
+    """Parameters of every function or method that its body never reads.
+
+    ``self``, ``cls`` and names starting with ``_`` are exempt; a nested
+    function or lambda that reads a parameter counts as a read.
+    """
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, funcs):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [
+            f"line {node.lineno}: {name}({p.arg})"
+            for p in params
+            if p.arg not in ("self", "cls") and not p.arg.startswith("_") and p.arg not in read
+        ]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{name}: {param}"
+        for name, tree in TREES.items()
+        for param in _unread_parameters(tree)
+    ]
+    assert unread == []

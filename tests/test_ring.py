@@ -26,8 +26,10 @@ from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
 from nilform.formality import is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon, Span
+from tracked_reference import _WalkEchelon
 from nilform.ring import (
     CutoffError,
+    GenerationVerdict,
     characteristic_subspace,
     class_symbol_algebra,
     from_cdga,
@@ -318,12 +320,12 @@ def test_sparse_representatives_equal_their_dense_rows(build, top):
         # the reference construction: kernel of d_q, reduced modulo the
         # image, then put in reduced echelon form
         size = alg.dim(q)
-        image = Echelon(size)
+        image = Echelon()
         for col in c.differential_matrix(q - 1).cols:
             image.add(col)
-        reps = Echelon(size)
+        reps = Echelon()
         for z in c.differential_matrix(q).kernel():
-            reps.add(image.reduce(z)[0])
+            reps.add(image.reduce(z))
         dense = [
             alg.from_coordinates(q, [Fraction(row.get(j, 0)) for j in range(size)])
             for row in reps.rows
@@ -356,11 +358,11 @@ def test_pivot_read_coordinates_match_a_tracked_echelon(build, top):
     for q in range(top + 1):
         basis = c.cohomology(q)
         size = alg.dim(q)
-        image = Echelon(size)
+        image = Echelon()
         for col in c.differential_matrix(q - 1).cols:
             image.add(col)
         # the reference: coefficients over the representatives, tracked
-        classes = Echelon(size, track=True)
+        classes = _WalkEchelon(size, track=True)
         for rep in basis.representatives:
             classes.add(dict_coords(alg, rep, q))
         lower = alg.basis(q - 1) if q else ()
@@ -370,7 +372,7 @@ def test_pivot_read_coordinates_match_a_tracked_echelon(build, top):
             v = basis.class_of(dense)
             for mono in rng.sample(lower, min(3, len(lower))):
                 v = v + c.d(alg.monomial(mono)).scale(rng.choice((-2, -1, 1, 3)))
-            residual, coeffs = classes.reduce(image.reduce(dict_coords(alg, v, q))[0])
+            residual, coeffs = classes.reduce(image.reduce(dict_coords(alg, v, q)))
             assert not residual and coeffs == dense
             got = basis.coordinates(v)
             assert got == want and list(got) == sorted(want)
@@ -395,6 +397,39 @@ def test_three_step_towers_satisfy_duality_and_euler(seed):
     assert dims[top] == 1
     assert dims == dims[::-1]
     assert sum((-1) ** q * b for q, b in enumerate(dims)) == 0
+
+
+def _full_scan(ring, m):
+    """The generation test without the full-rank stop: every product in every degree."""
+    for q in range(2, m + 1):
+        span = Echelon()
+        for i in range(ring.dim(q - 1)):
+            for j in range(ring.dim(1)):
+                span.add(ring.product_coords(q - 1, i, 1, j))
+        if span.rank < ring.dim(q):
+            return GenerationVerdict(False, m, q, ring.dim(q) - span.rank)
+    return GenerationVerdict(True, m)
+
+
+@pytest.mark.parametrize(
+    "build, top",
+    [*REPRESENTATIVE_MODELS, pytest.param(example_initial, None, id="initial")],
+)
+def test_generation_verdicts_match_a_full_scan(build, top):
+    c = build()
+    r = from_cdga(c, c.algebra.top_degree() if top is None else top)
+    for m in range(1, r.max_degree + 1):
+        assert generated_in_degree_one_upto(r, m) == _full_scan(r, m)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generation_stops_forming_products_at_full_rank(n):
+    c = heisenberg(n)
+    r = from_cdga(c, 2 * n + 1)
+    v = generated_in_degree_one_upto(r, 2 * n + 1)
+    assert v.failure_degree == n + 1
+    scanned = sum(r.dim(1) * r.dim(q - 1) for q in range(2, n + 2))
+    assert 0 < len(c._class_products) < scanned
 
 
 def test_class_indices_are_checked():

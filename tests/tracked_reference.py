@@ -1,0 +1,71 @@
+"""A reference elimination for the tests, independent of ``nilform.linalg.Echelon``.
+
+``Echelon`` keeps no record of how its rows combine the added vectors.
+``_WalkEchelon`` walks every pivot on each reduction and, with ``track``,
+records those combinations in marker columns, so solves, null spaces and
+class coordinates can be checked against it.
+"""
+
+from fractions import Fraction
+
+from nilform.linalg import row_primitive, to_int_row
+
+
+class _WalkEchelon:
+    """Reference echelon: every reduction walks all pivots in order."""
+
+    def __init__(self, ncols, track):
+        self.ncols, self.track = ncols, track
+        self.rows, self.pivots, self.null_rows = [], [], []
+        self.added = 0
+
+    @staticmethod
+    def _combine(a, ca, b, cb):
+        out = {j: ca * v for j, v in a.items()}
+        for j, v in b.items():
+            out[j] = out.get(j, 0) + cb * v
+        return {j: v for j, v in out.items() if v}
+
+    def _real(self, row):
+        return {j: v for j, v in row.items() if not self.track or j < self.ncols}
+
+    def add(self, vec):
+        frac_vec = {j: Fraction(v) for j, v in vec.items() if v}
+        if self.track:
+            frac_vec[self.ncols + self.added] = Fraction(1)
+        self.added += 1
+        row = to_int_row(frac_vec)
+        for pivot, base in zip(self.pivots, self.rows):
+            if row.get(pivot):
+                row = self._combine(row, base[pivot], base, -row[pivot])
+        if not self._real(row):
+            if self.track and row:
+                self.null_rows.append(row_primitive(row))
+            return False
+        row = row_primitive(row)
+        pivot = min(self._real(row))
+        for k, base in enumerate(self.rows):
+            if base.get(pivot):
+                self.rows[k] = row_primitive(self._combine(base, row[pivot], row, -base[pivot]))
+        at = sum(1 for p in self.pivots if p < pivot)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, pivot)
+        return True
+
+    def reduce(self, vec):
+        w = {j: Fraction(v) for j, v in vec.items() if v}
+        coeffs = [Fraction(0)] * self.added if self.track else None
+        for pivot, base in zip(self.pivots, self.rows):
+            c = w.get(pivot)
+            if c:
+                f = c / base[pivot]
+                for j, bv in base.items():
+                    if self.track and j >= self.ncols:
+                        coeffs[j - self.ncols] += f * bv
+                        continue
+                    cur = w.get(j, Fraction(0)) - f * bv
+                    if cur:
+                        w[j] = cur
+                    else:
+                        del w[j]
+        return w, coeffs
