@@ -202,7 +202,7 @@ class CDGA:
             raise NotACocycle(f"{v} is not closed")
         q = v.degree
         d = self.differential_matrix(q - 1)
-        x = d.solve(dict_coords(self.algebra, v, q))
+        [x] = d.solve([dict_coords(self.algebra, v, q)])
         if x is None:
             return None
         return self.algebra.from_coordinates(q - 1, [x.get(j, 0) for j in range(d.ncols)])

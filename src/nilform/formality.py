@@ -25,7 +25,6 @@ from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     CutoffError,
     GenerationVerdict,
-    RingElement,
     RingPresentation,
     class_symbol_algebra,
     from_cdga,
@@ -190,9 +189,8 @@ def _require_model(c: CDGA) -> None:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Closed part and chosen complement of the degree-1 generator space."""
+    """Chosen complement of the closed part of the degree-1 generator space."""
 
-    kernel: tuple[Vec, ...]
     complement: tuple[Vec, ...]
 
     def complement_names(self, alg: Algebra) -> tuple[str, ...] | None:
@@ -207,47 +205,35 @@ class Decomposition:
 
 
 def default_decomposition(c: CDGA) -> Decomposition:
-    """Closed kernel plus the unit-vector complement in declaration order."""
-    kernel = c.differential_matrix(1).kernel()
+    """The unit-vector complement of the closed kernel, in declaration order."""
     span = Echelon()
-    for vec in kernel:
+    for vec in c.differential_matrix(1).kernel():
         span.add(vec)
     pivots = set(span.pivots)
-    complement = tuple(
-        {j: Fraction(1)}
-        for j in range(len(c.algebra.generators))
-        if j not in pivots
+    return Decomposition(
+        tuple({j: Fraction(1)} for j in range(len(c.algebra.generators)) if j not in pivots)
     )
-    return Decomposition(tuple(kernel), complement)
 
 
 def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
     """Complement picked as a set of generators; validated against the kernel."""
-    idx = [c.algebra.index_of(n) for n in names]
-    dec = Decomposition(
-        default_decomposition(c).kernel,
-        tuple({j: Fraction(1)} for j in idx),
-    )
+    dec = Decomposition(tuple({c.algebra.index_of(n): Fraction(1)} for n in names))
     validate_decomposition(c, dec)
     return dec
 
 
 def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
-    n = len(c.algebra.generators)
-    nullity = n - c.differential_matrix(1).rank()
-    kspan = Echelon()
-    for vec in dec.kernel:
-        v = c.algebra.from_coordinates(1, [vec.get(j, Fraction(0)) for j in range(n)])
-        if not c.d(v).is_zero():
-            raise ValueError("invalid decomposition: kernel vector is not closed")
-        kspan.add(vec)
-    if kspan.rank != nullity or len(dec.kernel) != nullity:
-        raise ValueError("invalid decomposition: kernel part has wrong dimension")
-    total = Echelon()
-    for vec in dec.kernel + dec.complement:
-        if not total.add(vec):
+    """The complement meets the closed kernel in 0 and spans with it degree 1.
+
+    Both are rank checks on the images under d_1, whose kernel is the
+    closed part: the images are independent, and they span the image of d_1.
+    """
+    d_1 = c.differential_matrix(1)
+    images = Echelon()
+    for vec in dec.complement:
+        if not images.add(d_1.apply(vec)):
             raise ValueError("invalid decomposition: vectors are dependent")
-    if total.rank != n:
+    if images.rank != d_1.rank():
         raise ValueError("invalid decomposition: parts do not span degree 1")
 
 
@@ -457,16 +443,9 @@ def infer_prop_k2(
 # -- chain maps -----------------------------------------------------------
 
 
-def apply_chain_map(
-    images: Sequence, v: Multivector, target: CDGA | RingPresentation
-) -> Multivector | RingElement:
+def apply_chain_map(images: Sequence[Multivector], v: Multivector, target: CDGA) -> Multivector:
     """Multiplicative extension of generator images to a multivector."""
-    if isinstance(target, CDGA):
-        unit = target.algebra.one()
-    elif isinstance(target, RingPresentation):
-        unit = target.unit()
-    else:
-        raise TypeError(f"unsupported chain-map target {type(target).__name__}")
+    unit = target.algebra.one()
     out = unit.scale(0)
     for mono, c in sorted(v.terms.items()):
         cur = unit
@@ -474,131 +453,6 @@ def apply_chain_map(
             cur = cur * images[i]
         out = out + cur.scale(c)
     return out
-
-
-# -- minimal model extension ----------------------------------------------
-
-
-@dataclass
-class ExtensionResult:
-    """A partial minimal model extended by one degree, wave by wave."""
-
-    cdga: CDGA
-    images: dict[str, RingElement]
-    waves: list[list[str]]
-    truncated: bool
-
-
-def _unique_name(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name = name + "_"
-    taken.add(name)
-    return name
-
-
-def extend_minimal_model(
-    stage: CDGA,
-    images: Mapping[str, RingElement],
-    target: RingPresentation,
-    k: int,
-    *,
-    stage_cap: int = 8,
-    namer=None,
-) -> ExtensionResult:
-    """Add degree-(k+1) generators making the map iso through k+1, mono at k+2.
-
-    Wave 0 adds closed generators covering the cokernel in degree k+1; the
-    following waves transgress kernel classes one degree higher until the
-    kernel empties or the wave cap is hit (reported as truncation).  The
-    ring's differential is zero, so a transgressed class maps to zero and
-    every added generator keeps the chain-map property of the images.
-    """
-    if not isinstance(target, RingPresentation):
-        raise TypeError(f"unsupported chain-map target {type(target).__name__}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k + 2 > target.max_degree:
-        raise CutoffError(
-            f"need ring degree {k + 2} but cutoff is {target.max_degree}"
-        )
-    taken = {g.name for g in stage.algebra.generators}
-    img_by_name = dict(images)
-    missing = taken - set(img_by_name)
-    if missing:
-        raise ValueError(f"missing images for generators {sorted(missing)}")
-
-    def img_list(c: CDGA) -> list:
-        return [img_by_name[g.name] for g in c.algebra.generators]
-
-    def image_columns(c: CDGA, q: int) -> list[Vec]:
-        """Ring class coordinates of the image of each degree-q class of c."""
-        imgs = img_list(c)
-        return [
-            dict(sorted(apply_chain_map(imgs, rep, target).part(q).items()))
-            for rep in c.cohomology(q).representatives
-        ]
-
-    # precondition: iso below, mono at k+1
-    for q in range(1, k + 2):
-        dim = stage.cohomology(q).dim
-        cols = image_columns(stage, q)
-        rank = SparseMatrix(target.dim(q), dim, cols).rank()
-        if q <= k and (rank < dim or rank < target.dim(q)):
-            raise ValueError(
-                f"map is not a cohomology isomorphism in degree {q}"
-            )
-        if q == k + 1 and rank < dim:
-            raise ValueError(
-                f"map is not injective on cohomology in degree {q}"
-            )
-
-    def default_namer(wave: int, idx: int) -> str:
-        return f"v{k + 1}_{wave}_{idx}"
-
-    name_for = namer or default_namer
-
-    # wave 0: cover the cokernel in degree k+1 with closed generators; the
-    # last precondition round left the degree-(k+1) columns in cols
-    image_span = Echelon()
-    for col in cols:
-        image_span.add(col)
-    pivots = set(image_span.pivots)
-    additions = []
-    wave_names: list[str] = []
-    for idx, j in enumerate(
-        j for j in range(target.dim(k + 1)) if j not in pivots
-    ):
-        name = _unique_name(name_for(0, idx), taken)
-        additions.append((Generator(name, k + 1, word=0), stage.algebra.zero()))
-        img_by_name[name] = target.h_class(k + 1, j)
-        wave_names.append(name)
-    cur = hirsch_extend(stage, additions)
-    waves = [wave_names]
-
-    truncated = True
-    for wave in range(1, stage_cap + 1):
-        coh2 = cur.cohomology(k + 2)
-        cols = image_columns(cur, k + 2)
-        kern = SparseMatrix(target.dim(k + 2), coh2.dim, cols).kernel()
-        if not kern:
-            truncated = False
-            break
-        additions = []
-        wave_names = []
-        for idx, vec in enumerate(kern):
-            trans = coh2.class_of([vec.get(t, Fraction(0)) for t in range(coh2.dim)])
-            name = _unique_name(name_for(wave, idx), taken)
-            val = apply_chain_map(img_list(cur), trans, target)
-            if not val.is_zero():
-                raise RuntimeError("kernel transgression image is not zero in the ring")
-            additions.append((Generator(name, k + 1, word=wave), trans))
-            img_by_name[name] = val
-            wave_names.append(name)
-        cur = hirsch_extend(cur, additions)
-        waves.append(wave_names)
-
-    return ExtensionResult(cur, img_by_name, waves, truncated)
 
 
 # -- bigraded tower -------------------------------------------------------
@@ -610,7 +464,6 @@ class BigradedTower:
 
     ring: RingPresentation
     cdga: CDGA
-    images: dict[str, RingElement]
     stages: list[list[str]]
     stabilized: bool
 
@@ -623,25 +476,60 @@ class BigradedTower:
         return sum(self.stage_dims)
 
 
+def _unique_name(base: str, taken: set[str]) -> str:
+    name = base
+    while name in taken:
+        name = name + "_"
+    taken.add(name)
+    return name
+
+
 def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
     """Build degree-1 stages: closed classes first, then transgressed kernels.
 
     Stage 0 carries one closed generator per degree-1 class; stage i+1
     transgresses the kernel of the stage map on degree-2 cohomology.  The
     tower either stabilizes (empty kernel) or is truncated at the cap.
+
+    The map sends stage-0 generator i to class i of H^1 and every later
+    generator to 0, since the ring's differential is zero.  So a degree-2
+    form sum c g_i g_j maps to the sum of c times the structure constants
+    of classes i and j, over its terms with both generators in stage 0.
     """
     if r.max_degree < 2:
         raise CutoffError("bigraded tower needs a ring cutoff of at least 2")
+    b1 = r.dim(1)
     names = [g.name for g in class_symbol_algebra(r).generators]
+    taken = set(names)
 
-    def namer(wave: int, idx: int) -> str:
-        return names[idx] if wave == 0 else f"w{wave}_{idx}"
+    def image(v: Multivector) -> Vec:
+        out: Vec = {}
+        for (i, j), c in v.terms.items():
+            if j < b1:
+                for t, p in r.product_coords(1, i, 1, j).items():
+                    out[t] = out.get(t, 0) + c * p
+        return {t: x for t, x in sorted(out.items()) if x}
 
-    empty = CDGA(Algebra([]))
-    ext = extend_minimal_model(
-        empty, {}, r, 0, stage_cap=stage_cap, namer=namer
-    )
-    return BigradedTower(r, ext.cdga, ext.images, ext.waves, not ext.truncated)
+    cur = CDGA(Algebra([Generator(name, 1, word=0) for name in names]))
+    stages = [names]
+    stabilized = False
+    for wave in range(1, stage_cap + 1):
+        coh2 = cur.cohomology(2)
+        cols = [image(rep) for rep in coh2.representatives]
+        kern = SparseMatrix(r.dim(2), coh2.dim, cols).kernel()
+        if not kern:
+            stabilized = True
+            break
+        additions = []
+        for idx, vec in enumerate(kern):
+            trans = coh2.class_of([vec.get(t, Fraction(0)) for t in range(coh2.dim)])
+            if image(trans):
+                raise RuntimeError("kernel transgression image is not zero in the ring")
+            name = _unique_name(f"w{wave}_{idx}", taken)
+            additions.append((Generator(name, 1, word=wave), trans))
+        cur = hirsch_extend(cur, additions)
+        stages.append([g.name for g, _ in additions])
+    return BigradedTower(r, cur, stages, stabilized)
 
 
 # -- the chain-map solver -------------------------------------------------
@@ -709,21 +597,22 @@ def _split_by_span(
     the columns, zero at each column dependent on earlier ones, and the
     residual modulo their span, both with entries in the polynomial ring
     ``R``.  Both are linear, so each monomial in the unknowns is split on
-    its own.
+    its own: its residual is taken off first, and one solve lifts the rest
+    of every monomial at once.
     """
     index = {k: i for i, k in enumerate(keys)}
     by_mono: dict[tuple, Vec] = {}
     for key, p in pel.items():
         for mono, c in p.terms():
             by_mono.setdefault(mono, {})[index[key]] = _fraction(c)
-    coeffs: dict[int, dict] = {}
     residual: dict = {}
     for mono, vec in by_mono.items():
-        rest = span.reduce(vec)
-        for j, c in rest.items():
+        for j, c in span.reduce(vec).items():
             residual.setdefault(keys[j], {})[mono] = _ground(R, c)
             vec[j] = vec.get(j, 0) - c
-        for k, c in mat.solve(vec).items():
+    coeffs: dict[int, dict] = {}
+    for mono, x in zip(by_mono, mat.solve(list(by_mono.values()))):
+        for k, c in x.items():
             coeffs.setdefault(k, {})[mono] = _ground(R, c)
     return (
         {k: R(terms) for k, terms in coeffs.items()},

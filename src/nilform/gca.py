@@ -333,9 +333,6 @@ class Multivector:
         alg = self.algebra
         return Multivector(alg, {m: c for m, c in self.terms.items() if alg.degree_of(m) == q})
 
-    def homogeneous_parts(self) -> dict[int, Multivector]:
-        return {q: self.homogeneous_part(q) for q in self.degrees()}
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 

@@ -234,14 +234,12 @@ class SparseMatrix:
         rows = [to_int_row(c) for c in self.cols]
         return rank_rows(rows, max_rank=self.nrows)
 
-    def _row_echelon(self, extra: Vec | None = None) -> Echelon:
-        """Echelon of the matrix's rows, with ``extra`` as one more column."""
+    def _row_echelon(self, extra: Sequence[Vec] = ()) -> Echelon:
+        """Echelon of the matrix's rows, with ``extra`` as more columns after its own."""
         rows: dict[int, Vec] = {}
-        for j, col in enumerate(self.cols):
+        for j, col in enumerate(self.cols + list(extra)):
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        for i, v in (extra or {}).items():
-            rows.setdefault(i, {})[self.ncols] = v
         ech = Echelon()
         for row in rows.values():
             ech.add(row)
@@ -257,21 +255,24 @@ class SparseMatrix:
         ech = self._row_echelon()
         return [row_to_vec(row_primitive(k)) for _, k in ech.null_vectors(range(self.ncols))]
 
-    def solve(self, b: Vec) -> Vec | None:
-        """The x with A x = b that is zero at each column dependent on earlier ones.
+    def solve(self, bs: Sequence[Vec]) -> list[Vec | None]:
+        """For each b, the x with A x = b that is zero at each column dependent on earlier ones.
 
-        None when b is outside the column span.  Read off the row echelon of
-        [A | -b]: b is in the span exactly when the constant column
-        ``ncols`` is free, and its null vector, scaled to 1 there, is a
-        solution with every other free unknown zero.  The remaining columns
-        are independent, so that solution is unique.
+        None for a b outside the column span.  Every x is read off one row
+        echelon of [A | -b_1 | ... | -b_m]: b_t is in the span exactly when
+        its column ncols + t is free and its null vector is zero at every
+        other b column (a b repeated off the span is free too, as a copy of
+        the earlier one).  That null vector, scaled to 1 at the b column, is
+        then a solution with every other free unknown zero.  The remaining
+        columns are independent, so that solution is unique.
         """
         n = self.ncols
-        found = self._row_echelon({i: -v for i, v in b.items() if v}).null_vectors([n])
-        if not found:
-            return None
-        k = found[0][1]
-        return {j: Fraction(v, k[n]) for j, v in sorted(k.items()) if j != n}
+        ech = self._row_echelon([{i: -v for i, v in b.items() if v} for b in bs])
+        out: list[Vec | None] = [None] * len(bs)
+        for f, k in ech.null_vectors(range(n, n + len(bs))):
+            if all(j < n for j in k if j != f):
+                out[f - n] = {j: Fraction(v, k[f]) for j, v in sorted(k.items()) if j != f}
+        return out
 
     def to_dense(self) -> list[list[Fraction]]:
         dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
@@ -310,5 +311,5 @@ class Span:
 
     def express(self, vec: Vec) -> list[Fraction] | None:
         """Coefficients over the added vectors, or None when outside the span."""
-        x = SparseMatrix(self.ncols, len(self._added), list(self._added)).solve(vec)
+        [x] = SparseMatrix(self.ncols, len(self._added), list(self._added)).solve([vec])
         return None if x is None else [x.get(k, _ZERO) for k in range(len(self._added))]

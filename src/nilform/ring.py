@@ -14,7 +14,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cdga import CDGA
 from .gca import Algebra, Multivector
@@ -104,131 +103,10 @@ class RingPresentation:
                         out.pop(j, None)
         return out
 
-    def reduce(self, v: Multivector) -> RingElement:
-        """Ring element of a (possibly inhomogeneous) cocycle of the source."""
-        parts: dict[int, Vec] = {}
-        for q, part in v.homogeneous_parts().items():
-            if q > self.max_degree:
-                raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
-            parts[q] = self._bases[q].coordinates(part)
-        return RingElement(self, parts)
-
-    def unit(self) -> RingElement:
-        return RingElement(self, {0: {0: Fraction(1)}})
-
-    def h_class(self, q: int, i: int) -> RingElement:
-        if not 0 <= i < self.dim(q):
-            raise IndexError(f"no class {i} in degree {q}")
-        return RingElement(self, {q: {i: Fraction(1)}})
-
-    def element(self, q: int, coords: Vec | Sequence[Fraction | int]) -> RingElement:
-        if not isinstance(coords, dict):
-            coords = {j: Fraction(c) for j, c in enumerate(coords) if c}
-        else:
-            coords = {j: Fraction(c) for j, c in coords.items() if c}
-        if any(not 0 <= j < self.dim(q) for j in coords):
-            raise IndexError(f"coordinate outside H^{q} basis")
-        return RingElement(self, {q: coords} if coords else {})
-
 
 def from_cdga(source: CDGA, max_degree: int) -> RingPresentation:
     """Truncated cohomology ring presentation of a validated CDGA."""
     return RingPresentation(source, max_degree)
-
-
-class RingElement:
-    """Graded element of a ring presentation, sparse per-degree coordinates."""
-
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: RingPresentation, parts: dict[int, Vec]):
-        self.ring = ring
-        self.parts = {q: dict(v) for q, v in parts.items() if v}
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def part(self, q: int) -> Vec:
-        return dict(self.parts.get(q, {}))
-
-    @property
-    def degree(self) -> int | None:
-        ds = sorted(self.parts)
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError(f"mixed degrees {ds}")
-        return ds[0]
-
-    def __add__(self, other: RingElement) -> RingElement:
-        self._check(other)
-        parts = {q: dict(v) for q, v in self.parts.items()}
-        for q, v in other.parts.items():
-            cur = parts.setdefault(q, {})
-            for j, c in v.items():
-                s = cur.get(j, Fraction(0)) + c
-                if s:
-                    cur[j] = s
-                else:
-                    cur.pop(j, None)
-        return RingElement(self.ring, parts)
-
-    def __sub__(self, other: RingElement) -> RingElement:
-        return self + (-other)
-
-    def __neg__(self) -> RingElement:
-        return self.scale(-1)
-
-    def scale(self, c: Fraction | int) -> RingElement:
-        c = Fraction(c)
-        if not c:
-            return RingElement(self.ring, {})
-        return RingElement(
-            self.ring, {q: {j: c * v for j, v in part.items()} for q, part in self.parts.items()}
-        )
-
-    def __mul__(self, other: RingElement | int | Fraction) -> RingElement:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        parts: dict[int, Vec] = {}
-        for qa, va in self.parts.items():
-            for qb, vb in other.parts.items():
-                prod = self.ring.multiply_coords(qa, va, qb, vb)
-                if not prod:
-                    continue
-                cur = parts.setdefault(qa + qb, {})
-                for j, c in prod.items():
-                    s = cur.get(j, Fraction(0)) + c
-                    if s:
-                        cur[j] = s
-                    else:
-                        cur.pop(j, None)
-        return RingElement(self.ring, parts)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring is other.ring and self.parts == other.parts
-
-    def _check(self, other: RingElement) -> None:
-        if other.ring is not self.ring:
-            raise ValueError("elements of different ring presentations")
-
-    def __repr__(self) -> str:
-        if not self.parts:
-            return "<ring 0>"
-        chunks = []
-        for q in sorted(self.parts):
-            labels = self.ring.labels(q)
-            for j in sorted(self.parts[q]):
-                chunks.append(f"{self.parts[q][j]}*[{labels[j]}]")
-        return "<ring " + " + ".join(chunks) + ">"
 
 
 @dataclass(frozen=True)

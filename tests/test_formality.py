@@ -40,7 +40,6 @@ from nilform.formality import (
     decomposition_from_names,
     default_decomposition,
     dga_map_solve,
-    extend_minimal_model,
     formality_report,
     full_formality,
     infer_prop_k2,
@@ -52,7 +51,7 @@ from nilform.formality import (
 from nilform.gca import Algebra, Generator
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
-from nilform.ring import CutoffError, from_cdga, generated_in_degree_one_upto
+from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
 from tracked_reference import _WalkEchelon
 
@@ -130,7 +129,6 @@ def test_full_formality_values():
 def test_default_decomposition_heisenberg():
     c = heisenberg(2)
     dec = default_decomposition(c)
-    assert len(dec.kernel) == 4
     assert dec.complement_names(c.algebra) == ("z",)
     validate_decomposition(c, dec)
 
@@ -146,17 +144,16 @@ def test_decomposition_from_names_checks_membership():
 def test_decomposition_wrong_sizes_rejected():
     c = heisenberg(1)
     good = default_decomposition(c)
-    with pytest.raises(ValueError):
-        validate_decomposition(c, Decomposition(good.kernel, ()))
-    with pytest.raises(ValueError):
-        validate_decomposition(c, Decomposition(good.kernel[:1], good.complement))
+    validate_decomposition(c, good)
+    with pytest.raises(ValueError, match="parts do not span degree 1"):
+        validate_decomposition(c, Decomposition(()))
 
 
 def test_abelian_decomposition_has_empty_complement():
     c = free_abelian(["e1", "e2"])
     dec = default_decomposition(c)
     assert dec.complement == ()
-    assert len(dec.kernel) == 2
+    validate_decomposition(c, dec)
 
 
 # -- obstructions ---------------------------------------------------------
@@ -368,28 +365,33 @@ def test_apply_chain_map_into_cdga():
     assert (out - c.algebra.parse("-1*x1*y1")).is_zero()
 
 
-def test_apply_chain_map_into_ring():
-    c = heisenberg(2)
-    r = from_cdga(c, 2)
-    images = [r.h_class(1, i) for i in range(4)] + [r.unit().scale(0)]
-    v = c.algebra.parse("x1*y2")
-    out = apply_chain_map(images, v, r)
-    assert not out.is_zero()
-    assert out.degree == 2
+def _tower_image(r, v):
+    """H^2 class coordinates of the image of a degree-2 form of a tower of ``r``.
+
+    Stage-0 generator i maps to class i of H^1 and every later one to 0, so
+    only terms g_i g_j with both generators in stage 0 contribute.
+    """
+    b1 = r.dim(1)
+    out = {}
+    for mono, c in v.terms.items():
+        if max(mono) < b1:
+            for t, p in r.product_coords(1, mono[0], 1, mono[1]).items():
+                out[t] = out.get(t, 0) + c * p
+    return {t: x for t, x in out.items() if x}
 
 
 def test_extend_minimal_model_covers_cokernel():
+    """The tower over (H*, 0) of heisenberg(2): one closed generator per class of H^1."""
     c = heisenberg(2)
     r = from_cdga(c, 2)
-    empty = CDGA(Algebra([]))
-    ext = extend_minimal_model(empty, {}, r, 0, stage_cap=4)
-    assert [len(w) for w in ext.waves] == [4, 1]
-    assert not ext.truncated
-    names = [g.name for g in ext.cdga.algebra.generators]
-    assert len(names) == 5
+    tower = bigraded_tower(r, stage_cap=4)
+    assert tower.stage_dims == [4, 1]
+    assert tower.stabilized
+    names = [g.name for g in tower.cdga.algebra.generators]
+    assert names == [g.name for g in class_symbol_algebra(r).generators] + ["w1_0"]
+    assert all(tower.cdga.d_generator(n).is_zero() for n in tower.stages[0])
     # the wave-1 generator transgresses the symplectic relation
-    wave1 = ext.waves[1][0]
-    t = ext.cdga.d_generator(wave1)
+    t = tower.cdga.d_generator("w1_0")
     assert not t.is_zero() and t.degree == 2
 
 
@@ -403,19 +405,29 @@ def test_extend_minimal_model_covers_cokernel():
     ],
 )
 def test_extend_minimal_model_into_the_ring(build, waves, truncated):
+    """``bigraded_tower`` extends the minimal model of (H*, 0) by chain maps into the ring."""
     r = from_cdga(build(), 2)
-    ext = extend_minimal_model(CDGA(Algebra([])), {}, r, 0, stage_cap=3)
-    assert [len(w) for w in ext.waves] == waves
-    assert ext.truncated is truncated
-    model = ext.cdga
-    images = [ext.images[g.name] for g in model.algebra.generators]
-    # wave 0 maps onto the basis classes of H^1
-    assert [ext.images[name] for name in ext.waves[0]] == [
-        r.h_class(1, i) for i in range(r.dim(1))
-    ]
+    tower = bigraded_tower(r, stage_cap=3)
+    assert tower.stage_dims == waves
+    assert tower.stabilized is not truncated
+    model = tower.cdga
     for g in model.algebra.generators:
         # a chain map into a ring with zero differential: f(d g) = 0
-        assert apply_chain_map(images, model.d_generator(g.name), r).is_zero()
+        assert _tower_image(r, model.d_generator(g.name)) == {}
+    if not truncated:
+        # stabilized: the last stage maps H^2 injectively into the ring
+        coh2 = model.cohomology(2)
+        cols = [_tower_image(r, rep) for rep in coh2.representatives]
+        assert SparseMatrix(r.dim(2), coh2.dim, cols).rank() == coh2.dim
+
+
+def test_bigraded_tower_renames_a_wave_name_clash():
+    # heisenberg(1) with x1 named like a wave-1 generator
+    alg = Algebra([Generator("w1_0", 1), Generator("b", 1), Generator("z", 1)])
+    r = from_cdga(CDGA(alg, {"z": "w1_0*b"}), 2)
+    tower = bigraded_tower(r, stage_cap=2)
+    assert tower.stages == [["w1_0", "b"], ["w1_0_"], ["w2_0", "w2_1"]]
+    assert not tower.stabilized
 
 
 @pytest.mark.parametrize(
@@ -427,26 +439,11 @@ def test_extend_minimal_model_into_the_ring(build, waves, truncated):
             "RingPresentation",
             id="solver-into-a-ring",
         ),
-        pytest.param(
-            lambda t: extend_minimal_model(CDGA(Algebra([])), {}, t, 0),
-            lambda: heisenberg(1),
-            "CDGA",
-            id="extension-into-a-model",
-        ),
     ],
 )
 def test_chain_map_routines_reject_the_other_target(solve, target, type_name):
     with pytest.raises(TypeError, match=f"unsupported chain-map target {type_name}$"):
         solve(target())
-
-
-def test_extend_minimal_model_checks_preconditions():
-    c = heisenberg(2)
-    r = from_cdga(c, 2)
-    stage = CDGA(Algebra([Generator("a", 1)]))
-    # image 0 is not injective on degree-one cohomology
-    with pytest.raises(ValueError):
-        extend_minimal_model(stage, {"a": r.unit().scale(0)}, r, 1)
 
 
 def test_bigraded_tower_first_heisenberg_growth():

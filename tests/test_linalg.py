@@ -387,10 +387,11 @@ def _walk_solve(mat, b):
 
 @st.composite
 def _systems(draw):
-    """A matrix with zero and repeated columns mixed in, and a right-hand side.
+    """A matrix with zero and repeated columns mixed in, and right-hand sides.
 
-    b is zero, a combination of the columns, or any vector, which for a
-    rank-deficient matrix is mostly outside the span.
+    Each b is zero, a combination of the columns, any vector, which for a
+    rank-deficient matrix is mostly outside the span, or a copy of an
+    earlier b, so that a b off the span can come twice.
     """
     mat = draw(_rational_matrices())
     cols = list(mat.cols)
@@ -399,39 +400,49 @@ def _systems(draw):
         if cols and draw(st.booleans()):
             col = dict(cols[draw(st.integers(0, len(cols) - 1))])
         cols.insert(draw(st.integers(0, len(cols))), col)
-    kind = draw(st.sampled_from(["zero", "inside", "any"]))
-    if kind == "zero":
-        b = {}
-    elif kind == "inside":
-        weights = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
-        b = _combination(weights, cols)
-    else:
-        entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
-        b = {i: v for i in range(mat.nrows) if (v := draw(entry))}
-    return SparseMatrix(mat.nrows, len(cols), cols), b
+    bs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "inside", "any", "repeat"]))
+        if kind == "repeat" and bs:
+            b = dict(bs[draw(st.integers(0, len(bs) - 1))])
+        elif kind == "zero":
+            b = {}
+        elif kind == "inside":
+            weights = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+            b = _combination(weights, cols)
+        else:
+            entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+            b = {i: v for i in range(mat.nrows) if (v := draw(entry))}
+        bs.append(b)
+    return SparseMatrix(mat.nrows, len(cols), cols), bs
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_systems())
 def test_solve_is_the_tracked_column_walk(system):
-    mat, b = system
-    x = mat.solve(b)
-    assert x == _walk_solve(mat, b)
-    if x is not None:
-        assert mat.apply(x) == b
-        assert list(x) == sorted(x)
-        # zero at every column that depends on the earlier ones
-        assert rank_rows([to_int_row(mat.cols[j]) for j in x]) == len(x)
+    mat, bs = system
+    xs = mat.solve(bs)
+    assert xs == [_walk_solve(mat, b) for b in bs]
+    for x, b in zip(xs, bs):
+        if x is not None:
+            assert mat.apply(x) == b
+            assert list(x) == sorted(x)
+            # zero at every column that depends on the earlier ones
+            assert rank_rows([to_int_row(mat.cols[j]) for j in x]) == len(x)
 
 
 def test_solve_edge_cases():
-    assert SparseMatrix(0, 0).solve({}) == {}
-    assert SparseMatrix(3, 0).solve({}) == {}
-    assert SparseMatrix(3, 0).solve({1: frac(2)}) is None
-    assert SparseMatrix(2, 3).solve({}) == {}
-    assert SparseMatrix(2, 3).solve({0: frac(1)}) is None
+    assert SparseMatrix(2, 3).solve([]) == []
+    assert SparseMatrix(0, 0).solve([{}]) == [{}]
+    assert SparseMatrix(3, 0).solve([{}]) == [{}]
+    assert SparseMatrix(3, 0).solve([{1: frac(2)}]) == [None]
+    assert SparseMatrix(2, 3).solve([{}]) == [{}]
+    assert SparseMatrix(2, 3).solve([{0: frac(1)}]) == [None]
     # columns: e0, zero, 2*e0, e1, e0 + e1; the dependent ones get no weight
     mat = dense_to_cols([[1, 0, 2, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 0]])
-    assert mat.solve({0: frac(3), 1: frac(-1, 2)}) == {0: frac(3), 3: frac(-1, 2)}
-    assert mat.solve({0: frac(0)}) == {}
-    assert mat.solve({2: frac(1)}) is None
+    assert mat.solve([{0: frac(3), 1: frac(-1, 2)}]) == [{0: frac(3), 3: frac(-1, 2)}]
+    assert mat.solve([{0: frac(0)}]) == [{}]
+    assert mat.solve([{2: frac(1)}]) == [None]
+    # e2 off the span twice, and e0 - e2, which depends only on e0 and the first e2
+    bs = [{2: frac(1)}, {0: frac(3), 1: frac(-1, 2)}, {2: frac(1)}, {0: frac(1), 2: frac(-1)}, {}]
+    assert mat.solve(bs) == [None, {0: frac(3), 3: frac(-1, 2)}, None, None, {}]
