@@ -329,35 +329,23 @@ class CohomologyBasis:
         return out
 
 
-def hirsch_extend(
-    base: CDGA,
-    additions: Iterable[tuple[Generator | tuple | str, Multivector | str]],
-) -> CDGA:
+def hirsch_extend(base: CDGA, additions: Iterable[tuple[Generator, Multivector]]) -> CDGA:
     """Adjoin free generators with closed transgressions from the base.
 
     Each addition is ``(generator, t)`` with ``d(new) = t`` and ``t`` a
     cocycle of the base whose degree exceeds the new generator's by one.
-    A bare name infers the degree from the transgression.
     """
     alg = base.algebra
     new_gens: list[Generator] = []
     trans: list[Multivector] = []
-    for spec, t in additions:
-        if isinstance(t, str):
-            t = alg.parse(t)
-        if isinstance(spec, str):
-            if t.is_zero():
-                raise DegreeError(f"degree of {spec!r} cannot be inferred from a zero transgression")
-            spec = Generator(spec, t.degree - 1)
-        elif not isinstance(spec, Generator):
-            spec = Generator(*spec)
-        if not t.is_zero() and t.degree != spec.degree + 1:
+    for gen, t in additions:
+        if not t.is_zero() and t.degree != gen.degree + 1:
             raise DegreeError(
-                f"transgression of {spec.name!r} has degree {t.degree}, expected {spec.degree + 1}"
+                f"transgression of {gen.name!r} has degree {t.degree}, expected {gen.degree + 1}"
             )
         if not base.is_cocycle(t):
-            raise NotACocycle(f"transgression of {spec.name!r} is not closed")
-        new_gens.append(spec)
+            raise NotACocycle(f"transgression of {gen.name!r} is not closed")
+        new_gens.append(gen)
         trans.append(t)
 
     extended = Algebra(list(alg.generators) + new_gens)
@@ -379,7 +367,7 @@ def tensor(a: CDGA, b: CDGA) -> CDGA:
         while name in taken:
             name += "'"
         taken.add(name)
-        renamed.append(Generator(name, g.degree, g.word))
+        renamed.append(Generator(name, g.degree))
     combined = Algebra(list(a.algebra.generators) + renamed)
     offset = len(a.algebra.generators)
     differential: dict[str, Multivector] = {

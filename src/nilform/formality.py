@@ -47,6 +47,11 @@ RULES = (
     "morphism-solver",
 )
 
+# stages the report lets the degree-1 tower grow before it counts as truncated
+TOWER_CAP = 6
+# unknowns above which the chain-map solver refuses a non-linear system
+ELIMINATION_BOUND = 12
+
 
 class NotTwoStep(ValueError):
     """The differential is not valued in the closed degree-1 part squared."""
@@ -105,8 +110,9 @@ class FormalityReport:
     def verdicts(self) -> list[str]:
         return list(self._verdicts)
 
-    def mark_formal_upto(self, k: int, ev: Evidence) -> None:
-        for j in range(0, min(k, self.k_max) + 1):
+    def mark_formal_upto(self, ev: Evidence) -> None:
+        """Every degree up to ``ev.k`` is formal."""
+        for j in range(0, min(ev.k, self.k_max) + 1):
             if self._verdicts[j] == NOT_FORMAL:
                 raise RuntimeError(
                     f"conflicting certificates: degree {j} is already not formal"
@@ -114,8 +120,9 @@ class FormalityReport:
             self._verdicts[j] = FORMAL
         self.evidence.append(ev)
 
-    def mark_not_formal_from(self, k: int, ev: Evidence) -> None:
-        for j in range(max(k, 0), self.k_max + 1):
+    def mark_not_formal_from(self, ev: Evidence) -> None:
+        """Every degree from ``ev.k`` on is not formal."""
+        for j in range(max(ev.k, 0), self.k_max + 1):
             if self._verdicts[j] == FORMAL:
                 raise RuntimeError(
                     f"conflicting certificates: degree {j} is already formal"
@@ -140,9 +147,6 @@ class FormalityReport:
             if v == NOT_FORMAL:
                 return k
         return None
-
-    def sorted_evidence(self) -> list[Evidence]:
-        return sorted(self.evidence, key=lambda e: (e.rule, e.k, e.kind, e.detail))
 
 
 # -- model preconditions --------------------------------------------------
@@ -267,9 +271,7 @@ def obstruction_generation(c: CDGA, k: int) -> Evidence | None:
     )
 
 
-def obstruction_resonance(
-    c: CDGA, s: int, *, seed: int = 0, budget: int = 60
-) -> Evidence | None:
+def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     """A nontrivial resonance point in some degree <= s, if one is found.
 
     Degree 1 runs the exact decision; higher degrees only sample, so absence
@@ -301,7 +303,7 @@ def obstruction_resonance(
     for i in range(2, s + 1):
         if i + 1 > r.max_degree:
             break
-        point = find_resonance_point(r, i, seed=seed, budget=budget)
+        point = find_resonance_point(r, i, seed=seed)
         if point is not None:
             return Evidence(
                 "resonance",
@@ -313,16 +315,16 @@ def obstruction_resonance(
     return None
 
 
-def certify_prop_art(
-    c: CDGA, k: int, dec: Decomposition | None = None
-) -> Evidence | None:
+def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evidence | None:
     """Sufficient certificate: the complement ideal meets cocycles in exacts.
 
     Checks, for every degree q <= k+1, that each cocycle inside the ideal I
     generated by the complement of the closed degree-1 part is a coboundary.
     I cap Z^q is the kernel of d_q on I and always holds I cap B^q, so it
     lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q.
-    Passing certifies k-formality; failing certifies nothing.
+    Passing every degree up to j+1 certifies j-formality, so a first failure
+    at q certifies q-2.  Returns the evidence for the largest certified
+    j <= k, or None when degree 1 fails and j < 0.
     """
     _require_model(c)
     if k < 0:
@@ -330,11 +332,6 @@ def certify_prop_art(
     if dec is None:
         dec = default_decomposition(c)
     validate_decomposition(c, dec)
-    return None if _prop_art_failure(c, k, dec) is not None else _prop_art_evidence(c, k, dec)
-
-
-def _prop_art_failure(c: CDGA, k: int, dec: Decomposition) -> int | None:
-    """The first degree q <= k+1 failing the certificate, None when all pass."""
     alg = c.algebra
     n = len(alg.generators)
     complement = [alg.from_coordinates(1, [v.get(j, 0) for j in range(n)]) for v in dec.complement]
@@ -353,12 +350,11 @@ def _prop_art_failure(c: CDGA, k: int, dec: Decomposition) -> int | None:
                     ideal_plus_image.add(row)
                     d_ideal.add(d_q.apply(row))
         if d_ideal.rank != ideal_plus_image.rank - image_rank:
-            return q
-    return None
-
-
-def _prop_art_evidence(c: CDGA, k: int, dec: Decomposition) -> Evidence:
-    names = dec.complement_names(c.algebra)
+            k = q - 2
+            break
+    if k < 0:
+        return None
+    names = dec.complement_names(alg)
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
     data = {"complement": list(names) if names else "custom vectors"}
     return Evidence("prop-art-certificate", k, "formal", detail, data)
@@ -435,7 +431,7 @@ def infer_prop_k2(
         f"certified {k}-formal with H^q = 0 for every q >= {k + 2}",
         {"k": k, "top_degree": top},
     )
-    report.mark_formal_upto(report.k_max, ev)
+    report.mark_formal_upto(ev)
     report.overall = OVERALL_FORMAL
     return ev
 
@@ -484,7 +480,7 @@ def _unique_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
+def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedTower:
     """Build degree-1 stages: closed classes first, then transgressed kernels.
 
     Stage 0 carries one closed generator per degree-1 class; stage i+1
@@ -510,7 +506,7 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
                     out[t] = out.get(t, 0) + c * p
         return {t: x for t, x in sorted(out.items()) if x}
 
-    cur = CDGA(Algebra([Generator(name, 1, word=0) for name in names]))
+    cur = CDGA(Algebra([Generator(name, 1) for name in names]))
     stages = [names]
     stabilized = False
     for wave in range(1, stage_cap + 1):
@@ -526,7 +522,7 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = 4) -> BigradedTower:
             if image(trans):
                 raise RuntimeError("kernel transgression image is not zero in the ring")
             name = _unique_name(f"w{wave}_{idx}", taken)
-            additions.append((Generator(name, 1, word=wave), trans))
+            additions.append((Generator(name, 1), trans))
         cur = hirsch_extend(cur, additions)
         stages.append([g.name for g, _ in additions])
     return BigradedTower(r, cur, stages, stabilized)
@@ -695,7 +691,6 @@ def dga_map_solve(
     *,
     nonzero: Sequence[tuple[str, str]] = (),
     require_h1_iso: bool = False,
-    elimination_bound: int = 12,
 ) -> MapSolveResult:
     """Search for a chain map respecting constraints, exactly.
 
@@ -706,7 +701,7 @@ def dga_map_solve(
     exactly, and non-vanishing side conditions (specific coefficients, or
     invertibility on degree one) are settled symbolically on the solution
     family.  Non-linear systems go through a Groebner basis when the
-    unknown count stays within the elimination bound.
+    unknown count stays within ``ELIMINATION_BOUND``.
     """
     if not isinstance(target, CDGA):
         raise TypeError(f"unsupported chain-map target {type(target).__name__}")
@@ -933,9 +928,9 @@ def dga_map_solve(
             for i in range(nparams):
                 values[i] += point[t] * vec[i]
     else:
-        if nparams > elimination_bound:
+        if nparams > ELIMINATION_BOUND:
             residual = "; ".join(f"{p} = 0" for p, _ in equations[:6])
-            raise EliminationBoundError(nparams, elimination_bound, residual)
+            raise EliminationBoundError(nparams, ELIMINATION_BOUND, residual)
         values = _nonlinear_solve(equations, conditions, R)
         if values == "unsat":
             return MapSolveResult(
@@ -1055,8 +1050,6 @@ def formality_report(
     *,
     seed: int = 0,
     decomposition: Decomposition | None = None,
-    tower_cap: int = 6,
-    elimination_bound: int = 12,
 ) -> FormalityReport:
     """Run all applicable rules and merge their evidence monotonically.
 
@@ -1072,13 +1065,12 @@ def formality_report(
     if full_formality(c) == OVERALL_FORMAL:
         report.overall = OVERALL_FORMAL
         report.mark_formal_upto(
-            k_max,
             Evidence(
                 "rationally-abelian",
                 k_max,
                 "formal",
                 "the differential vanishes, so the model is its own cohomology",
-            ),
+            )
         )
         return report
     report.overall = OVERALL_NOT_FORMAL
@@ -1099,29 +1091,26 @@ def formality_report(
     else:
         if v.generated:
             report.mark_formal_upto(
-                k_max,
                 Evidence(
                     "two-step-decision",
                     k_max,
                     "formal",
                     f"2-step model with H^q generated in degree one for "
                     f"q <= {k_max + 1}",
-                ),
+                )
             )
         else:
             q = v.failure_degree
             if q - 2 >= 0:
                 report.mark_formal_upto(
-                    q - 2,
                     Evidence(
                         "two-step-decision",
                         q - 2,
                         "formal",
                         f"2-step model generated in degree one up to H^{q - 1}",
-                    ),
+                    )
                 )
             report.mark_not_formal_from(
-                q - 1,
                 Evidence(
                     "two-step-decision",
                     q - 1,
@@ -1129,48 +1118,37 @@ def formality_report(
                     f"2-step model with H^{q} not generated in degree one "
                     f"(cokernel dimension {v.cokernel_dim})",
                     {"failure_degree": q, "cokernel_dim": v.cokernel_dim},
-                ),
+                )
             )
         return report
 
     ev = obstruction_generation(c, k_max)
     if ev is not None:
-        report.mark_not_formal_from(ev.k, ev)
+        report.mark_not_formal_from(ev)
     ev = obstruction_resonance(c, k_max, seed=seed)
     if ev is not None and report.verdict(ev.k) != NOT_FORMAL:
-        report.mark_not_formal_from(ev.k, ev)
+        report.mark_not_formal_from(ev)
     elif ev is not None:
         report.add_info(ev)
 
-    if decomposition is None:
-        decomposition = default_decomposition(c)
-    # the largest k not ruled out; a failure at q certifies every k <= q-2
+    # the largest k not ruled out; the certificate falls back to the largest it can certify
     k = k_max if report.least_not_formal is None else report.least_not_formal - 1
     if k >= 0:
-        validate_decomposition(c, decomposition)
-        q = _prop_art_failure(c, k, decomposition)
-        k = k if q is None else q - 2
-        if k >= 0:
-            report.mark_formal_upto(k, _prop_art_evidence(c, k, decomposition))
+        ev = certify_prop_art(c, k, decomposition)
+        if ev is not None:
+            report.mark_formal_upto(ev)
 
     if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
         try:
-            tower = bigraded_tower(from_cdga(c, 2), stage_cap=tower_cap)
+            tower = bigraded_tower(from_cdga(c, 2), stage_cap=TOWER_CAP)
             coh1 = c.cohomology(1)
             constraints = {
                 name: coh1.representatives[j]
                 for j, name in enumerate(tower.stages[0])
             }
-            res = dga_map_solve(
-                tower.cdga,
-                c,
-                constraints,
-                require_h1_iso=True,
-                elimination_bound=elimination_bound,
-            )
+            res = dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)
             if res.status == "unsatisfiable":
                 report.mark_not_formal_from(
-                    1,
                     Evidence(
                         "morphism-solver",
                         1,
@@ -1178,11 +1156,10 @@ def formality_report(
                         "no normalized chain map from the degree-1 tower of "
                         f"the cohomology exists: {res.certificate}",
                         {"unknowns": res.unknowns, "equations": res.equations},
-                    ),
+                    )
                 )
             elif res.status == "solution" and tower.stabilized:
                 report.mark_formal_upto(
-                    1,
                     Evidence(
                         "morphism-solver",
                         1,
@@ -1190,14 +1167,14 @@ def formality_report(
                         "normalized isomorphism onto the degree-1 tower of "
                         "the cohomology found",
                         {"unknowns": res.unknowns},
-                    ),
+                    )
                 )
             else:
                 detail = f"chain-map search inconclusive: {res.detail or res.status}"
                 if not tower.stabilized:
                     report.bound_exceeded = True
                     detail += (
-                        f"; the degree-1 tower was truncated at stage cap {tower_cap}"
+                        f"; the degree-1 tower was truncated at stage cap {TOWER_CAP}"
                     )
                 report.add_info(Evidence("morphism-solver", 1, "info", detail))
         except EliminationBoundError as exc:

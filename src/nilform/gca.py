@@ -32,23 +32,16 @@ class InhomogeneousError(DegreeError):
 
 @dataclass(frozen=True)
 class Generator:
-    """Algebra generator with a name, an upper degree and an optional word degree.
-
-    The word degree is only meaningful for algebras built as bigraded towers;
-    it plays no role in multiplication.
-    """
+    """Algebra generator with a name and a positive degree."""
 
     name: str
     degree: int
-    word: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", self.name):
             raise AlgebraError(f"invalid generator name {self.name!r}")
         if self.degree < 1:
             raise DegreeError(f"generator {self.name!r} must have degree >= 1")
-        if self.word is not None and self.word < 0:
-            raise AlgebraError(f"generator {self.name!r} has negative word degree")
 
 
 def _as_generator(spec: Generator | tuple) -> Generator:
@@ -94,9 +87,6 @@ class Algebra:
         i = self.index_of(name)
         return Multivector(self, {(i,): Fraction(1)})
 
-    def gens(self) -> tuple[Multivector, ...]:
-        return tuple(self.gen(g.name) for g in self.generators)
-
     def zero(self) -> Multivector:
         return Multivector(self, {})
 
@@ -112,15 +102,6 @@ class Algebra:
 
     def degree_of(self, mono: Monomial) -> int:
         return sum(self._degrees[i] for i in mono)
-
-    def word_of(self, mono: Monomial) -> int:
-        total = 0
-        for i in mono:
-            w = self.generators[i].word
-            if w is None:
-                raise AlgebraError("generator without word degree")
-            total += w
-        return total
 
     @property
     def has_even_generators(self) -> bool:
@@ -316,10 +297,6 @@ class Multivector:
         return tuple(sorted({self.algebra.degree_of(m) for m in self.terms}))
 
     @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    @property
     def degree(self) -> int | None:
         """Common degree of all terms; None for zero, error when mixed."""
         ds = self.degrees()
@@ -328,10 +305,6 @@ class Multivector:
         if len(ds) > 1:
             raise InhomogeneousError(f"mixed degrees {ds}")
         return ds[0]
-
-    def homogeneous_part(self, q: int) -> Multivector:
-        alg = self.algebra
-        return Multivector(alg, {m: c for m, c in self.terms.items() if alg.degree_of(m) == q})
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -430,26 +403,3 @@ class Multivector:
     def __repr__(self) -> str:
         return f"<{self}>"
 
-
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Graded-commutative product of two elements of the same algebra."""
-    return a * b
-
-
-def embed(v: Multivector, target: Algebra) -> Multivector:
-    """Transport an element to another algebra by matching generator names.
-
-    Signs are recomputed, so the target may order shared generators
-    differently.  Raises if a generator name or degree is missing.
-    """
-    out = target.zero()
-    for mono, c in v.terms.items():
-        factor = target.one()
-        for i in mono:
-            src = v.algebra.generators[i]
-            j = target.index_of(src.name)
-            if target.generators[j].degree != src.degree:
-                raise DegreeError(f"generator {src.name!r} changes degree under embedding")
-            factor = factor * target.monomial((j,))
-        out = out + factor.scale(c)
-    return out

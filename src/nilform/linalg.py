@@ -225,11 +225,6 @@ class SparseMatrix:
                     out.pop(i, None)
         return out
 
-    def compose(self, other: SparseMatrix) -> SparseMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in composition")
-        return SparseMatrix(self.nrows, other.ncols, [self.apply(c) for c in other.cols])
-
     def rank(self) -> int:
         rows = [to_int_row(c) for c in self.cols]
         return rank_rows(rows, max_rank=self.nrows)
@@ -274,42 +269,19 @@ class SparseMatrix:
                 out[f - n] = {j: Fraction(v, k[f]) for j, v in sorted(k.items()) if j != f}
         return out
 
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                dense[i][j] = v
-        return dense
-
 
 class Span:
-    """Subspace of Q^n with exact coordinates over the vectors added to it.
+    """Subspace of Q^n grown one vector at a time; ``add`` reports a rank gain.
 
-    An ``Echelon`` answers rank and membership, and ``express`` solves for
-    the coefficients with :meth:`SparseMatrix.solve`: zero on every added
-    vector that did not raise the rank.  No module of the package uses it;
-    it stays for the benchmark's input generators and the tests.
+    No module of the package uses it; it stays for the benchmark's input
+    generators.
     """
 
-    def __init__(self, ncols: int, vectors: Iterable[Vec] = ()):
+    def __init__(self, ncols: int, vectors: Iterable[Vec]):
         self.ncols = ncols
         self._ech = Echelon()
-        self._added: list[Vec] = []
         for v in vectors:
             self.add(v)
 
-    @property
-    def dim(self) -> int:
-        return self._ech.rank
-
     def add(self, vec: Vec) -> bool:
-        self._added.append({j: Fraction(v) for j, v in vec.items() if v})
         return self._ech.add(vec)
-
-    def contains(self, vec: Vec) -> bool:
-        return self._ech.contains(vec)
-
-    def express(self, vec: Vec) -> list[Fraction] | None:
-        """Coefficients over the added vectors, or None when outside the span."""
-        [x] = SparseMatrix(self.ncols, len(self._added), list(self._added)).solve([vec])
-        return None if x is None else [x.get(k, _ZERO) for k in range(len(self._added))]

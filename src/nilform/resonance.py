@@ -30,11 +30,10 @@ from .ring import (
 
 Point = tuple[Fraction, ...]
 
-
-def point_from_coords(ring: RingPresentation, coords: Sequence[Fraction | int]) -> Point:
-    if len(coords) != ring.dim(1):
-        raise ValueError(f"expected {ring.dim(1)} coordinates, got {len(coords)}")
-    return tuple(Fraction(c) for c in coords)
+# characteristic subspaces up to this dimension get the exact Groebner decision
+EXACT_BOUND = 6
+# grid and random candidates tried for a rational decomposable witness
+WITNESS_BUDGET = 400
 
 
 def point_from_expression(ring: RingPresentation, text: str) -> Point:
@@ -212,17 +211,11 @@ def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: i
     return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
 
-def decide_r11_trivial(
-    ring: RingPresentation,
-    *,
-    exact_bound: int = 6,
-    seed: int = 0,
-    budget: int = 400,
-) -> R11Verdict:
+def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
     """Decide whether the degree-1 resonance variety is just the origin.
 
     Triviality is certified exactly through the quadric system on the
-    characteristic subspace when its dimension is within ``exact_bound``.
+    characteristic subspace when its dimension is within ``EXACT_BOUND``.
     Nontriviality is certified by a rational decomposable witness; when the
     locus is provably nontrivial but no rational witness shows up within
     the search budget the verdict stays inconclusive.
@@ -234,7 +227,7 @@ def decide_r11_trivial(
     system = r11_quadric_system(subspace)
 
     certified: bool | None = None
-    if m <= exact_bound:
+    if m <= EXACT_BOUND:
         certified = _zero_locus_is_origin(system.forms, m)
         if certified:
             return R11Verdict(
@@ -243,7 +236,7 @@ def decide_r11_trivial(
                 f"quadric system on a {m}-dimensional subspace has only the zero solution",
             )
 
-    witness = _search_witness(ring, subspace, system, seed, budget)
+    witness = _search_witness(ring, subspace, system, seed)
     if witness is not None:
         return R11Verdict(
             "witness",
@@ -256,14 +249,14 @@ def decide_r11_trivial(
             "inconclusive",
             None,
             "nontrivial over the algebraic closure but no rational witness "
-            f"within budget {budget}",
+            f"within budget {WITNESS_BUDGET}",
             nontrivial_certified=True,
         )
     return R11Verdict(
         "inconclusive",
         None,
-        f"subspace dimension {m} above exact bound {exact_bound}; "
-        f"sampling found no witness within budget {budget}",
+        f"subspace dimension {m} above exact bound {EXACT_BOUND}; "
+        f"sampling found no witness within budget {WITNESS_BUDGET}",
     )
 
 
@@ -272,7 +265,6 @@ def _search_witness(
     subspace: CharacteristicSubspace,
     system: QuadricSystem,
     seed: int,
-    budget: int,
 ) -> ResonanceWitness | None:
     m = subspace.dim
     nforms = len(system.forms)
@@ -294,13 +286,13 @@ def _search_witness(
             raise RuntimeError("witness failed independent resonance check")
         return ResonanceWitness(omega, alpha, beta, point)
 
-    grid_budget = min(budget, 3**m + 5**min(m, 3))
+    grid_budget = min(WITNESS_BUDGET, 3**m + 5**min(m, 3))
     for raw in _small_vectors(m, grid_budget):
         found = attempt(tuple(Fraction(v) for v in raw))
         if found:
             return found
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(WITNESS_BUDGET):
         coeffs = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)
         )

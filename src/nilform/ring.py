@@ -114,7 +114,6 @@ class GenerationVerdict:
     """Outcome of the degree-1 generation test up to a degree bound."""
 
     generated: bool
-    checked_upto: int
     failure_degree: int | None = None
     cokernel_dim: int | None = None
 
@@ -138,8 +137,8 @@ def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVe
                 break
             span.add(ring.product_coords(q - 1, i, 1, j))
         if span.rank < dim:
-            return GenerationVerdict(False, m, q, dim - span.rank)
-    return GenerationVerdict(True, m)
+            return GenerationVerdict(False, q, dim - span.rank)
+    return GenerationVerdict(True)
 
 
 @dataclass(frozen=True)

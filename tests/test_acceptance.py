@@ -45,7 +45,7 @@ from nilform.formality import (
     obstruction_generation,
     obstruction_resonance,
 )
-from nilform.linalg import Span
+from nilform.linalg import Echelon
 from nilform.resonance import (
     decide_r11_trivial,
     in_resonance,
@@ -188,11 +188,11 @@ def test_ac05_kunneth_resonance():
 def test_ac06_initial_example():
     r = from_cdga(example_initial(), 2)
     assert r.dim(2) == 9
-    products = Span(r.dim(2))
+    products = Echelon()
     for i in range(r.dim(1)):
         for j in range(r.dim(1)):
             products.add(r.multiply_coords(1, {i: Fraction(1)}, 1, {j: Fraction(1)}))
-    assert products.dim == 8
+    assert products.rank == 8
     v = generated_in_degree_one_upto(r, 2)
     assert not v.generated
     assert v.failure_degree == 2 and v.cokernel_dim == 1
@@ -286,8 +286,8 @@ def test_ac10_prop_k2_rule():
     ab2 = free_abelian(["e1", "e2"])
     rep = FormalityReport(3)
     cert = certify_prop_art(ab2, 1)
-    assert cert is not None
-    rep.mark_formal_upto(1, cert)
+    assert cert is not None and cert.k == 1
+    rep.mark_formal_upto(cert)
     fired = infer_prop_k2(rep, from_cdga(ab2, 2), 1)
     assert fired is not None and fired.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
@@ -296,8 +296,8 @@ def test_ac10_prop_k2_rule():
     h2 = heisenberg(2)
     rep2 = FormalityReport(2)
     cert2 = certify_prop_art(h2, 1)
-    assert cert2 is not None
-    rep2.mark_formal_upto(1, cert2)
+    assert cert2 is not None and cert2.k == 1
+    rep2.mark_formal_upto(cert2)
     assert infer_prop_k2(rep2, from_cdga(h2, 5), 1) is None
     assert rep2.overall == INCONCLUSIVE
 

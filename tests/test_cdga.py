@@ -78,7 +78,7 @@ def test_differential_matrix_squares_to_zero():
     for q in range(0, 7):
         d_q = c.differential_matrix(q)
         d_next = c.differential_matrix(q + 1)
-        assert d_next.compose(d_q).is_zero()
+        assert all(not d_next.apply(col) for col in d_q.cols)
 
 
 def test_differential_matrix_shape():
@@ -195,7 +195,7 @@ def test_is_coboundary_lift_is_the_tracked_column_walk(build):
 
 def test_hirsch_extension_builds_heisenberg():
     base = free_abelian(["x1", "y1"])
-    ext = hirsch_extend(base, [(Generator("z", 1), "x1*y1")])
+    ext = hirsch_extend(base, [(Generator("z", 1), base.algebra.parse("x1*y1"))])
     h = heisenberg(1)
     assert ext.algebra == h.algebra
     assert ext.differential() == h.differential()
@@ -210,13 +210,9 @@ def test_hirsch_extension_with_zero_transgression():
 def test_hirsch_extension_errors():
     h = heisenberg(2)
     with pytest.raises(NotACocycle):
-        hirsch_extend(h, [(Generator("w", 1), "x1*z")])
+        hirsch_extend(h, [(Generator("w", 1), h.algebra.parse("x1*z"))])
     with pytest.raises(DegreeError):
-        hirsch_extend(h, [(Generator("w", 2), "x1*y1")])
-    with pytest.raises(DegreeError):
-        hirsch_extend(h, [("w", h.algebra.zero())])
-    inferred = hirsch_extend(h, [("w", "x1*y2 + x2*y1")])
-    assert inferred.algebra.generators[-1].degree == 1
+        hirsch_extend(h, [(Generator("w", 2), h.algebra.parse("x1*y1"))])
 
 
 def test_tensor_kunneth():

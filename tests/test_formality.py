@@ -70,8 +70,8 @@ def test_report_marking_and_extremes():
     rep = FormalityReport(4)
     assert rep.verdicts() == [INCONCLUSIVE] * 5
     assert rep.best_formal is None and rep.least_not_formal is None
-    rep.mark_formal_upto(1, Evidence("generation", 1, "formal", "a"))
-    rep.mark_not_formal_from(3, Evidence("generation", 3, "not_formal", "b"))
+    rep.mark_formal_upto(Evidence("generation", 1, "formal", "a"))
+    rep.mark_not_formal_from(Evidence("generation", 3, "not_formal", "b"))
     assert rep.verdicts() == [FORMAL, FORMAL, INCONCLUSIVE, NOT_FORMAL, NOT_FORMAL]
     assert rep.best_formal == 1
     assert rep.least_not_formal == 3
@@ -79,9 +79,9 @@ def test_report_marking_and_extremes():
 
 def test_report_conflict_raises():
     rep = FormalityReport(2)
-    rep.mark_formal_upto(2, Evidence("generation", 2, "formal", "a"))
+    rep.mark_formal_upto(Evidence("generation", 2, "formal", "a"))
     with pytest.raises(RuntimeError):
-        rep.mark_not_formal_from(1, Evidence("generation", 1, "not_formal", "b"))
+        rep.mark_not_formal_from(Evidence("generation", 1, "not_formal", "b"))
 
 
 def test_report_verdict_range_checked():
@@ -94,10 +94,12 @@ def test_report_verdict_range_checked():
 
 def test_sorted_evidence_is_deterministic():
     rep = FormalityReport(1)
-    rep.add_info(Evidence("resonance", 1, "info", "b"))
-    rep.add_info(Evidence("generation", 0, "info", "a"))
-    rules = [e.rule for e in rep.sorted_evidence()]
-    assert rules == ["generation", "resonance"]
+    first = Evidence("resonance", 1, "info", "b")
+    second = Evidence("generation", 0, "info", "a")
+    rep.add_info(first)
+    rep.add_info(second)
+    # evidence is kept in the order the rules add it
+    assert rep.evidence == [first, second]
 
 
 # -- model preconditions --------------------------------------------------
@@ -201,14 +203,15 @@ def test_prop_certificate_heisenberg_two():
 
 
 def test_prop_certificate_refuses_nothing_for_heisenberg_one():
-    assert certify_prop_art(heisenberg(1), 0) is not None
-    assert certify_prop_art(heisenberg(1), 1) is None
+    assert certify_prop_art(heisenberg(1), 0).k == 0
+    # degree 2 fails, so asking for k = 1 certifies only k = 0
+    assert certify_prop_art(heisenberg(1), 1).k == 0
 
 
 def test_prop_certificate_abelian_all_degrees():
     c = free_abelian(["e1", "e2"])
     for k in (0, 1, 3, 5):
-        assert certify_prop_art(c, k) is not None
+        assert certify_prop_art(c, k).k == k
 
 
 def test_prop_certificate_matches_twostep_decision():
@@ -216,9 +219,9 @@ def test_prop_certificate_matches_twostep_decision():
         c = heisenberg(n)
         for k in range(0, n + 1):
             cert = certify_prop_art(c, k)
-            exact = decide_twostep(c, k).verdict
             if cert is not None:
-                assert exact == FORMAL
+                assert cert.k <= k
+                assert decide_twostep(c, cert.k).verdict == FORMAL
 
 
 def _ideal_cocycles_are_exact(c, dec, q):
@@ -248,12 +251,18 @@ def _ideal_cocycles_are_exact(c, dec, q):
 
 
 def _prop_art_verdicts_match_the_oracle(c):
-    """certify_prop_art(c, k) for k <= 3 against the oracle; the verdicts."""
+    """certify_prop_art(c, k) for k <= 3 against the oracle; whether each k is certified.
+
+    The certified degree is the largest j <= k whose degrees up to j+1 all
+    pass the oracle, and there is no evidence when degree 1 fails.
+    """
     dec = default_decomposition(c)
     exact = [_ideal_cocycles_are_exact(c, dec, q) for q in range(1, 5)]
-    verdicts = [certify_prop_art(c, k) is not None for k in range(4)]
-    assert verdicts == [all(exact[: k + 1]) for k in range(4)]
-    return verdicts
+    got = [certify_prop_art(c, k) for k in range(4)]
+    passing = [j for j in range(4) if all(exact[: j + 1])]
+    want = [max((j for j in passing if j <= k), default=None) for k in range(4)]
+    assert [None if ev is None else ev.k for ev in got] == want
+    return [j == k for k, j in enumerate(want)]
 
 
 # the certificate admits only degree-1 generators
@@ -275,19 +284,20 @@ def test_prop_certificate_rank_criterion_matches_the_intersection_on_the_formali
 
 def test_report_checks_the_prop_art_degrees_in_one_pass(monkeypatch):
     calls = []
-    for name in ("validate_decomposition", "_prop_art_failure"):
+    for name in ("certify_prop_art", "validate_decomposition"):
         real = getattr(formality, name)
         monkeypatch.setattr(
             formality, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     rep = formality_report(example_contr("y1*y2"), 3)
     monkeypatch.undo()
-    # degree 2 fails the certificate, so the one pass certifies k = 0, and k = 1 fails
-    assert calls == ["validate_decomposition", "_prop_art_failure"]
+    # one certificate call, which validates the decomposition once
+    assert calls == ["certify_prop_art", "validate_decomposition"]
     assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
     (ev,) = [e for e in rep.evidence if e.rule == "prop-art-certificate"]
     assert ev == certify_prop_art(example_contr("y1*y2"), 0)
-    assert certify_prop_art(example_contr("y1*y2"), 1) is None
+    # degree 2 fails the certificate, so asking for k = 1 certifies only k = 0
+    assert certify_prop_art(example_contr("y1*y2"), 1) == ev
 
 
 # -- two-step decisions ---------------------------------------------------
@@ -325,7 +335,7 @@ def test_twostep_decision_heisenberg_type():
 def test_prop_k2_upgrade_fires_for_small_top_degree():
     c = free_abelian(["e1", "e2"])
     rep = FormalityReport(3)
-    rep.mark_formal_upto(1, Evidence("prop-art-certificate", 1, "formal", "seed"))
+    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
     ev = infer_prop_k2(rep, from_cdga(c, 2), 1)
     assert ev is not None and ev.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
@@ -335,7 +345,7 @@ def test_prop_k2_upgrade_fires_for_small_top_degree():
 def test_prop_k2_upgrade_needs_vanishing_top():
     c = heisenberg(2)
     rep = FormalityReport(2)
-    rep.mark_formal_upto(1, Evidence("prop-art-certificate", 1, "formal", "seed"))
+    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
     assert infer_prop_k2(rep, from_cdga(c, 5), 1) is None
     assert rep.overall == INCONCLUSIVE
 
@@ -343,7 +353,7 @@ def test_prop_k2_upgrade_needs_vanishing_top():
 def test_prop_k2_upgrade_needs_enough_cutoff():
     c = heisenberg(2)
     rep = FormalityReport(1)
-    rep.mark_formal_upto(1, Evidence("prop-art-certificate", 1, "formal", "seed"))
+    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
     with pytest.raises(CutoffError):
         infer_prop_k2(rep, from_cdga(c, 3), 1)
 
@@ -683,6 +693,19 @@ def test_solver_lifts_through_dependent_exact_columns():
     assert (res.assignment["w"] - tgt.algebra.gen("z3")).is_zero()
 
 
+def test_solver_pairs_each_lift_with_its_monomial_in_the_unknowns():
+    tgt = central_extension(["x1", "y1", "x2", "y2"], [("z1", "x1*y1"), ("z2", "x2*y2")])
+    src = central_extension(["x1", "y1", "x2", "y2"], [("u", "x2*y2"), ("z", "x1*y1 + x2*y2")])
+    # x2 -> s*x2, and the chain condition at u, d(2*z2) = s*x2*y2, forces s = 2
+    cons = {"x1": "x1", "y1": "y1", "x2": MapTemplate("0", ("x2",)), "y2": "y2", "u": "2*z2"}
+    res = dga_map_solve(src, tgt, cons)
+    assert res.status == "solution"
+    assert res.assignment["x2"] == tgt.algebra.parse("2*x2")
+    # z is free: its transgression x1*y1 + s*x2*y2 has the monomials 1 and s in
+    # the unknowns, which lift to z1 and z2, and every closed direction is zero
+    assert res.assignment["z"] == tgt.algebra.parse("z1 + 2*z2")
+
+
 def _tracked_class_matrix(h1_kernel, images_pel, target, n_src, R):
     """The induced map on H^1 by a tracked reduction of each monomial in the unknowns."""
     alg = target.algebra
@@ -754,7 +777,7 @@ def test_h1_class_matrix_is_the_tracked_reduction(monkeypatch, build, constraint
 def test_solver_elimination_bound_guard():
     c = heisenberg(2)
     with pytest.raises(EliminationBoundError) as info:
-        dga_map_solve(c, c, {}, elimination_bound=12)
+        dga_map_solve(c, c, {})
     assert info.value.unknowns > 12
 
 
@@ -827,14 +850,16 @@ def test_report_twisted_contractible_pair_disagrees():
 
 
 def test_report_bound_exceeded_flag():
-    rep = formality_report(example_contr("y1*y2"), 1, elimination_bound=12)
+    rep = formality_report(example_contr("y1*y2"), 1)
     assert rep.bound_exceeded is False
     # the twisted solve is linear, so the bound never trips on this input
 
 
-def test_report_truncated_tower_sets_bound_flag():
+def test_report_truncated_tower_sets_bound_flag(monkeypatch):
     assert FormalityReport(1).bound_exceeded is False
-    rep = formality_report(example_contr("y1*y2"), 2, tower_cap=1)
+    monkeypatch.setattr(formality, "TOWER_CAP", 1)
+    rep = formality_report(example_contr("y1*y2"), 2)
+    monkeypatch.undo()
     assert rep.verdict(1) == INCONCLUSIVE
     assert rep.bound_exceeded is True
     (ev,) = [e for e in rep.evidence if e.rule == "morphism-solver"]
@@ -966,9 +991,7 @@ def test_random_seeded_reports_are_reproducible(seed=5):
     rep1 = formality_report(c, 1, seed=seed)
     rep2 = formality_report(c, 1, seed=seed)
     assert rep1.verdicts() == rep2.verdicts()
-    assert [e.detail for e in rep1.sorted_evidence()] == [
-        e.detail for e in rep2.sorted_evidence()
-    ]
+    assert rep1.evidence == rep2.evidence
 
 
 def _assert_certified_degrees_obey_the_theorem(c, k_max):

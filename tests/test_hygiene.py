@@ -1,4 +1,4 @@
-"""Static hygiene of the package: no unused imports, dead names or unread parameters.
+"""Static hygiene: no unused imports, dead names, unread parameters or unset defaults.
 
 The checks read the source of ``src/nilform`` with ``ast``; nothing is
 imported or run.  A public name counts as used when the package, the tests
@@ -139,3 +139,81 @@ def test_every_parameter_is_read():
         for param in _unread_parameters(tree)
     ]
     assert unread == []
+
+
+def _defaults(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, positional index or None) per defaulted parameter.
+
+    The callee name is the one a call spells: a function's or method's own
+    name, or its class's name for ``__init__``.  The positional index
+    leaves out ``self`` and ``cls``; keyword-only parameters have none.
+    """
+    out: list[tuple[str, str, int | None]] = []
+
+    def visit(node, cls):
+        for item in node.body:
+            if isinstance(item, ast.ClassDef):
+                visit(item, item.name)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = item.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                if cls is not None and positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                callee = cls if item.name == "__init__" else item.name
+                first_default = len(positional) - len(a.defaults)
+                out.extend(
+                    (callee, p, i) for i, p in enumerate(positional) if i >= first_default
+                )
+                out.extend(
+                    (callee, p.arg, None)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None
+                )
+                visit(item, None)
+
+    visit(tree, None)
+    return out
+
+def _passed_arguments(tree: ast.AST) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per called name: (positional count, keyword names, spreads) of every call.
+
+    ``spreads`` is True for a call with ``*args`` or ``**kwargs``, which may
+    pass any parameter.
+    """
+    out: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        spreads = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        )
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        out.setdefault(name, []).append((len(node.args), keywords, spreads))
+    return out
+
+
+def test_every_default_is_set():
+    """A parameter's default stands for a choice some call makes otherwise.
+
+    A parameter that no call in the package, the tests or the harness ever
+    passes, by keyword or by position, carries one value, so it belongs in
+    the body or in a module constant.
+    """
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for tree in READERS:
+        for name, found in _passed_arguments(tree).items():
+            calls.setdefault(name, []).extend(found)
+    unset = [
+        f"{name}: {callee}({param})"
+        for name, tree in TREES.items()
+        for callee, param, index in _defaults(tree)
+        if not any(
+            spreads or param in keywords or (index is not None and count > index)
+            for count, keywords, spreads in calls.get(callee, ())
+        )
+    ]
+    assert unset == []

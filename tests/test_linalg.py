@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nilform.linalg import (
     Echelon,
-    Span,
     SparseMatrix,
     rank_mod_p,
     rank_rows,
@@ -82,15 +81,6 @@ def test_empty_shapes():
     assert len(flat.kernel()) == 3
 
 
-def test_compose():
-    a = dense_to_cols([[1, 2], [0, 1]])
-    b = dense_to_cols([[1, 0], [1, 1]])
-    ab = a.compose(b)
-    assert ab.to_dense() == [[Fraction(3), Fraction(2)], [Fraction(1), Fraction(1)]]
-    with pytest.raises(ValueError):
-        a.compose(SparseMatrix(3, 1))
-
-
 def test_rank_nullity_property():
     rng = random.Random(19)
     for _ in range(25):
@@ -109,56 +99,6 @@ def test_mod_p_rank_agrees_on_random_matrices():
         int_rows = [to_int_row({j: Fraction(v) for j, v in enumerate(r) if v}) for r in rows]
         exact = rank_rows([dict(r) for r in int_rows])
         assert rank_mod_p([dict(r) for r in int_rows]) == exact
-
-
-def test_span_membership_and_express():
-    span = Span(3)
-    v1 = {0: frac(1), 1: frac(2)}
-    v2 = {1: frac(1), 2: frac(1)}
-    assert span.add(v1)
-    assert span.add(v2)
-    assert not span.add({0: frac(1), 1: frac(3), 2: frac(1)})
-    assert span.dim == 2
-    target = {0: frac(2), 1: frac(5), 2: frac(1)}
-    coeffs = span.express(target)
-    assert coeffs is not None
-    rebuilt = {}
-    for c, vec in zip(coeffs, [v1, v2, {0: frac(1), 1: frac(3), 2: frac(1)}]):
-        for j, v in vec.items():
-            rebuilt[j] = rebuilt.get(j, Fraction(0)) + c * v
-    assert {j: v for j, v in rebuilt.items() if v} == target
-    assert span.express({2: frac(1), 0: frac(1)}) is None
-    assert span.express({}) == [Fraction(0)] * 3
-
-
-def test_express_random_property():
-    rng = random.Random(5)
-    for _ in range(20):
-        ncols = rng.randint(2, 6)
-        vecs = []
-        span = Span(ncols)
-        for _ in range(rng.randint(1, 5)):
-            vec = {
-                j: Fraction(rng.randint(-3, 3))
-                for j in range(ncols)
-                if rng.random() < 0.7
-            }
-            vec = {j: v for j, v in vec.items() if v}
-            vecs.append(vec)
-            span.add(vec)
-        mix = {}
-        weights = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in vecs]
-        for w, vec in zip(weights, vecs):
-            for j, v in vec.items():
-                mix[j] = mix.get(j, Fraction(0)) + w * v
-        mix = {j: v for j, v in mix.items() if v}
-        coeffs = span.express(mix)
-        assert coeffs is not None
-        rebuilt = {}
-        for c, vec in zip(coeffs, vecs):
-            for j, v in vec.items():
-                rebuilt[j] = rebuilt.get(j, Fraction(0)) + c * v
-        assert {j: v for j, v in rebuilt.items() if v} == mix
 
 
 def test_reduce_is_linear():

@@ -23,7 +23,6 @@ from nilform.resonance import (
     in_resonance,
     kunneth_membership,
     mu_complex_dim,
-    point_from_coords,
     point_from_expression,
     r11_quadric_system,
 )
@@ -94,11 +93,6 @@ def test_point_parsers():
         Fraction(1), Fraction(0), Fraction(0), Fraction(2),
     )
     assert point_from_expression(r, "0") == zero_point(r)
-    assert point_from_coords(r, [1, 2, 3, 4]) == (
-        Fraction(1), Fraction(2), Fraction(3), Fraction(4),
-    )
-    with pytest.raises(ValueError):
-        point_from_coords(r, [1, 2])
     with pytest.raises(ValueError):
         point_from_expression(r, "x1*y1")
 
