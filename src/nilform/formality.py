@@ -14,6 +14,7 @@ verdict and an unverified search never becomes a positive one.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -175,8 +176,14 @@ def _nilpotent_order(c: CDGA) -> list[int] | None:
     return order
 
 
+# accepted models, so the rules of one report check each once; a CDGA never changes
+_ACCEPTED: weakref.WeakSet[CDGA] = weakref.WeakSet()
+
+
 def _require_model(c: CDGA) -> None:
     """Reject inputs outside the engine's scope with a clear message."""
+    if c in _ACCEPTED:
+        return
     if any(g.degree != 1 for g in c.algebra.generators):
         raise ValueError("model must be generated in degree 1")
     if not c.is_minimal:
@@ -186,6 +193,7 @@ def _require_model(c: CDGA) -> None:
             "model must be nilpotent: no generator order makes every "
             "differential depend on earlier generators only"
         )
+    _ACCEPTED.add(c)
 
 
 # -- decompositions of the degree-1 part ----------------------------------

@@ -160,23 +160,29 @@ class Echelon:
 
 
 def rank_mod_p(rows: Iterable[Row]) -> int:
+    """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q.
+
+    Each row is reduced in place against the pivot rows, which are scaled
+    to 1 at their pivot: a step touches only the pivot row's columns and
+    drops the entries it zeroes.
+    """
     p = _FAST_PRIME
     pivots: dict[int, Row] = {}
     for raw in rows:
-        row = {j: v % p for j, v in raw.items() if v % p}
+        row = {j: r for j, v in raw.items() if (r := v % p)}
         while row:
             col = min(row)
             base = pivots.get(col)
             if base is None:
                 inv = pow(row[col], -1, p)
-                pivots[col] = {j: (v * inv) % p for j, v in row.items()}
+                pivots[col] = {j: v * inv % p for j, v in row.items()}
                 break
             c = row[col]
-            row = {
-                j: v
-                for j in set(row) | set(base)
-                if (v := (row.get(j, 0) - c * base.get(j, 0)) % p)
-            }
+            for j, v in base.items():
+                if r := (row.get(j, 0) - c * v) % p:
+                    row[j] = r
+                else:
+                    del row[j]
     return len(pivots)
 
 

@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
+from math import lcm
 from typing import Iterator, Sequence
 
 from .gca import Monomial, Multivector
-from .linalg import SparseMatrix, Vec
+from .linalg import Row, rank_mod_p, rank_rows
 from .ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -47,27 +48,55 @@ def point_from_expression(ring: RingPresentation, text: str) -> Point:
     return tuple(alg.coordinates(v, 1))
 
 
-def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int) -> SparseMatrix:
-    """Matrix of multiplication by the degree-1 class w from H^q to H^q+1."""
+def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int) -> list[Row]:
+    """Nonzero integer rows of L times multiplication by w, H^q -> H^q+1, one per class of H^q.
+
+    The pencil sum of (w_i / D_i) (D_i M_i) over the classes i with w_i != 0,
+    D_i M_i the cached integer matrix of class i; L clears the w_i / D_i.
+    """
     if q + 1 > ring.max_degree:
         raise CutoffError(f"need degree {q + 1} but cutoff is {ring.max_degree}")
-    sparse_w = {i: Fraction(c) for i, c in enumerate(w) if c}
-    cols: list[Vec] = []
-    for j in range(ring.dim(q)):
-        cols.append(ring.multiply_coords(1, sparse_w, q, {j: Fraction(1)}))
-    return SparseMatrix(ring.dim(q + 1), ring.dim(q), cols)
+    terms = []
+    for i, c in enumerate(w):
+        if c:
+            denom, rows = ring.class_multiplication(q, i)
+            terms.append((Fraction(c) / denom, rows))
+    scale = lcm(1, *(c.denominator for c, _ in terms))
+    acc: list[Row] = [{} for _ in range(ring.dim(q))]
+    for c, rows in terms:
+        a = c.numerator * (scale // c.denominator)
+        for out, row in zip(acc, rows):
+            for k, v in row.items():
+                out[k] = out.get(k, 0) + a * v
+    return [r for out in acc if (r := {k: v for k, v in out.items() if v})]
+
+
+def _complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int, out_of: list[int]) -> int:
+    """b_q minus the ranks of multiplication by w out of each degree in ``out_of``.
+
+    An F_p rank is at most the rank over Q, so an F_p bound of 0 is exact, and
+    so is an F_p rank of min(rows, columns); only the other ranks are exact ones.
+    """
+    mats = [(multiplication_complex(ring, w, d), ring.dim(d + 1)) for d in out_of]
+    fast = [rank_mod_p(rows) for rows, _ in mats]
+    if ring.dim(q) == sum(fast):
+        return 0
+    return ring.dim(q) - sum(
+        r if r == min(len(rows), ncols) else rank_rows(rows)
+        for (rows, ncols), r in zip(mats, fast)
+    )
 
 
 def mu_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -> int:
-    """Cohomology dimension of the multiplication complex at degree q."""
+    """Cohomology dimension of the multiplication complex (H*, w·) at degree q.
+
+    b_q - rank(w: H^q -> H^q+1) - rank(w: H^q-1 -> H^q), which is >= 0
+    because w^2 = 0 puts the incoming image inside the outgoing kernel.
+    Points ruled out over F_p return 0 without an exact rank.
+    """
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    outgoing = multiplication_complex(ring, w, q)
-    kernel = ring.dim(q) - outgoing.rank()
-    if q == 0:
-        return kernel
-    incoming = multiplication_complex(ring, w, q - 1)
-    return kernel - incoming.rank()
+    return _complex_dim(ring, w, q, [d for d in (q, q - 1) if d >= 0])
 
 
 def in_resonance(ring: RingPresentation, w: Sequence[Fraction], q: int, k: int = 1) -> bool:
@@ -344,10 +373,7 @@ def _factor_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -
         return mu_complex_dim(ring, w, q)
     if top is not None and q + 1 > top and q <= ring.max_degree:
         # outgoing map lands in a zero group
-        kernel = ring.dim(q)
-        if q == 0:
-            return kernel
-        return kernel - multiplication_complex(ring, w, q - 1).rank()
+        return _complex_dim(ring, w, q, [q - 1] if q else [])
     raise CutoffError(f"degree {q} not covered by cutoff {ring.max_degree}")
 
 

@@ -14,10 +14,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cdga import CDGA
 from .gca import Algebra, Multivector
-from .linalg import Echelon, SparseMatrix, Vec
+from .linalg import Echelon, Row, SparseMatrix, Vec
 
 
 class CutoffError(ValueError):
@@ -35,6 +36,7 @@ class RingPresentation:
         self._bases = {q: source.cohomology(q) for q in range(max_degree + 1)}
         self._products = source._class_products
         self._labels: dict[int, tuple[str, ...]] = {}
+        self._pencil: dict[tuple[int, int], tuple[int, list[Row]]] = {}
 
     def dim(self, q: int) -> int:
         if q < 0:
@@ -86,22 +88,20 @@ class RingPresentation:
             cached = self._products[key] = self._bases[q].coordinates(prod)
         return cached
 
-    def multiply_coords(self, qa: int, va: Vec, qb: int, vb: Vec) -> Vec:
-        """Bilinear extension of product_coords to coordinate vectors."""
-        out: Vec = {}
-        for ia, ca in va.items():
-            if not ca:
-                continue
-            for ib, cb in vb.items():
-                if not cb:
-                    continue
-                for j, c in self.product_coords(qa, ia, qb, ib).items():
-                    cur = out.get(j, Fraction(0)) + ca * cb * c
-                    if cur:
-                        out[j] = cur
-                    else:
-                        out.pop(j, None)
-        return out
+    def class_multiplication(self, q: int, i: int) -> tuple[int, list[Row]]:
+        """(D, rows) of D times multiplication by degree-1 class i, H^q -> H^(q+1).
+
+        One integer row per class j of H^q, the coordinates of e_i e_j, and
+        D the least common denominator of them all.  Built on first use and
+        cached, so only the classes some point uses ever form products.
+        """
+        cached = self._pencil.get((q, i))
+        if cached is None:
+            coords = [self.product_coords(1, i, q, j) for j in range(self.dim(q))]
+            d = lcm(1, *(c.denominator for v in coords for c in v.values()))
+            rows = [{k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in coords]
+            cached = self._pencil[(q, i)] = (d, rows)
+        return cached
 
 
 def from_cdga(source: CDGA, max_degree: int) -> RingPresentation:

@@ -191,7 +191,7 @@ def test_ac06_initial_example():
     products = Echelon()
     for i in range(r.dim(1)):
         for j in range(r.dim(1)):
-            products.add(r.multiply_coords(1, {i: Fraction(1)}, 1, {j: Fraction(1)}))
+            products.add(r.product_coords(1, i, 1, j))
     assert products.rank == 8
     v = generated_in_degree_one_upto(r, 2)
     assert not v.generated

@@ -119,6 +119,42 @@ def test_rejects_non_nilpotent_differential():
         full_formality(c)
 
 
+_MODEL_RULES = (
+    full_formality,
+    is_twostep,
+    lambda c: obstruction_generation(c, 1),
+    lambda c: obstruction_resonance(c, 1),
+    lambda c: certify_prop_art(c, 1),
+    lambda c: formality_report(c, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "generators, differential, message",
+    [((("a", 1), ("b", 1)), {"b": "a*b"}, "nilpotent"), ((("a", 1), ("u", 2)), {}, "degree 1")],
+)
+def test_every_rule_rejects_a_non_model_every_time(generators, differential, message):
+    c = CDGA(Algebra([Generator(*g) for g in generators]), differential)
+    for rule in _MODEL_RULES + _MODEL_RULES:
+        with pytest.raises(ValueError, match=message):
+            rule(c)
+
+
+def test_report_checks_its_model_once(monkeypatch):
+    calls = []
+
+    def is_minimal(self):
+        calls.append(self)
+        return all(len(m) >= 2 for v in self._d_gen.values() for m in v.terms)
+
+    monkeypatch.setattr(CDGA, "is_minimal", property(is_minimal))
+    c = example_contr("y1*y2")
+    formality_report(c, 3)
+    for rule in _MODEL_RULES:
+        rule(c)
+    assert calls == [c]
+
+
 def test_full_formality_values():
     assert full_formality(free_abelian(["e1", "e2", "e3"])) == OVERALL_FORMAL
     for n in (1, 2, 3):

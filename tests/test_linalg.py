@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilform.linalg import (
+    _FAST_PRIME,
     Echelon,
     SparseMatrix,
     rank_mod_p,
@@ -17,7 +18,7 @@ from nilform.linalg import (
     to_int_row,
 )
 from test_ring import REPRESENTATIVE_MODELS
-from tracked_reference import _WalkEchelon
+from tracked_reference import _WalkEchelon, reference_rank_mod_p
 
 
 def frac(n, d=1):
@@ -99,6 +100,24 @@ def test_mod_p_rank_agrees_on_random_matrices():
         int_rows = [to_int_row({j: Fraction(v) for j, v in enumerate(r) if v}) for r in rows]
         exact = rank_rows([dict(r) for r in int_rows])
         assert rank_mod_p([dict(r) for r in int_rows]) == exact
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([_FAST_PRIME, -_FAST_PRIME, 3 * _FAST_PRIME, _FAST_PRIME + 1, 1 - _FAST_PRIME]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(0, 7), _ENTRIES, max_size=6), max_size=8),
+    st.lists(st.integers(0, 7), max_size=3),
+)
+def test_mod_p_rank_matches_the_set_union_walk(rows, repeats):
+    """Negative entries, entries = 0 mod p, zero and empty rows, repeated rows."""
+    rows = rows + [dict(rows[i % len(rows)]) for i in repeats if rows]
+    assert rank_mod_p([dict(r) for r in rows]) == reference_rank_mod_p(rows)
 
 
 def test_reduce_is_linear():

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilform.catalog import example_initial, free_abelian, heisenberg
+from nilform.catalog import example_contr, example_initial, free_abelian, heisenberg, heisenberg_type
 from nilform.cdga import tensor
-from nilform.linalg import SparseMatrix
+from nilform.linalg import _FAST_PRIME, SparseMatrix, rank_mod_p
 from nilform.ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -23,9 +23,12 @@ from nilform.resonance import (
     in_resonance,
     kunneth_membership,
     mu_complex_dim,
+    multiplication_complex,
     point_from_expression,
     r11_quadric_system,
 )
+from test_ring import TOWER_SEEDS, _three_step_tower
+from tracked_reference import reference_mu_complex_dim
 
 
 def unit_point(ring, index):
@@ -303,3 +306,103 @@ def test_kunneth_depth_restriction():
     rb = from_cdga(free_abelian(["t"]), 1)
     with pytest.raises(ValueError):
         kunneth_membership(ra, rb, zero_point(ra), zero_point(rb), 1, k=2)
+
+
+# -- the integer pencil against the Fraction build -------------------------
+
+PENCIL_MODELS = {
+    **{f"heisenberg({n})": (lambda n=n: heisenberg(n)) for n in (1, 2, 3, 4)},
+    "h2xt": lambda: tensor(heisenberg(2), free_abelian(["t"])),
+    "h1xh1": lambda: tensor(heisenberg(1), heisenberg(1)),
+    "contr[0]": lambda: example_contr("0"),
+    "contr[y1*y2]": lambda: example_contr("y1*y2"),
+    **{f"tower{s}": (lambda s=s: _three_step_tower(s)) for s in TOWER_SEEDS[:2]},
+}
+
+
+def _full_ring(c):
+    return from_cdga(c, c.algebra.top_degree())
+
+
+def _seeded_points(ring, seed):
+    """Rational points with denominators, points with zero coordinates, the zero point."""
+    rng = random.Random(seed)
+    b1 = ring.dim(1)
+    points = [
+        tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(b1))
+        for _ in range(3)
+    ]
+    for _ in range(2):
+        zeros = set(rng.sample(range(b1), rng.randint(1, b1 - 1)))
+        points.append(
+            tuple(
+                Fraction(0) if i in zeros else Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                for i in range(b1)
+            )
+        )
+    return points + [zero_point(ring)]
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_MODELS))
+def test_pencil_matches_the_fraction_build(name):
+    r = _full_ring(PENCIL_MODELS[name]())
+    points = _seeded_points(r, 29)
+    # every entry is 0 mod p, so the F_p bound is b_q and only the exact rank can answer
+    points.append(tuple(_FAST_PRIME * c for c in points[0]))
+    for w in points:
+        for q in range(r.max_degree):
+            assert mu_complex_dim(r, w, q) == reference_mu_complex_dim(r, w, q), (w, q)
+
+
+def test_point_resonant_only_mod_p_gets_the_exact_rank():
+    # (p, 2p, 1, 3) reduces to (0, 0, 1, 3) mod p, a resonant point of
+    # H(1) x H(1) in degree 1; over Q both factor points are nonzero, so
+    # by Kunneth the point itself is not resonant there
+    r = from_cdga(tensor(heisenberg(1), heisenberg(1)), 4)
+    w = (Fraction(_FAST_PRIME), Fraction(2 * _FAST_PRIME), Fraction(1), Fraction(3))
+    bound = r.dim(1) - sum(rank_mod_p(multiplication_complex(r, w, d)) for d in (0, 1))
+    assert bound == 1
+    assert reference_mu_complex_dim(r, w, 1) == 0
+    assert mu_complex_dim(r, w, 1) == 0
+    assert not in_resonance(r, w, 1)
+
+
+def test_multiplication_rows_are_built_only_for_used_classes():
+    r = from_cdga(heisenberg(2), 5)
+    w = unit_point(r, 2)
+    for q in range(4):
+        mu_complex_dim(r, w, q)
+    assert {i for _, i in r._pencil} == {2}
+
+
+# -- duality and the Heisenberg picture ------------------------------------
+
+DUALITY_MODELS = {
+    **{f"heisenberg({n})": (lambda n=n: heisenberg(n)) for n in (1, 2, 3)},
+    "contr[0]": lambda: example_contr("0"),
+    "heisenberg_type(2,5)": lambda: heisenberg_type(2, 5),
+    **{f"tower{s}": (lambda s=s: _three_step_tower(s)) for s in TOWER_SEEDS[:3]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUALITY_MODELS))
+def test_resonance_is_poincare_dual(name):
+    # multiplication by w is self-adjoint up to sign under the duality
+    # pairing, so H^q(H, w) and H^(top-q)(H, w) have the same dimension
+    r = _full_ring(DUALITY_MODELS[name]())
+    top = r.max_degree
+    for w in _seeded_points(r, 31):
+        for q in range(1, top):
+            assert mu_complex_dim(r, w, q) == mu_complex_dim(r, w, top - q), (w, q)
+
+
+@pytest.mark.parametrize("n, mu", [(1, 1), (2, 2), (3, 5), (4, 14)])
+def test_heisenberg_resonance_sits_in_the_middle_degrees(n, mu):
+    r = from_cdga(heisenberg(n), 2 * n + 1)
+    rng = random.Random(37 + n)
+    for _ in range(4):
+        w = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2 * n))
+        if not any(w):
+            continue
+        dims = [mu_complex_dim(r, w, q) for q in range(2 * n + 1)]
+        assert dims == [mu if q in (n, n + 1) else 0 for q in range(2 * n + 1)], w

@@ -1,14 +1,19 @@
-"""A reference elimination for the tests, independent of ``nilform.linalg.Echelon``.
+"""Reference computations for the tests, independent of the code they check.
 
 ``Echelon`` keeps no record of how its rows combine the added vectors.
 ``_WalkEchelon`` walks every pivot on each reduction and, with ``track``,
 records those combinations in marker columns, so solves, null spaces and
 class coordinates can be checked against it.
+
+``reference_mu_complex_dim`` builds each multiplication matrix from the
+bilinear ``multiply_coords`` in ``Fraction`` arithmetic and ranks it with
+``_WalkEchelon``, with no pencil and no F_p rank.
+``reference_rank_mod_p`` rebuilds the row from a set union at every step.
 """
 
 from fractions import Fraction
 
-from nilform.linalg import row_primitive, to_int_row
+from nilform.linalg import _FAST_PRIME, row_primitive, to_int_row
 
 
 class _WalkEchelon:
@@ -69,3 +74,56 @@ class _WalkEchelon:
                     else:
                         del w[j]
         return w, coeffs
+
+
+def multiply_coords(ring, qa, va, qb, vb):
+    """Bilinear extension of ``ring.product_coords`` to coordinate vectors."""
+    out = {}
+    for ia, ca in va.items():
+        if not ca:
+            continue
+        for ib, cb in vb.items():
+            if not cb:
+                continue
+            for j, c in ring.product_coords(qa, ia, qb, ib).items():
+                cur = out.get(j, Fraction(0)) + ca * cb * c
+                if cur:
+                    out[j] = cur
+                else:
+                    out.pop(j, None)
+    return out
+
+
+def _reference_rank(ring, w, q):
+    """Rank of multiplication by w, H^q -> H^(q+1), by the all-pivot walk."""
+    sparse_w = {i: Fraction(c) for i, c in enumerate(w) if c}
+    ech = _WalkEchelon(ring.dim(q + 1), False)
+    return sum(ech.add(multiply_coords(ring, 1, sparse_w, q, {j: Fraction(1)})) for j in range(ring.dim(q)))
+
+
+def reference_mu_complex_dim(ring, w, q):
+    kernel = ring.dim(q) - _reference_rank(ring, w, q)
+    if q == 0:
+        return kernel
+    return kernel - _reference_rank(ring, w, q - 1)
+
+
+def reference_rank_mod_p(rows):
+    p = _FAST_PRIME
+    pivots = {}
+    for raw in rows:
+        row = {j: v % p for j, v in raw.items() if v % p}
+        while row:
+            col = min(row)
+            base = pivots.get(col)
+            if base is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: (v * inv) % p for j, v in row.items()}
+                break
+            c = row[col]
+            row = {
+                j: v
+                for j in set(row) | set(base)
+                if (v := (row.get(j, 0) - c * base.get(j, 0)) % p)
+            }
+    return len(pivots)
