@@ -29,7 +29,7 @@ from .ring import (
     RingPresentation,
     class_symbol_algebra,
     from_cdga,
-    generated_in_degree_one_upto,
+    generation_cokernel,
 )
 
 FORMAL = "CertifiedKFormal"
@@ -259,13 +259,22 @@ def full_formality(c: CDGA) -> str:
     return OVERALL_FORMAL if zero else OVERALL_NOT_FORMAL
 
 
+def _generation(c: CDGA, m: int) -> GenerationVerdict:
+    """Degree-1 generation up to H^m, one degree at a time: none above a failure is built."""
+    for q in range(2, m + 1):
+        # bases and structure constants are cached on c, so this step adds H^q
+        missed = generation_cokernel(from_cdga(c, q), q)
+        if missed:
+            return GenerationVerdict(False, q, missed)
+    return GenerationVerdict(True)
+
+
 def obstruction_generation(c: CDGA, k: int) -> Evidence | None:
     """Failure of degree-1 generation below degree k+2, if any."""
     _require_model(c)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    r = from_cdga(c, k + 1)
-    v = generated_in_degree_one_upto(r, k + 1)
+    v = _generation(c, k + 1)
     if v.generated:
         return None
     q = v.failure_degree
@@ -283,7 +292,8 @@ def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     """A nontrivial resonance point in some degree <= s, if one is found.
 
     Degree 1 runs the exact decision; higher degrees only sample, so absence
-    of evidence there proves nothing.
+    of evidence there proves nothing.  It builds H^q only for q <= s+1, and
+    no ring at all when s < 1.
     """
     _require_model(c)
     if s < 1:
@@ -408,8 +418,7 @@ def decide_twostep(c: CDGA, k: int) -> TwoStepDecision:
         raise NotTwoStep(
             "differential leaves the square of the closed degree-1 part"
         )
-    r = from_cdga(c, k + 1)
-    v = generated_in_degree_one_upto(r, k + 1)
+    v = _generation(c, k + 1)
     return TwoStepDecision(k, FORMAL if v.generated else NOT_FORMAL, v)
 
 
@@ -1066,6 +1075,10 @@ def formality_report(
     certificates, generation and resonance obstructions, the vanishing-top
     upgrade, and, for degree one, a verdict from the normalized chain-map
     search out of the degree-1 tower of the cohomology.
+
+    Generation climbs one degree at a time and stops at its first failure
+    H^q, so degrees q-1 and up are not formal and resonance searches only
+    the degrees below q-1: a point there or above could change no verdict.
     """
     _require_model(c)
     report = FormalityReport(k_max)
@@ -1133,11 +1146,11 @@ def formality_report(
     ev = obstruction_generation(c, k_max)
     if ev is not None:
         report.mark_not_formal_from(ev)
-    ev = obstruction_resonance(c, k_max, seed=seed)
-    if ev is not None and report.verdict(ev.k) != NOT_FORMAL:
+    # a resonance point at or above the least not-formal degree decides nothing
+    s = k_max if report.least_not_formal is None else report.least_not_formal - 1
+    ev = obstruction_resonance(c, s, seed=seed)
+    if ev is not None:
         report.mark_not_formal_from(ev)
-    elif ev is not None:
-        report.add_info(ev)
 
     # the largest k not ruled out; the certificate falls back to the largest it can certify
     k = k_max if report.least_not_formal is None else report.least_not_formal - 1

@@ -118,26 +118,31 @@ class GenerationVerdict:
     cokernel_dim: int | None = None
 
 
+def generation_cokernel(ring: RingPresentation, q: int) -> int:
+    """dim H^q minus the rank of the products H^(q-1) x H^1: once H^(q-1) is
+    generated in degree 1, the dimension that degree-1 generation misses in H^q."""
+    dim = ring.dim(q)
+    span = Echelon()
+    for i, j in itertools.product(range(ring.dim(q - 1)), range(ring.dim(1))):
+        # no product is formed once the span is all of H^q
+        if span.rank == dim:
+            break
+        span.add(ring.product_coords(q - 1, i, 1, j))
+    return dim - span.rank
+
+
 def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVerdict:
     """Check that products of degree-1 classes span H^q for every q <= m.
 
-    Degree q is reached only once H^(q-1) is generated, so the products of
-    the basis classes of H^(q-1) with those of H^1 span the generated part
-    of H^q.  Reports the first failing degree and the dimension missed there.
+    Degree q is reached only once H^(q-1) is generated.  Reports the first
+    failing degree and its `generation_cokernel`.
     """
     if not 1 <= m <= ring.max_degree:
         raise CutoffError(f"generation bound {m} outside 1..{ring.max_degree}")
-    b1 = ring.dim(1)
     for q in range(2, m + 1):
-        dim = ring.dim(q)
-        span = Echelon()
-        for i, j in itertools.product(range(ring.dim(q - 1)), range(b1)):
-            # no product is formed once the span is all of H^q
-            if span.rank == dim:
-                break
-            span.add(ring.product_coords(q - 1, i, 1, j))
-        if span.rank < dim:
-            return GenerationVerdict(False, q, dim - span.rank)
+        missed = generation_cokernel(ring, q)
+        if missed:
+            return GenerationVerdict(False, q, missed)
     return GenerationVerdict(True)
 
 

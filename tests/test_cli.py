@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nilform import cli
+from test_formality import generation_failing_tower
 
 
 def run(capsys, argv):
@@ -408,6 +409,7 @@ for argv in (
     ["resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"],
     ["formality", "--preset", "heisenberg:3"],
     ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "0"],
+    ["formality", "--input", sys.argv[1]],
 ):
     assert nilform.cli.main(argv) == 0
     loaded.append("sympy" in sys.modules)
@@ -415,15 +417,18 @@ sys.stderr.write(repr(loaded))
 """
 
 
-def test_light_commands_never_import_sympy():
-    # sympy is imported lazily, only by the Groebner decisions and the solver
+def test_light_commands_never_import_sympy(tmp_path):
+    # sympy is imported lazily, only by the Groebner decisions and the solver;
+    # a model that is not 2-step and fails generation at H^2 runs neither
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(cli._echo_model(generation_failing_tower(), {})))
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _LIGHT_COMMANDS_PROBE],
+        [sys.executable, "-c", _LIGHT_COMMANDS_PROBE, str(tower)],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode() == repr([False] * 5)
+    assert proc.stderr.decode() == repr([False] * 6)

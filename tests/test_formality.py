@@ -957,10 +957,48 @@ def test_top_cohomology_is_the_volume_class_on_the_formality_mix():
 
 
 def test_report_builds_no_cohomology_above_what_its_rules_read():
+    # generation fails at H^3, so resonance searches degree 1 only
     c = example_contr("y1*y2")
     rep = formality_report(c, 3)
     assert rep.overall == OVERALL_NOT_FORMAL and rep.best_formal is not None
-    assert max(c._cohomology_cache) == 4 < c.algebra.top_degree()
+    assert [ev.k for ev in rep.evidence if ev.rule == "generation"] == [2]
+    assert max(c._cohomology_cache) == 3 < c.algebra.top_degree()
+
+
+@pytest.mark.parametrize("k_max, bound", [(0, 0), (1, 1), (2, 1), (3, 1)])
+def test_report_searches_resonance_only_below_the_generation_failure(monkeypatch, k_max, bound):
+    # generation first fails at H^3 (k=2), so a resonance point in degree >= 2 decides nothing
+    bounds = []
+
+    def recording(c, s, **kw):
+        bounds.append(s)
+        return obstruction_resonance(c, s, **kw)
+
+    monkeypatch.setattr(formality, "obstruction_resonance", recording)
+    formality_report(example_contr("0"), k_max)
+    assert bounds == [bound]
+
+
+def generation_failing_tower():
+    """A fixed 3-step tower whose H^2 is not generated in degree 1."""
+    return central_extension(
+        ["e1", "e2", "e3", "e4"],
+        [
+            ("u1", "-2*e1*e2 - e2*e3 + 2*e2*e4"),
+            ("u2", "-2*e1*e3"),
+            ("v1", "4*e1*u1 - e2*e3 - 2*e2*e4 - 2*e3*u1 + 4*e4*u1"),
+        ],
+    )
+
+
+def test_tower_report_stops_at_its_generation_failure():
+    # the report needs H^2 and nothing above it, and runs no resonance search
+    c = generation_failing_tower()
+    assert not is_twostep(c)
+    rep = formality_report(c, 3)
+    assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
+    assert [(ev.rule, ev.k) for ev in rep.evidence if ev.kind == "not_formal"] == [("generation", 1)]
+    assert max(c._cohomology_cache) == 2
 
 
 @pytest.mark.parametrize(
@@ -1030,12 +1068,37 @@ def test_random_seeded_reports_are_reproducible(seed=5):
     assert rep1.evidence == rep2.evidence
 
 
+def _assert_the_report_skips_nothing(c, k_max, rep):
+    """The work the report leaves out could not have changed its verdicts.
+
+    The degree-by-degree generation climb agrees with one full ring.  The
+    full resonance search finds nothing, or a degree already not formal,
+    and what it finds below the generation failure the report holds too.
+    """
+    m = k_max + 1
+    want = generated_in_degree_one_upto(from_cdga(c, m), m)
+    gen = obstruction_generation(c, k_max)
+    if want.generated:
+        assert gen is None
+    else:
+        assert gen.k == want.failure_degree - 1
+        assert gen.data == {"failure_degree": want.failure_degree, "cokernel_dim": want.cokernel_dim}
+    if is_twostep(c):
+        assert decide_twostep(c, k_max).generation == want
+    ev = obstruction_resonance(c, k_max)
+    assert ev is None or rep.verdict(ev.k) == NOT_FORMAL
+    if ev is not None and (gen is None or ev.k < gen.k):
+        assert ev in rep.evidence
+
+
 def _assert_certified_degrees_obey_the_theorem(c, k_max):
     """k-formal implies H^<=k+1 generated in degree 1 and trivial resonance up to degree k.
 
     Returns the largest certified k, or None.
     """
-    certified = [k for k, v in enumerate(formality_report(c, k_max).verdicts()) if v == FORMAL]
+    rep = formality_report(c, k_max)
+    _assert_the_report_skips_nothing(c, k_max, rep)
+    certified = [k for k, v in enumerate(rep.verdicts()) if v == FORMAL]
     if not certified:
         return None
     best, top = max(certified), c.algebra.top_degree()

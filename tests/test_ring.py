@@ -34,6 +34,7 @@ from nilform.ring import (
     class_symbol_algebra,
     from_cdga,
     generated_in_degree_one_upto,
+    generation_cokernel,
 )
 
 
@@ -388,15 +389,21 @@ def test_three_step_towers_satisfy_duality_and_euler(seed):
     assert sum((-1) ** q * b for q, b in enumerate(dims)) == 0
 
 
+def _full_cokernel(ring, q):
+    """dim H^q minus the rank of every product H^(q-1) x H^1, with no full-rank stop."""
+    span = Echelon()
+    for i in range(ring.dim(q - 1)):
+        for j in range(ring.dim(1)):
+            span.add(ring.product_coords(q - 1, i, 1, j))
+    return ring.dim(q) - span.rank
+
+
 def _full_scan(ring, m):
     """The generation test without the full-rank stop: every product in every degree."""
     for q in range(2, m + 1):
-        span = Echelon()
-        for i in range(ring.dim(q - 1)):
-            for j in range(ring.dim(1)):
-                span.add(ring.product_coords(q - 1, i, 1, j))
-        if span.rank < ring.dim(q):
-            return GenerationVerdict(False, q, ring.dim(q) - span.rank)
+        missed = _full_cokernel(ring, q)
+        if missed:
+            return GenerationVerdict(False, q, missed)
     return GenerationVerdict(True)
 
 
@@ -409,6 +416,18 @@ def test_generation_verdicts_match_a_full_scan(build, top):
     r = from_cdga(c, c.algebra.top_degree() if top is None else top)
     for m in range(1, r.max_degree + 1):
         assert generated_in_degree_one_upto(r, m) == _full_scan(r, m)
+
+
+@pytest.mark.parametrize(
+    "build, top",
+    [*REPRESENTATIVE_MODELS, pytest.param(example_initial, None, id="initial")],
+)
+def test_generation_cokernel_matches_a_full_scan(build, top):
+    # in every degree, also above a failure, where the products span less
+    c = build()
+    r = from_cdga(c, c.algebra.top_degree() if top is None else top)
+    for q in range(2, r.max_degree + 1):
+        assert generation_cokernel(r, q) == _full_cokernel(r, q)
 
 
 @pytest.mark.parametrize("n", [3, 4])
