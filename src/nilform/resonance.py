@@ -5,9 +5,9 @@ cochain complex on the ring; resonance asks how much cohomology that
 complex has.  Membership at a rational point is decided exactly.  For the
 first resonance variety in degree one there is a full decision procedure:
 triviality reduces to a homogeneous quadric system on the characteristic
-subspace having only the zero solution, which is settled by a Groebner
-basis computation, and nontriviality is certified by a decomposable
-witness.
+subspace having only the zero solution, which a full-rank Macaulay matrix
+over F_p certifies and a Groebner basis computation settles otherwise, and
+nontriviality is certified by a decomposable witness.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import lcm
 from typing import Iterator, Sequence
 
 from .gca import Monomial, Multivector
-from .linalg import Row, rank_mod_p, rank_rows
+from .linalg import Row, rank_mod_p, rank_rows, to_int_row
 from .ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -213,11 +214,35 @@ def _small_vectors(dim: int, budget: int) -> Iterator[tuple[int, ...]]:
 def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: int) -> bool:
     """Exact test that homogeneous quadrics vanish simultaneously only at 0.
 
-    Uses a Groebner basis: a homogeneous ideal cuts out exactly the origin
-    over the algebraic closure iff every variable has a pure power among
-    the leading monomials.  The forms are upper triangular, as in
-    :class:`QuadricSystem`.
+    The zero locus is taken over the algebraic closure, and the forms are
+    upper triangular, as in :class:`QuadricSystem`.  First a certificate:
+    for D = 2..m+1 the degree-D Macaulay matrix has a row x^b f_i for each
+    form f_i, scaled to a primitive integer polynomial, and each monomial
+    x^b of degree D-2, and a column for each monomial of degree D.  Full
+    column rank puts every degree-D monomial in the ideal, so the forms
+    vanish only at 0.  A rank over F_p is at most the rank over Q, so a full
+    rank over F_p is full over Q.  The converse holds over Q at D = m+1
+    (Lazard, EUROCAL 1983, LNCS 162), but a prime can lose rank, so a
+    deficient F_p rank falls back to a Groebner basis: a homogeneous ideal
+    cuts out exactly the origin iff every variable has a pure power among
+    the leading monomials.
     """
+    rows = [r for form in forms if (r := to_int_row(form))]
+    if not rows:
+        return False
+    for degree in range(2, m + 2):
+        shifts = list(combinations_with_replacement(range(m), degree - 2))
+        columns = {x: j for j, x in enumerate(combinations_with_replacement(range(m), degree))}
+        if len(rows) * len(shifts) < len(columns):
+            continue
+        macaulay = (
+            {columns[tuple(sorted(shift + pair))]: c for pair, c in row.items()}
+            for row in rows
+            for shift in shifts
+        )
+        if rank_mod_p(macaulay) == len(columns):
+            return True
+
     from sympy.polys.domains import QQ
     from sympy.polys.groebnertools import groebner
     from sympy.polys.orderings import grevlex
@@ -234,8 +259,6 @@ def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: i
             terms[tuple(exponents)] = c
         if p := R(terms):
             polys.append(p)
-    if not polys:
-        return False
     leading = [g.LM for g in groebner(polys, R)]
     return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
@@ -244,7 +267,9 @@ def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
     """Decide whether the degree-1 resonance variety is just the origin.
 
     Triviality is certified exactly through the quadric system on the
-    characteristic subspace when its dimension is within ``EXACT_BOUND``.
+    characteristic subspace when its dimension is within ``EXACT_BOUND``:
+    by a full-rank Macaulay matrix over F_p, which is full over Q too, and
+    by a Groebner basis only where the F_p rank falls short.
     Nontriviality is certified by a rational decomposable witness; when the
     locus is provably nontrivial but no rational witness shows up within
     the search budget the verdict stays inconclusive.

@@ -407,6 +407,8 @@ loaded = ["sympy" in sys.modules]
 for argv in (
     ["cohomology", "--preset", "heisenberg:4", "--format", "json"],
     ["resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"],
+    ["resonance", "--preset", "heisenberg:2", "--q", "1", "--decide"],
+    ["resonance", "--preset", "heisenberg_type:1,3", "--q", "1", "--decide"],
     ["formality", "--preset", "heisenberg:3"],
     ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "0"],
     ["formality", "--input", sys.argv[1]],
@@ -418,8 +420,12 @@ sys.stderr.write(repr(loaded))
 
 
 def test_light_commands_never_import_sympy(tmp_path):
-    # sympy is imported lazily, only by the Groebner decisions and the solver;
-    # a model that is not 2-step and fails generation at H^2 runs neither
+    # sympy is imported lazily, only by the Groebner fallback of the degree-1
+    # resonance decision and by the solver.  The F_p Macaulay ranks certify a
+    # trivial quadric system, and a system of zero forms needs no test, so
+    # --decide runs no Groebner basis on heisenberg:2 (trivial) or on
+    # heisenberg_type:1,3 (a witness).  A model that is not 2-step and fails
+    # generation at H^2 runs neither the decision nor the solver.
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps(cli._echo_model(generation_failing_tower(), {})))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -431,4 +437,4 @@ def test_light_commands_never_import_sympy(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode() == repr([False] * 6)
+    assert proc.stderr.decode() == repr([False] * 8)

@@ -210,11 +210,9 @@ def test_zero_locus_is_origin_invariant_under_change_of_variables(forms, expecte
         assert _zero_locus_is_origin(moved, 2) is expected
 
 
-def test_zero_locus_is_origin_random_systems_seeded():
-    from nilform.resonance import _zero_locus_is_origin
-
+def _seeded_quadric_systems():
+    """(m, forms, moved): 40 random systems, each with two changes of variables."""
     rng = random.Random(23)
-    seen = set()
     for _ in range(40):
         m = rng.randint(1, 4)
         pairs = [(a, b) for a in range(m) for b in range(a, m)]
@@ -223,14 +221,103 @@ def test_zero_locus_is_origin_random_systems_seeded():
              for p in pairs if rng.random() < 0.4}
             for _ in range(rng.randint(1, m + 1))
         ]
-        expected = _zero_locus_is_origin(forms, m)
-        seen.add(expected)
+        moved = []
         for _ in range(2):
             matrix = _invertible(rng, m)
-            moved = [_change_variables(f, matrix) for f in forms]
-            assert _zero_locus_is_origin(moved, m) is expected
+            moved.append([_change_variables(f, matrix) for f in forms])
+        yield m, forms, moved
+
+
+def test_zero_locus_is_origin_random_systems_seeded():
+    from nilform.resonance import _zero_locus_is_origin
+
+    seen = set()
+    for m, forms, moved in _seeded_quadric_systems():
+        expected = _zero_locus_is_origin(forms, m)
+        seen.add(expected)
+        for other in moved:
+            assert _zero_locus_is_origin(other, m) is expected
     # both answers occur, so the invariance is not checked on one side only
     assert seen == {True, False}
+
+
+def _without_fp_ranks(monkeypatch):
+    """Every F_p rank in resonance reads 0, a sound lower bound that certifies nothing.
+
+    The Macaulay certificate then never fires, so the Groebner test decides
+    alone, and mu_complex_dim takes every rank exactly.
+    """
+    monkeypatch.setattr("nilform.resonance.rank_mod_p", lambda rows: 0)
+
+
+def _refuse_groebner(*args, **kwargs):
+    raise AssertionError("Groebner ran on a system the F_p ranks decide")
+
+
+def test_trivial_systems_never_reach_groebner(monkeypatch):
+    from nilform.resonance import _zero_locus_is_origin
+
+    systems = [(2, [{(0, 0): 1}, {(1, 1): 1}]), (2, [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1}])]
+    for m, forms, moved in _seeded_quadric_systems():
+        systems += [(m, forms)] + [(m, other) for other in moved]
+    with monkeypatch.context() as patch:
+        _without_fp_ranks(patch)
+        trivial = [(m, forms) for m, forms in systems if _zero_locus_is_origin(forms, m)]
+    assert len(trivial) > 2
+    monkeypatch.setattr("sympy.polys.groebnertools.groebner", _refuse_groebner)
+    for m, forms in trivial:
+        assert _zero_locus_is_origin(forms, m) is True
+    for c in (heisenberg(2), heisenberg(3), heisenberg(4), example_initial()):
+        assert decide_r11_trivial(from_cdga(c, 2)).kind == "trivial"
+
+
+def test_degenerate_reduction_mod_p_falls_back_to_groebner(monkeypatch):
+    from sympy.polys import groebnertools
+
+    from nilform.resonance import _zero_locus_is_origin
+
+    calls = []
+    groebner = groebnertools.groebner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return groebner(*args, **kwargs)
+
+    monkeypatch.setattr(groebnertools, "groebner", counted)
+    # x0^2 and x0*x1 + p*x1^2 vanish together only at 0 over Q, but mod p
+    # the second form is x0*x1, which leaves the x1 axis
+    degenerate = [{(0, 0): Fraction(1)}, {(0, 1): Fraction(1), (1, 1): Fraction(_FAST_PRIME)}]
+    assert _zero_locus_is_origin(degenerate, 2) is True
+    assert len(calls) == 1
+    # a content or a denominator p is stripped from the form before the reduction
+    for c in (Fraction(_FAST_PRIME), Fraction(1, _FAST_PRIME)):
+        assert _zero_locus_is_origin([{(0, 0): Fraction(1)}, {(1, 1): c}], 2) is True
+    assert len(calls) == 1
+
+
+def _contr_form(rng):
+    """Random integer 2-form over x1, x2, y1, y2, z."""
+    base = ("x1", "x2", "y1", "y2", "z")
+    terms = [
+        f"{rng.choice((-2, -1, 1, 2))}*{a}*{b}"
+        for i, a in enumerate(base)
+        for b in base[i + 1 :]
+        if rng.random() < 0.3
+    ]
+    return " + ".join(terms) or "0"
+
+
+def test_r11_verdicts_match_the_groebner_test_alone(monkeypatch):
+    rng = random.Random(1601)
+    models = [example_contr(_contr_form(rng)) for _ in range(24)]
+    models += [example_contr("0"), example_contr("y1*y2"), example_initial()]
+    models += [heisenberg(n) for n in (1, 2, 3)]
+    models += [heisenberg_type(1, 3), heisenberg_type(1, 4), heisenberg_type(2, 4)]
+    rings = [from_cdga(c, 2) for c in models]
+    verdicts = [decide_r11_trivial(r, seed=5) for r in rings]
+    _without_fp_ranks(monkeypatch)
+    assert verdicts == [decide_r11_trivial(r, seed=5) for r in rings]
+    assert {v.kind for v in verdicts} == {"trivial", "witness"}
 
 
 def test_find_resonance_point():
