@@ -33,6 +33,7 @@ COMMANDS = (
     ("formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3", "--format", "json"),
     ("cohomology", "--preset", "example_contr:p=x1*y2", "--format", "json"),
     ("cohomology", "--preset", "heisenberg_type:2,5", "--format", "json"),
+    ("formality", "--preset", "example_contr:p=x1*y2", "--k-max", "1", "--format", "json"),
 )
 
 
