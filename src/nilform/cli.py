@@ -60,7 +60,8 @@ def _cdga_from_document(doc) -> CDGA:
         degree = item["degree"]
         if not isinstance(name, str) or not name:
             raise InputError("generator names must be non-empty strings")
-        if not isinstance(degree, int) or degree < 1:
+        # a JSON true is a bool, and bool is a subclass of int
+        if type(degree) is not int or degree < 1:
             raise InputError(f"generator {name!r} needs a positive integer degree")
         gens.append(Generator(name, degree))
     alg = Algebra(gens)

@@ -17,10 +17,10 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cdga import CDGA, dict_coords, hirsch_extend
-from .gca import Algebra, Generator, Multivector
+from .gca import Algebra, AlgebraError, Generator, Multivector
 from .linalg import Echelon, SparseMatrix, Vec
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
@@ -61,13 +61,11 @@ class NotTwoStep(ValueError):
 class EliminationBoundError(RuntimeError):
     """The symbolic solver refused a system with too many unknowns."""
 
-    def __init__(self, unknowns: int, bound: int, residual: str):
+    def __init__(self, unknowns: int):
         super().__init__(
-            f"elimination over {unknowns} unknowns exceeds the bound {bound}"
+            f"elimination over {unknowns} unknowns exceeds the bound {ELIMINATION_BOUND}"
         )
         self.unknowns = unknowns
-        self.bound = bound
-        self.residual = residual
 
 
 # -- report ---------------------------------------------------------------
@@ -547,7 +545,9 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedT
 
 # -- the chain-map solver -------------------------------------------------
 #
-# Polynomials in the solver unknowns are elements of one sympy PolyRing over
+# Constraints are fixed images.  Every other generator gets a lift of its
+# transgression image plus free closed directions, whose coefficients are
+# the unknowns.  Polynomials in them are elements of one sympy PolyRing over
 # QQ (grevlex), built per call once the unknowns are counted.
 
 
@@ -579,14 +579,6 @@ def _evaluate(p, values: Sequence[Fraction]) -> Fraction:
                 term *= v**e
         total += term
     return total
-
-
-@dataclass(frozen=True)
-class MapTemplate:
-    """Affine family of candidate images: a base plus unknown directions."""
-
-    base: object
-    freedom: tuple = ()
 
 
 @dataclass
@@ -633,92 +625,28 @@ def _split_by_span(
     )
 
 
-def _sparse_det(entries: list[list], R):
-    """Determinant of a matrix over ``R`` by sparse Laplace expansion."""
-    n = len(entries)
-
-    def rec(row: int, used: int):
-        if row == n:
-            return R.one
-        out = R.zero
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if used & bit:
-                continue
-            entry = entries[row][col]
-            if entry:
-                sub = rec(row + 1, used | bit)
-                if sub:
-                    out += sign * (entry * sub)
-            sign = -sign
-        return out
-
-    return rec(0, 0)
-
-
-def _nonvanishing_point(product, nfree: int) -> list[Fraction]:
-    """A rational point where a nonzero polynomial does not vanish.
-
-    The polynomial involves only the first ``nfree`` unknowns.  Each of
-    them in turn takes the first of 0, 1, ..., deg that keeps it nonzero.
-    One always does: over the field of the other unknowns, it is a nonzero
-    polynomial of degree deg in this one, so it has at most deg roots.
-    """
-    point: list[Fraction] = []
-    for var in range(nfree):
-        for v in range(product.degree(var) + 1):
-            cand = product.subs(var, v)
-            if cand:
-                break
-        point.append(Fraction(v))
-        product = cand
-    return point
-
-
-def _h1_class_matrix_polys(
-    h1_kernel: Sequence[Vec], images_pel: Sequence[dict], target: CDGA, n_src: int, R
-) -> list[list]:
-    """Symbolic matrix of the induced map on degree-1 cohomology.
-
-    B^1 = 0, so the representatives are the reduced echelon basis of Z^1:
-    only rep_i is nonzero at its pivot p_i, and class i of an image is its
-    entry at p_i over rep_i[p_i], read on the polynomials directly.
-    """
-    reps = target.cohomology(1).representatives
-    pivots = [min(rep.terms) for rep in reps]
-    scales = [_ground(R, 1 / rep.terms[p]) for rep, p in zip(reps, pivots)]
-    entries = []
-    for vec in h1_kernel:
-        ambient: dict = {}
-        for i in range(n_src):
-            c = vec.get(i)
-            if not c:
-                continue
-            for key, p in images_pel[i].items():
-                ambient[key] = ambient.get(key, R.zero) + p.mul_ground(_ground(R, c))
-        entries.append([ambient.get(p, R.zero).mul_ground(f) for p, f in zip(pivots, scales)])
-    return entries
-
-
 def dga_map_solve(
     source: CDGA,
     target: CDGA,
-    constraints: Mapping[str, object] | None = None,
+    constraints: Mapping[str, Multivector | str] | None = None,
     *,
-    nonzero: Sequence[tuple[str, str]] = (),
     require_h1_iso: bool = False,
 ) -> MapSolveResult:
-    """Search for a chain map respecting constraints, exactly.
+    """Search for a chain map with the given fixed images, exactly.
 
-    Fixed images and affine templates pin some generators; the rest receive
-    a particular lift of their transgression image plus free closed
-    directions.  Compatibility with both differentials becomes a polynomial
-    system in the unknown coefficients: linear systems are eliminated
-    exactly, and non-vanishing side conditions (specific coefficients, or
-    invertibility on degree one) are settled symbolically on the solution
-    family.  Non-linear systems go through a Groebner basis when the
-    unknown count stays within ``ELIMINATION_BOUND``.
+    A constraint fixes the image of a source generator: a ``Multivector`` of
+    the target's algebra, or an expression parsed there.  Every other
+    generator receives a particular lift of its transgression image plus
+    free closed directions.  Compatibility with both differentials becomes
+    a polynomial system in the unknown coefficients: a linear system is
+    eliminated exactly, and a non-linear one goes through a Groebner basis
+    of its equations when the unknown count stays within
+    ``ELIMINATION_BOUND``.
+
+    ``require_h1_iso`` asks for a map that is invertible on degree-one
+    cohomology.  Every closed degree-one element of the source must then
+    lie on fixed generators (else ``ValueError``), so the map on H^1 is the
+    same for every solution, and one exact rank on the map found decides it.
     """
     if not isinstance(target, CDGA):
         raise TypeError(f"unsupported chain-map target {type(target).__name__}")
@@ -736,10 +664,22 @@ def dga_map_solve(
     constraints = dict(constraints or {})
     for name in constraints:
         source.algebra.index_of(name)
+    names = [g.name for g in source.algebra.generators]
+    if require_h1_iso:
+        h1_kernel = source.differential_matrix(1).kernel()
+        on_closed = {i for vec in h1_kernel for i in vec}
+        free = [n for i, n in enumerate(names) if i in on_closed and n not in constraints]
+        if free:
+            raise ValueError(
+                "invertibility on H^1 needs fixed images of the closed generators; "
+                f"free: {', '.join(free)}"
+            )
 
     def as_element(value):
         if isinstance(value, str):
             value = alg.parse(value)
+        elif value.algebra != alg:
+            raise AlgebraError(f"image {value} belongs to a different algebra")
         # degree raises on mixed degrees and is None for zero
         if value.degree not in (None, 1):
             raise ValueError(
@@ -755,21 +695,16 @@ def dga_map_solve(
     for col in d1.cols:
         exact_span.add(col)
     closed = [{basis1[j]: c for j, c in sorted(vec.items()) if c} for vec in d1.kernel()]
-    n_src = len(source.algebra.generators)
 
-    # one unknown per template direction, and per closed direction of a free generator
-    labels: list[str] = []
-    for i in order:
-        name = source.algebra.generators[i].name
-        if name not in constraints:
-            labels += [f"{name}<{t}>" for t in range(len(closed))]
-        elif isinstance(constraints[name], MapTemplate):
-            labels += [f"{name}[{t}]" for t in range(len(constraints[name].freedom))]
+    # one unknown per closed direction of a free generator
+    labels = [
+        f"{names[i]}<{t}>" for i in order if names[i] not in constraints for t in range(len(closed))
+    ]
     R, *gens = ring([Symbol(label) for label in labels], QQ, grevlex)
     nparams = len(gens)
     unknowns = iter(gens)
 
-    images_pel: list[dict | None] = [None] * n_src
+    images_pel: list[dict | None] = [None] * len(names)
     equations: list[tuple[object, str]] = []
 
     def add_into(pel: dict, key, p, c) -> None:
@@ -805,67 +740,35 @@ def dga_map_solve(
                 add_into(out, key2, p, c)
         return nonzero_part(out)
 
-    def const_pel(elem: Multivector) -> dict:
-        img: dict = {}
-        for key, c in elem.terms.items():
-            add_into(img, key, R.one, c)
-        return img
-
-    def add_directions(img: dict, directions: Iterable[dict]) -> None:
-        for terms in directions:
-            x = next(unknowns)
-            for key, c in terms.items():
-                add_into(img, key, x, c)
-
     for i in order:
-        gen = source.algebra.generators[i]
-        dv = source.d_generator(gen.name)
-        rhs = pel_apply(dv)
-        if gen.name in constraints:
-            spec = constraints[gen.name]
-            if isinstance(spec, MapTemplate):
-                img = const_pel(as_element(spec.base))
-                add_directions(img, [as_element(e).terms for e in spec.freedom])
-            else:
-                img = const_pel(as_element(spec))
-            img = nonzero_part(img)
+        name = names[i]
+        rhs = pel_apply(source.d_generator(name))
+        if name in constraints:
+            img: dict = {}
+            for key, c in as_element(constraints[name]).terms.items():
+                add_into(img, key, R.one, c)
             lhs = pel_d(img)
             for key in sorted(set(lhs) | set(rhs)):
                 poly = lhs.get(key, R.zero) - rhs.get(key, R.zero)
                 if poly:
-                    note = (
-                        f"chain condition at {gen.name!r}, "
-                        f"coordinate {alg.monomial(key)}"
-                    )
+                    note = f"chain condition at {name!r}, coordinate {alg.monomial(key)}"
                     equations.append((poly, note))
         else:
             lift, residual = _split_by_span(exact_span, d1, keys2, rhs, R)
             for key in sorted(residual):
-                note = (
-                    f"exactness obstruction at {gen.name!r}, "
-                    f"coordinate {alg.monomial(key)}"
-                )
+                note = f"exactness obstruction at {name!r}, coordinate {alg.monomial(key)}"
                 equations.append((residual[key], note))
             img = {}
             for col, poly in sorted(lift.items()):
                 add_into(img, basis1[col], poly, 1)
-            add_directions(img, closed)
+            for terms in closed:
+                x = next(unknowns)
+                for key, c in terms.items():
+                    add_into(img, key, x, c)
             img = nonzero_part(img)
         images_pel[i] = img
 
-    # side conditions: explicit non-vanishing coefficients, optional iso
-    conditions: list[tuple[object, str]] = []
-    for gen_name, target_name in nonzero:
-        i = source.algebra.index_of(gen_name)
-        conditions.append(
-            (
-                images_pel[i].get((alg.index_of(target_name),), R.zero),
-                f"coefficient of {target_name} in the image of {gen_name!r}",
-            )
-        )
-    h1_matrix: list[list] = []
     if require_h1_iso:
-        h1_kernel = source.differential_matrix(1).kernel()
         n1 = len(h1_kernel)
         h1 = target.cohomology(1).dim
         if n1 != h1:
@@ -877,15 +780,6 @@ def dga_map_solve(
                 nparams,
                 len(equations),
             )
-        h1_matrix = _h1_class_matrix_polys(h1_kernel, images_pel, target, n_src, R)
-        if n1 <= 7:
-            conditions.append(
-                (
-                    _sparse_det(h1_matrix, R),
-                    "determinant of the induced degree-one cohomology map",
-                )
-            )
-        # beyond that size invertibility is only checked on the found map
 
     linear = all(p.is_linear for p, _ in equations) and all(
         p.is_linear for img in images_pel for p in img.values()
@@ -911,50 +805,18 @@ def dga_map_solve(
                     len(equations),
                 )
         # consistent, so the constant column is free: its null vector scaled
-        # to 1 there is the solution with every free unknown zero, and each
-        # free unknown's null vector scaled to 1 at it is a direction
-        *null, particular = [
-            [Fraction(k.get(i, 0), k[f]) for i in range(nparams)]
-            for f, k in system.null_vectors(range(nparams + 1))
-        ]
-        point = [Fraction(0)] * len(null)
-        if conditions:
-            # the solution family, with the null-space parameters as the first unknowns
-            subs = [R(_ground(R, v)) for v in particular]
-            for t, vec in enumerate(null):
-                for i in range(nparams):
-                    if vec[i]:
-                        subs[i] += gens[t].mul_ground(_ground(R, vec[i]))
-            family = list(zip(gens, subs))
-            product = R.one
-            for poly, _ in conditions:
-                product *= poly.compose(family)
-            if not product:
-                notes = "; ".join(note for _, note in conditions)
-                return MapSolveResult(
-                    "unsatisfiable",
-                    None,
-                    "every solution of the linear system violates a "
-                    f"non-vanishing condition ({notes})",
-                    nparams,
-                    len(equations),
-                )
-            point = _nonvanishing_point(product, len(null))
-        values = list(particular)
-        for t, vec in enumerate(null):
-            for i in range(nparams):
-                values[i] += point[t] * vec[i]
+        # to 1 there is the solution with every free unknown zero
+        [(f, k)] = system.null_vectors([nparams])
+        values = [Fraction(k.get(i, 0), k[f]) for i in range(nparams)]
     else:
         if nparams > ELIMINATION_BOUND:
-            residual = "; ".join(f"{p} = 0" for p, _ in equations[:6])
-            raise EliminationBoundError(nparams, ELIMINATION_BOUND, residual)
-        values = _nonlinear_solve(equations, conditions, R)
+            raise EliminationBoundError(nparams)
+        values = _nonlinear_solve(equations, R)
         if values == "unsat":
             return MapSolveResult(
                 "unsatisfiable",
                 None,
-                "the polynomial system has no solution over any field "
-                "extension compatible with the side conditions",
+                "the polynomial system has no solution over any field extension",
                 nparams,
                 len(equations),
             )
@@ -968,71 +830,46 @@ def dga_map_solve(
                 "no rational solution found within the search bounds",
             )
 
-    assignment: dict[str, Multivector] = {}
-    images_exact: list[Multivector] = [None] * n_src
-    for i in range(n_src):
-        terms = {key: _evaluate(p, values) for key, p in images_pel[i].items()}
-        elem = Multivector(alg, terms)
-        images_exact[i] = elem
-        assignment[source.algebra.generators[i].name] = elem
-    for i in range(n_src):
-        gen = source.algebra.generators[i]
-        lhs = target.d(images_exact[i])
-        rhs = apply_chain_map(images_exact, source.d_generator(gen.name), target)
+    images = [
+        Multivector(alg, {key: _evaluate(p, values) for key, p in img.items()})
+        for img in images_pel
+    ]
+    for i, name in enumerate(names):
+        lhs = target.d(images[i])
+        rhs = apply_chain_map(images, source.d_generator(name), target)
         if not (lhs - rhs).is_zero():
-            raise RuntimeError(f"chain-map verification failed at {gen.name!r}")
-    for poly, note in conditions:
-        if _evaluate(poly, values) == 0:
-            return MapSolveResult(
-                "unknown",
-                None,
-                None,
-                nparams,
-                len(equations),
-                f"found solution violates: {note}",
-            )
-    if len(h1_matrix) > 7:
+            raise RuntimeError(f"chain-map verification failed at {name!r}")
+    if require_h1_iso:
+        # every closed generator is fixed, so this is the H^1 map of every solution
+        coh1 = target.cohomology(1)
         span = Echelon()
-        for row in h1_matrix:
-            span.add({j: v for j, p in enumerate(row) if (v := _evaluate(p, values))})
-        if span.rank < len(h1_matrix):
+        for vec in h1_kernel:
+            closed_image = sum((images[i].scale(c) for i, c in vec.items()), alg.zero())
+            span.add(coh1.coordinates(closed_image))
+        if span.rank < n1:
             return MapSolveResult(
-                "unknown",
+                "unsatisfiable",
                 None,
-                None,
+                "the fixed images of the closed generators are dependent in H^1",
                 nparams,
                 len(equations),
-                "found chain map is not invertible on degree-one cohomology",
             )
     return MapSolveResult(
-        "solution", assignment, None, nparams, len(equations)
+        "solution", dict(zip(names, images)), None, nparams, len(equations)
     )
 
 
-def _nonlinear_solve(equations, conditions, R):
+def _nonlinear_solve(equations, R):
     """Groebner-based decision with a bounded rational point search."""
-    from sympy import Integer, Symbol, solve, symbols
+    from sympy import Integer, solve, symbols
     from sympy.polys.groebnertools import groebner
 
     polys = [p for p, _ in equations]
-    conds = [p for p, _ in conditions]
-    if not all(conds):
-        return "unsat"
-    system, S = polys, R
-    if conds:
-        # Rabinowitsch: t * prod(conds) = 1 is solvable only where no condition vanishes
-        S = R.clone(symbols=R.symbols + (Symbol("t_rab"),))
-        prod = S.one
-        for p in conds:
-            prod *= p.set_ring(S)
-        system = [p.set_ring(S) for p in polys] + [S.gens[-1] * prod - 1]
-    if system and groebner(system, S) == [S.one]:
+    if polys and groebner(polys, R) == [R.one]:
         return "unsat"
 
     def satisfies(vals: list[Fraction]) -> bool:
-        return all(_evaluate(p, vals) == 0 for p in polys) and all(
-            _evaluate(p, vals) != 0 for p in conds
-        )
+        return all(_evaluate(p, vals) == 0 for p in polys)
 
     nparams = R.ngens
     # bounded deterministic search for a rational witness

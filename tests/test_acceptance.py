@@ -35,7 +35,6 @@ from nilform.formality import (
     OVERALL_FORMAL,
     OVERALL_NOT_FORMAL,
     FormalityReport,
-    MapTemplate,
     bigraded_tower,
     certify_prop_art,
     dga_map_solve,
@@ -231,14 +230,21 @@ def test_ac07_contractible_example():
         assert obstruction_generation(c, 1) is None
         assert obstruction_resonance(c, 1) is None
 
-    closed = ["x1", "x2", "y1", "y2", "z"]
-    constraints = {nm: nm for nm in closed}
-    for nm in ("w1", "w2", "a"):
-        constraints[nm] = MapTemplate("0", tuple([nm] + closed))
-    res = dga_map_solve(b, m, constraints, nonzero=[("a", "a")])
+    # the report's search: the degree-1 tower of the cohomology into the
+    # model, closed generators fixed at the class representatives
+    def search(c):
+        tower = bigraded_tower(from_cdga(c, 2))
+        reps = c.cohomology(1).representatives
+        constraints = dict(zip(tower.stages[0], reps))
+        return dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)
+
+    assert search(b).status == "solution"
+    res = search(m)
     assert res.status == "unsatisfiable"
-    assert res.unknowns == 18
-    assert res.certificate is not None
+    assert res.unknowns == 15
+    assert "y1*y2" in res.certificate
+    assert formality_report(b, 1).verdict(1) == FORMAL
+    assert formality_report(m, 1).verdict(1) == NOT_FORMAL
 
 
 @criterion(8, "random 2-step extensions: formality, top class, duality")

@@ -305,6 +305,12 @@ def test_input_bad_degree(capsys, tmp_path):
         {"generators": [{"name": "a", "degree": 0}], "differential": []},
         "positive integer degree",
     )
+    bad_input_case(
+        capsys,
+        tmp_path,
+        {"generators": [{"name": "a", "degree": True}], "differential": []},
+        "positive integer degree",
+    )
 
 
 def test_input_not_json(capsys, tmp_path):

@@ -31,7 +31,6 @@ from nilform.formality import (
     EliminationBoundError,
     Evidence,
     FormalityReport,
-    MapTemplate,
     NotTwoStep,
     apply_chain_map,
     bigraded_tower,
@@ -48,12 +47,11 @@ from nilform.formality import (
     obstruction_resonance,
     validate_decomposition,
 )
-from nilform.gca import Algebra, Generator
+from nilform.gca import Algebra, AlgebraError, Generator
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
-from tracked_reference import _WalkEchelon
 
 
 # -- report bookkeeping ---------------------------------------------------
@@ -569,7 +567,8 @@ def test_solver_family_matches_the_pivot_read_off():
             system.add(eq)
         assert nparams not in system.pivots
         # the read-off in dga_map_solve: the constant column's null vector
-        # gives the particular solution, the free unknowns' the directions
+        # gives the particular solution, the only column the solver reads;
+        # the free unknowns' null vectors are the directions it leaves at zero
         *null, particular = [
             [Fraction(k.get(i, 0), k[f]) for i in range(nparams)]
             for f, k in system.null_vectors(range(nparams + 1))
@@ -620,101 +619,32 @@ def test_solver_tower_refutes_twisted_model():
     assert "y1*y2" in res.certificate
 
 
-def test_solver_template_normalization_refutes_twist():
-    b = example_contr("0")
-    m = example_contr("y1*y2")
-    closed = ["x1", "x2", "y1", "y2", "z"]
-    cons = {nm: nm for nm in closed}
-    for nm in ["w1", "w2", "a"]:
-        cons[nm] = MapTemplate("0", tuple([nm] + closed))
-    res = dga_map_solve(b, m, cons, nonzero=[("a", "a")])
-    assert res.status == "unsatisfiable"
-    assert res.unknowns == 18
-    assert "y1*y2" in res.certificate
+def _quadric_pair(extra: dict[str, str]):
+    # a and b are free: a -> p*x + q*y and b -> r*x + s*y, and d(c) = a*b
+    # makes the fixed image v of c demand d(v) = x*y = (p*s - q*r) x*y
+    src = CDGA(Algebra([(n, 1) for n in ("a", "b", "c", *extra)]), {"c": "a*b", **extra})
+    tgt = CDGA(Algebra([("x", 1), ("y", 1), ("v", 1)]), {"v": "x*y"})
+    return src, tgt
 
 
-def test_solver_template_admits_identity_endomorphism():
-    b = example_contr("0")
-    closed = ["x1", "x2", "y1", "y2", "z"]
-    cons = {nm: nm for nm in closed}
-    for nm in ["w1", "w2", "a"]:
-        cons[nm] = MapTemplate("0", tuple([nm] + closed))
-    res = dga_map_solve(b, b, cons, nonzero=[("a", "a")])
+def test_solver_nonlinear_quadric_found_by_the_grid():
+    src, tgt = _quadric_pair({})
+    res = dga_map_solve(src, tgt, {"c": "v"})
     assert res.status == "solution"
-    da = b.d(res.assignment["a"])
-    rhs = apply_chain_map(
-        [res.assignment[g.name] for g in b.algebra.generators],
-        b.d_generator("a"),
-        b,
-    )
-    assert (da - rhs).is_zero()
+    assert (res.unknowns, res.equations) == (4, 1)
+    images = [res.assignment[g.name] for g in src.algebra.generators]
+    for g in src.algebra.generators:
+        rhs = apply_chain_map(images, src.d_generator(g.name), tgt)
+        assert (tgt.d(res.assignment[g.name]) - rhs).is_zero()
 
 
-def test_solver_nonzero_condition_can_refute():
-    alg = Algebra([Generator("a", 1), Generator("b", 1), Generator("c", 1)])
-    src = CDGA(alg, {"c": "a*b"})
-    tgt = CDGA(Algebra([Generator("x", 1), Generator("y", 1), Generator("u", 1)]),
-               {"u": "x*y"})
-    cons = {
-        "a": MapTemplate("0", ("x",)),
-        "b": MapTemplate("0", ("x",)),
-        "c": MapTemplate("0", ("u",)),
-    }
-    res = dga_map_solve(src, tgt, cons, nonzero=[("c", "u")])
+def test_solver_nonlinear_system_refuted_by_groebner():
+    # d(f) = a*b with f -> 0 adds p*s - q*r = 0 to p*s - q*r = 1
+    src, tgt = _quadric_pair({"f": "a*b"})
+    res = dga_map_solve(src, tgt, {"c": "v", "f": "0"})
     assert res.status == "unsatisfiable"
-
-
-def test_solver_nonlinear_scaling_family():
-    alg = Algebra([Generator("a", 1), Generator("b", 1), Generator("c", 1)])
-    src = CDGA(alg, {"c": "a*b"})
-    cons = {
-        "a": MapTemplate("0", ("a",)),
-        "b": MapTemplate("0", ("b",)),
-    }
-    res = dga_map_solve(src, src, cons, nonzero=[("a", "a"), ("b", "b")])
-    assert res.status == "solution"
-    img_c = res.assignment["c"]
-    lhs = src.d(img_c)
-    rhs = res.assignment["a"] * res.assignment["b"]
-    assert (lhs - rhs).is_zero()
-
-
-def test_solver_nonlinear_system_refuted_under_side_conditions():
-    # d(c) = a*b forces q*q' = 0 at x*y, while q and q' must both be nonzero:
-    # only the Rabinowitsch variable and a Groebner basis settle this
-    src = CDGA(Algebra([("a", 1), ("b", 1), ("c", 1)]), {"c": "a*b"})
-    tgt = CDGA(Algebra([("x", 1), ("y", 1), ("u", 1)]), {})
-    cons = {
-        "a": MapTemplate("0", ("x",)),
-        "b": MapTemplate("0", ("y",)),
-        "c": MapTemplate("0", ("u",)),
-    }
-    assert dga_map_solve(src, tgt, cons).status == "solution"
-    res = dga_map_solve(src, tgt, cons, nonzero=[("a", "x"), ("b", "y")])
-    assert res.status == "unsatisfiable"
-    assert res.certificate == (
-        "the polynomial system has no solution over any field extension "
-        "compatible with the side conditions"
-    )
-    assert (res.unknowns, res.equations) == (3, 1)
-
-
-def test_nonvanishing_point_steps_past_small_roots():
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import ring
-
-    from nilform.formality import _nonvanishing_point
-
-    R, x, y, z = ring("x y z", QQ)
-    # vanishes at x = 0, 1 and at y = 0, 1, so the first good value of each is 2
-    assert _nonvanishing_point(x * (x - 1) * y * (y - 1), 2) == [2, 2]
-    rng = random.Random(29)
-    for _ in range(30):
-        p = R.one
-        for _ in range(rng.randint(1, 4)):
-            p *= rng.choice((x, y, z)) - rng.randint(0, 3)
-        point = _nonvanishing_point(p, 3)
-        assert len(point) == 3 and p(*point) != 0
+    assert res.certificate == "the polynomial system has no solution over any field extension"
+    assert (res.unknowns, res.equations) == (4, 2)
 
 
 def test_solver_lifts_through_dependent_exact_columns():
@@ -732,82 +662,15 @@ def test_solver_lifts_through_dependent_exact_columns():
 def test_solver_pairs_each_lift_with_its_monomial_in_the_unknowns():
     tgt = central_extension(["x1", "y1", "x2", "y2"], [("z1", "x1*y1"), ("z2", "x2*y2")])
     src = central_extension(["x1", "y1", "x2", "y2"], [("u", "x2*y2"), ("z", "x1*y1 + x2*y2")])
-    # x2 -> s*x2, and the chain condition at u, d(2*z2) = s*x2*y2, forces s = 2
-    cons = {"x1": "x1", "y1": "y1", "x2": MapTemplate("0", ("x2",)), "y2": "y2", "u": "2*z2"}
+    # x2 is free, so it maps to a closed form; the chain condition at u,
+    # d(2*z2) = 2*x2*y2, forces its x2 coefficient s = 2
+    cons = {"x1": "x1", "y1": "y1", "y2": "y2", "u": "2*z2"}
     res = dga_map_solve(src, tgt, cons)
     assert res.status == "solution"
     assert res.assignment["x2"] == tgt.algebra.parse("2*x2")
     # z is free: its transgression x1*y1 + s*x2*y2 has the monomials 1 and s in
-    # the unknowns, which lift to z1 and z2, and every closed direction is zero
+    # the unknowns, which lift to z1 and z2, and every free unknown is zero
     assert res.assignment["z"] == tgt.algebra.parse("z1 + 2*z2")
-
-
-def _tracked_class_matrix(h1_kernel, images_pel, target, n_src, R):
-    """The induced map on H^1 by a tracked reduction of each monomial in the unknowns."""
-    alg = target.algebra
-    reps = target.cohomology(1).representatives
-    ref = _WalkEchelon(alg.dim(1), track=True)
-    for rep in reps:
-        ref.add(dict_coords(alg, rep, 1))
-    index = alg.basis_index(1)
-    entries = []
-    for vec in h1_kernel:
-        by_mono = {}
-        for i in range(n_src):
-            for key, p in images_pel[i].items():
-                for mono, a in p.terms():
-                    w = by_mono.setdefault(mono, {})
-                    j = index[key]
-                    w[j] = w.get(j, 0) + vec.get(i, 0) * Fraction(a.numerator, a.denominator)
-        row = [{} for _ in reps]
-        for mono, w in by_mono.items():
-            _, coeffs = ref.reduce(w)
-            for t, x in enumerate(coeffs):
-                if x:
-                    row[t][mono] = R.domain(x.numerator, x.denominator)
-        entries.append([R(terms) for terms in row])
-    return entries
-
-
-def _dependent_exact_columns():
-    # d(a) and d(b) are dependent, so Z^1 holds 2a - b, with 2 at its pivot a
-    return CDGA(Algebra([(n, 1) for n in ("x", "y", "a", "b")]), {"a": "x*y", "b": "2*x*y"})
-
-
-@pytest.mark.parametrize(
-    "build, constraints, templated",
-    [
-        (
-            lambda: heisenberg(2),
-            {"x1": MapTemplate("x1", ("z", "y1")), "y1": "y1", "x2": "x2", "y2": "y2"},
-            "x1",
-        ),
-        (
-            _dependent_exact_columns,
-            {"x": MapTemplate("x", ("a",)), "y": "y", "a": MapTemplate("a", ("b", "y"))},
-            "x",
-        ),
-    ],
-    ids=["heisenberg2", "dependent-exact"],
-)
-def test_h1_class_matrix_is_the_tracked_reduction(monkeypatch, build, constraints, templated):
-    c = build()
-    calls = []
-    read_at_pivots = formality._h1_class_matrix_polys
-
-    def recorded(*args):
-        calls.append((args, read_at_pivots(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(formality, "_h1_class_matrix_polys", recorded)
-    assert dga_map_solve(c, c, constraints, require_h1_iso=True).status == "solution"
-    [(args, got)] = calls
-    _, images_pel, target, _, _ = args
-    # the template's direction leaves the image of a closed generator non-closed
-    image = images_pel[c.algebra.index_of(templated)]
-    assert c.is_cocycle(c.algebra.gen(templated))
-    assert any(not target.d(target.algebra.monomial(key)).is_zero() for key in image)
-    assert got == _tracked_class_matrix(*args)
 
 
 def test_solver_elimination_bound_guard():
@@ -819,9 +682,17 @@ def test_solver_elimination_bound_guard():
 
 def test_solver_rejects_images_outside_degree_one():
     c = heisenberg(1)
-    for spec in (MapTemplate("x1", ("x1*y1",)), "x1 + x1*y1", "x1*y1"):
-        with pytest.raises(ValueError):
-            dga_map_solve(c, c, {"x1": spec}, require_h1_iso=True)
+    for spec in ("x1 + x1*y1", "x1*y1"):
+        with pytest.raises(ValueError, match="mixed degrees|has degree 2"):
+            dga_map_solve(c, c, {"x1": spec, "y1": "y1"}, require_h1_iso=True)
+
+
+def test_solver_rejects_an_image_from_another_algebra():
+    src, tgt = free_abelian(["a", "b"]), heisenberg(1)
+    with pytest.raises(AlgebraError, match="different algebra"):
+        dga_map_solve(src, tgt, {"a": src.algebra.gen("b"), "b": "x1"})
+    res = dga_map_solve(src, tgt, {"a": tgt.algebra.gen("y1"), "b": "x1"})
+    assert res.assignment["a"] == tgt.algebra.gen("y1")
 
 
 def test_solver_rejects_unknown_constraint_names():
@@ -843,12 +714,18 @@ def test_solver_h1_dimension_mismatch_is_unsatisfiable():
 
 def test_solver_h1_iso_condition_excludes_collapse():
     c = free_abelian(["e1", "e2"])
-    cons = {
-        "e1": MapTemplate("0", ("e1",)),
-        "e2": MapTemplate("e1", ()),
-    }
-    res = dga_map_solve(c, c, cons, require_h1_iso=True)
+    res = dga_map_solve(c, c, {"e1": "e1", "e2": "e1"}, require_h1_iso=True)
     assert res.status == "unsatisfiable"
+    assert res.certificate == "the fixed images of the closed generators are dependent in H^1"
+    assert dga_map_solve(c, c, {"e1": "e2", "e2": "e1"}, require_h1_iso=True).status == "solution"
+
+
+def test_solver_h1_iso_needs_fixed_closed_generators():
+    c = heisenberg(1)
+    # z is not closed and may stay free; y1 is closed
+    assert dga_map_solve(c, c, {"x1": "x1", "y1": "y1"}, require_h1_iso=True).status == "solution"
+    with pytest.raises(ValueError, match="free: y1$"):
+        dga_map_solve(c, c, {"x1": "x1"}, require_h1_iso=True)
 
 
 # -- the aggregate report -------------------------------------------------
