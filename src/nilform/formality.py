@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .cdga import CDGA, dict_coords, hirsch_extend
 from .gca import Algebra, AlgebraError, Generator, Multivector
-from .linalg import Echelon, SparseMatrix, Vec
+from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     CutoffError,
@@ -547,38 +547,10 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedT
 #
 # Constraints are fixed images.  Every other generator gets a lift of its
 # transgression image plus free closed directions, whose coefficients are
-# the unknowns.  Polynomials in them are elements of one sympy PolyRing over
-# QQ (grevlex), built per call once the unknowns are counted.
-
-
-def _fraction(c) -> Fraction:
-    """A coefficient of a polynomial (an element of sympy's QQ) as a Fraction."""
-    return Fraction(c.numerator, c.denominator)
-
-
-def _ground(R, c):
-    """A rational as a coefficient of ``R``.
-
-    Built from numerator and denominator: sympy converts a Fraction through
-    ``sympify``, which costs more than the arithmetic it feeds.
-    """
-    return R.domain(c.numerator, c.denominator)
-
-
-def _evaluate(p, values: Sequence[Fraction]) -> Fraction:
-    """Value of a polynomial at a rational point.
-
-    Summed term by term: ``p(*values)`` builds a new ring for every unknown
-    it drops, so its cost grows with the number of unknowns.
-    """
-    total = Fraction(0)
-    for mono, c in p.terms():
-        term = _fraction(c)
-        for v, e in zip(values, mono):
-            if e:
-                term *= v**e
-        total += term
-    return total
+# the unknowns.  Polynomials in them are ``linalg.Poly`` dicts, and a
+# poly-vector maps monomials of the target to them.  A linear system is
+# eliminated by an ``Echelon``; only a non-linear one reaches sympy, through
+# ``linalg.sympy_polys``.
 
 
 @dataclass
@@ -594,35 +566,32 @@ class MapSolveResult:
 
 
 def _split_by_span(
-    span: Echelon, mat: SparseMatrix, keys: Sequence, pel: dict, R
+    span: Echelon, mat: SparseMatrix, keys: Sequence, pel: dict
 ) -> tuple[dict, dict]:
     """Split a poly-vector over ``keys`` along the columns of ``mat``.
 
     ``span`` is the echelon of those columns.  Returns the coefficients over
     the columns, zero at each column dependent on earlier ones, and the
-    residual modulo their span, both with entries in the polynomial ring
-    ``R``.  Both are linear, so each monomial in the unknowns is split on
-    its own: its residual is taken off first, and one solve lifts the rest
-    of every monomial at once.
+    residual modulo their span, both with polynomial entries.  Both are
+    linear, so each monomial in the unknowns is split on its own: its
+    residual is taken off first, and one solve lifts the rest of every
+    monomial at once.
     """
     index = {k: i for i, k in enumerate(keys)}
     by_mono: dict[tuple, Vec] = {}
     for key, p in pel.items():
-        for mono, c in p.terms():
-            by_mono.setdefault(mono, {})[index[key]] = _fraction(c)
+        for mono, c in p.items():
+            by_mono.setdefault(mono, {})[index[key]] = c
     residual: dict = {}
     for mono, vec in by_mono.items():
         for j, c in span.reduce(vec).items():
-            residual.setdefault(keys[j], {})[mono] = _ground(R, c)
+            residual.setdefault(keys[j], {})[mono] = c
             vec[j] = vec.get(j, 0) - c
-    coeffs: dict[int, dict] = {}
+    coeffs: dict[int, Poly] = {}
     for mono, x in zip(by_mono, mat.solve(list(by_mono.values()))):
         for k, c in x.items():
-            coeffs.setdefault(k, {})[mono] = _ground(R, c)
-    return (
-        {k: R(terms) for k, terms in coeffs.items()},
-        {key: R(terms) for key, terms in residual.items()},
-    )
+            coeffs.setdefault(k, {})[mono] = c
+    return coeffs, residual
 
 
 def dga_map_solve(
@@ -650,11 +619,6 @@ def dga_map_solve(
     """
     if not isinstance(target, CDGA):
         raise TypeError(f"unsupported chain-map target {type(target).__name__}")
-    from sympy import Symbol
-    from sympy.polys.domains import QQ
-    from sympy.polys.orderings import grevlex
-    from sympy.polys.rings import ring
-
     if any(g.degree != 1 for g in source.algebra.generators):
         raise ValueError("source must be generated in degree 1")
     order = _nilpotent_order(source)
@@ -700,16 +664,16 @@ def dga_map_solve(
     labels = [
         f"{names[i]}<{t}>" for i in order if names[i] not in constraints for t in range(len(closed))
     ]
-    R, *gens = ring([Symbol(label) for label in labels], QQ, grevlex)
-    nparams = len(gens)
-    unknowns = iter(gens)
+    nparams = len(labels)
+    unknowns = iter(range(nparams))
+    one: Poly = {(): Fraction(1)}
 
     images_pel: list[dict | None] = [None] * len(names)
-    equations: list[tuple[object, str]] = []
+    equations: list[tuple[Poly, str]] = []
 
-    def add_into(pel: dict, key, p, c) -> None:
+    def add_into(pel: dict, key, p: Poly, c) -> None:
         """pel[key] += c * p for a rational c."""
-        pel[key] = pel.get(key, R.zero) + p.mul_ground(_ground(R, c))
+        poly_add(pel.setdefault(key, {}), p, c)
 
     def nonzero_part(pel: dict) -> dict:
         return {k: p for k, p in pel.items() if p}
@@ -720,13 +684,13 @@ def dga_map_solve(
             for kb, pb in b.items():
                 prod = alg.monomial_product(ka, kb)
                 if prod is not None:
-                    add_into(out, prod[1], pa * pb, prod[0])
+                    add_into(out, prod[1], poly_mul(pa, pb), prod[0])
         return nonzero_part(out)
 
     def pel_apply(v: Multivector) -> dict:
         out: dict = {}
         for mono, c in sorted(v.terms.items()):
-            cur = {(): R.one}
+            cur = {(): one}
             for i in mono:
                 cur = pel_mul(cur, images_pel[i])
             for key, p in cur.items():
@@ -746,15 +710,15 @@ def dga_map_solve(
         if name in constraints:
             img: dict = {}
             for key, c in as_element(constraints[name]).terms.items():
-                add_into(img, key, R.one, c)
+                add_into(img, key, one, c)
             lhs = pel_d(img)
             for key in sorted(set(lhs) | set(rhs)):
-                poly = lhs.get(key, R.zero) - rhs.get(key, R.zero)
+                poly = poly_add(dict(lhs.get(key, {})), rhs.get(key, {}), -1)
                 if poly:
                     note = f"chain condition at {name!r}, coordinate {alg.monomial(key)}"
                     equations.append((poly, note))
         else:
-            lift, residual = _split_by_span(exact_span, d1, keys2, rhs, R)
+            lift, residual = _split_by_span(exact_span, d1, keys2, rhs)
             for key in sorted(residual):
                 note = f"exactness obstruction at {name!r}, coordinate {alg.monomial(key)}"
                 equations.append((residual[key], note))
@@ -762,7 +726,7 @@ def dga_map_solve(
             for col, poly in sorted(lift.items()):
                 add_into(img, basis1[col], poly, 1)
             for terms in closed:
-                x = next(unknowns)
+                x = {(next(unknowns),): Fraction(1)}
                 for key, c in terms.items():
                     add_into(img, key, x, c)
             img = nonzero_part(img)
@@ -781,8 +745,8 @@ def dga_map_solve(
                 len(equations),
             )
 
-    linear = all(p.is_linear for p, _ in equations) and all(
-        p.is_linear for img in images_pel for p in img.values()
+    linear = all(len(mono) <= 1 for p, _ in equations for mono in p) and all(
+        len(mono) <= 1 for img in images_pel for p in img.values() for mono in p
     )
 
     if linear:
@@ -790,12 +754,7 @@ def dga_map_solve(
         # pivot there is a row 0 = c, first reached by an inconsistent equation
         system = Echelon()
         for poly, note in equations:
-            system.add(
-                {
-                    mono.index(1) if any(mono) else nparams: _fraction(c)
-                    for mono, c in poly.terms()
-                }
-            )
+            system.add({mono[0] if mono else nparams: c for mono, c in poly.items()})
             if system.pivots and system.pivots[-1] == nparams:
                 return MapSolveResult(
                     "unsatisfiable",
@@ -811,7 +770,7 @@ def dga_map_solve(
     else:
         if nparams > ELIMINATION_BOUND:
             raise EliminationBoundError(nparams)
-        values = _nonlinear_solve(equations, R)
+        values = _nonlinear_solve([p for p, _ in equations], labels)
         if values == "unsat":
             return MapSolveResult(
                 "unsatisfiable",
@@ -831,7 +790,7 @@ def dga_map_solve(
             )
 
     images = [
-        Multivector(alg, {key: _evaluate(p, values) for key, p in img.items()})
+        Multivector(alg, {key: poly_value(p, values) for key, p in img.items()})
         for img in images_pel
     ]
     for i, name in enumerate(names):
@@ -859,19 +818,19 @@ def dga_map_solve(
     )
 
 
-def _nonlinear_solve(equations, R):
+def _nonlinear_solve(polys: list[Poly], labels: list[str]):
     """Groebner-based decision with a bounded rational point search."""
     from sympy import Integer, solve, symbols
     from sympy.polys.groebnertools import groebner
 
-    polys = [p for p, _ in equations]
-    if polys and groebner(polys, R) == [R.one]:
+    R, elements = sympy_polys(polys, labels)
+    if polys and groebner(elements, R) == [R.one]:
         return "unsat"
 
     def satisfies(vals: list[Fraction]) -> bool:
-        return all(_evaluate(p, vals) == 0 for p in polys)
+        return all(poly_value(p, vals) == 0 for p in polys)
 
-    nparams = R.ngens
+    nparams = len(labels)
     # bounded deterministic search for a rational witness
     if nparams <= 6:
         for cand in itertools.product(range(-2, 3), repeat=nparams):
@@ -882,7 +841,7 @@ def _nonlinear_solve(equations, R):
     # another one first, so it runs on q0, q1, ... in ring order
     syms = symbols(f"q0:{nparams}")
     try:
-        sols = solve([p.as_expr(*syms) for p in polys], list(syms), dict=True)
+        sols = solve([p.as_expr(*syms) for p in elements], list(syms), dict=True)
     except NotImplementedError:
         sols = []
     for sol in sols:

@@ -5,6 +5,11 @@ to primitive integer form and eliminated fraction-free, so no floating point
 ever enters.  A single word-sized prime powers an optional fast path: a full
 rank over F_p certifies full rank over the rationals, everything else falls
 back to exact elimination.
+
+Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
+tuple of unknown indices (repeats allowed, ``()`` the constant) to a
+nonzero coefficient.  :func:`sympy_polys` builds the one sympy ring of the
+package, for the Groebner fallbacks, which are its only callers.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, Sequence
 
 Vec = dict[int, Fraction]
 Row = dict[int, int]
+Poly = dict[tuple[int, ...], Fraction]
 
 _FAST_PRIME = 2**31 - 1
 _ZERO = Fraction(0)
@@ -291,3 +297,46 @@ class Span:
 
     def add(self, vec: Vec) -> bool:
         return self._ech.add(vec)
+
+
+def poly_add(acc: Poly, p: Poly, c: Fraction | int = 1) -> Poly:
+    """acc += c * p in place, dropping every zero coefficient; returns acc."""
+    for mono, v in p.items():
+        if w := acc.get(mono, 0) + c * v:
+            acc[mono] = w
+        else:
+            acc.pop(mono, None)
+    return acc
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """a * b; a product key is the sorted union of its factors' keys."""
+    out: Poly = {}
+    for ma, ca in a.items():
+        # distinct keys of b give distinct products with ma
+        poly_add(out, {tuple(sorted(ma + mb)): ca * cb for mb, cb in b.items()})
+    return out
+
+
+def poly_value(p: Poly, values: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for mono, c in p.items():
+        for i in mono:
+            c *= values[i]
+        total += c
+    return total
+
+
+def sympy_polys(polys: Iterable[Poly], names: Sequence[str]) -> tuple:
+    """(R, elements): a sympy ring over QQ in ``names`` (grevlex) and the polys in it."""
+    from sympy import Symbol
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
+    R = ring([Symbol(n) for n in names], QQ, grevlex)[0]
+    unknowns = range(len(names))
+    return R, [
+        R({tuple(map(m.count, unknowns)): QQ(c.numerator, c.denominator) for m, c in p.items()})
+        for p in polys
+    ]

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .gca import Monomial, Multivector
-from .linalg import Row, rank_mod_p, rank_rows, to_int_row
+from .linalg import Poly, Row, poly_value, rank_mod_p, rank_rows, sympy_polys, to_int_row
 from .ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -116,19 +116,16 @@ class QuadricSystem:
 
     A candidate omega = sum c_a k_a squares to zero exactly when every form
     vanishes; each form is indexed by a degree-4 monomial of the class
-    symbol algebra and is stored as an upper-triangular quadratic form in
-    the coefficients c_a.
+    symbol algebra and is a ``linalg.Poly`` in the coefficients c_a, with
+    keys (a, b), a <= b.
     """
 
     subspace: CharacteristicSubspace
     monomials: tuple[Monomial, ...]
-    forms: tuple[dict[tuple[int, int], Fraction], ...]
+    forms: tuple[Poly, ...]
 
     def value(self, index: int, coeffs: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for (a, b), c in self.forms[index].items():
-            total += c * coeffs[a] * coeffs[b]
-        return total
+        return poly_value(self.forms[index], coeffs)
 
 
 def r11_quadric_system(subspace: CharacteristicSubspace) -> QuadricSystem:
@@ -144,7 +141,7 @@ def r11_quadric_system(subspace: CharacteristicSubspace) -> QuadricSystem:
     monomials = tuple(sorted(support))
     forms = []
     for mono in monomials:
-        form: dict[tuple[int, int], Fraction] = {}
+        form: Poly = {}
         for (a, b), v in products.items():
             c = v.coefficient(mono)
             if not c:
@@ -211,11 +208,11 @@ def _small_vectors(dim: int, budget: int) -> Iterator[tuple[int, ...]]:
         radius += 1
 
 
-def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: int) -> bool:
+def _zero_locus_is_origin(forms: Sequence[Poly], m: int) -> bool:
     """Exact test that homogeneous quadrics vanish simultaneously only at 0.
 
     The zero locus is taken over the algebraic closure, and the forms are
-    upper triangular, as in :class:`QuadricSystem`.  First a certificate:
+    ``Poly`` quadrics, as in :class:`QuadricSystem`.  First a certificate:
     for D = 2..m+1 the degree-D Macaulay matrix has a row x^b f_i for each
     form f_i, scaled to a primitive integer polynomial, and each monomial
     x^b of degree D-2, and a column for each monomial of degree D.  Full
@@ -243,23 +240,10 @@ def _zero_locus_is_origin(forms: Sequence[dict[tuple[int, int], Fraction]], m: i
         if rank_mod_p(macaulay) == len(columns):
             return True
 
-    from sympy.polys.domains import QQ
     from sympy.polys.groebnertools import groebner
-    from sympy.polys.orderings import grevlex
-    from sympy.polys.rings import ring
 
-    R = ring(f"c0:{m}", QQ, grevlex)[0]
-    polys = []
-    for form in forms:
-        terms = {}
-        for (a, b), c in form.items():
-            exponents = [0] * m
-            exponents[a] += 1
-            exponents[b] += 1
-            terms[tuple(exponents)] = c
-        if p := R(terms):
-            polys.append(p)
-    leading = [g.LM for g in groebner(polys, R)]
+    R, polys = sympy_polys(forms, [f"c{i}" for i in range(m)])
+    leading = [g.LM for g in groebner([p for p in polys if p], R)]
     return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
 

@@ -418,6 +418,9 @@ for argv in (
     ["formality", "--preset", "heisenberg:3"],
     ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "0"],
     ["formality", "--input", sys.argv[1]],
+    # the chain-map solver: a refutation, then a map found
+    ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3", "--format", "json"],
+    ["formality", "--preset", "example_contr:p=x1*y2", "--k-max", "1", "--format", "json"],
 ):
     assert nilform.cli.main(argv) == 0
     loaded.append("sympy" in sys.modules)
@@ -426,12 +429,13 @@ sys.stderr.write(repr(loaded))
 
 
 def test_light_commands_never_import_sympy(tmp_path):
-    # sympy is imported lazily, only by the Groebner fallback of the degree-1
-    # resonance decision and by the solver.  The F_p Macaulay ranks certify a
-    # trivial quadric system, and a system of zero forms needs no test, so
-    # --decide runs no Groebner basis on heisenberg:2 (trivial) or on
-    # heisenberg_type:1,3 (a witness).  A model that is not 2-step and fails
-    # generation at H^2 runs neither the decision nor the solver.
+    # sympy is imported lazily, only by the Groebner fallbacks of the degree-1
+    # resonance decision and of a non-linear chain-map system.  The F_p
+    # Macaulay ranks certify a trivial quadric system, and a system of zero
+    # forms needs no test, so --decide runs no Groebner basis on heisenberg:2
+    # (trivial) or on heisenberg_type:1,3 (a witness).  A model that is not
+    # 2-step and fails generation at H^2 runs neither the decision nor the
+    # solver, and the solver's systems on example_contr are linear.
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps(cli._echo_model(generation_failing_tower(), {})))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -443,4 +447,4 @@ def test_light_commands_never_import_sympy(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode() == repr([False] * 8)
+    assert proc.stderr.decode() == repr([False] * 10)

@@ -217,3 +217,32 @@ def test_every_default_is_set():
         )
     ]
     assert unset == []
+
+
+def _sympy_importers(tree: ast.Module) -> set[str]:
+    """Top-level definitions whose body imports sympy; ``<module>`` for the module body."""
+    out = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in modules):
+                out.add(getattr(top, "name", "<module>"))
+    return out
+
+
+def test_sympy_is_imported_only_behind_the_groebner_boundary():
+    # linalg.sympy_polys builds the one sympy ring; only the two Groebner
+    # fallbacks call it, so no linear path can load sympy
+    importers = {
+        f"{name}: {importer}" for name, tree in TREES.items() for importer in _sympy_importers(tree)
+    }
+    assert importers == {
+        "linalg.py: sympy_polys",
+        "formality.py: _nonlinear_solve",
+        "resonance.py: _zero_locus_is_origin",
+    }

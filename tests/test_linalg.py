@@ -12,9 +12,13 @@ from nilform.linalg import (
     _FAST_PRIME,
     Echelon,
     SparseMatrix,
+    poly_add,
+    poly_mul,
+    poly_value,
     rank_mod_p,
     rank_rows,
     row_primitive,
+    sympy_polys,
     to_int_row,
 )
 from test_ring import REPRESENTATIVE_MODELS
@@ -405,3 +409,53 @@ def test_solve_edge_cases():
     # e2 off the span twice, and e0 - e2, which depends only on e0 and the first e2
     bs = [{2: frac(1)}, {0: frac(3), 1: frac(-1, 2)}, {2: frac(1)}, {0: frac(1), 2: frac(-1)}, {}]
     assert mat.solve(bs) == [None, {0: frac(3), 3: frac(-1, 2)}, None, None, {}]
+
+
+# -- polynomials ----------------------------------------------------------
+
+
+def _random_poly(rng, unknowns=4, degree=2):
+    keys = [
+        tuple(sorted(rng.randrange(unknowns) for _ in range(rng.randint(0, degree))))
+        for _ in range(rng.randint(0, 5))
+    ]
+    return {k: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for k in keys}
+
+
+def _from_sympy(p):
+    """A sympy ring element as a Poly: exponent vectors become sorted index tuples."""
+    return {
+        tuple(i for i, e in enumerate(mono) for _ in range(e)): _fraction(c)
+        for mono, c in p.terms()
+    }
+
+
+def _fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def test_polys_match_the_sympy_ring():
+    from sympy.polys.domains import QQ
+
+    rng = random.Random(1811)
+    names = ["a", "b", "c", "d"]
+    for _ in range(300):
+        a, b = _random_poly(rng), _random_poly(rng)
+        if rng.random() < 0.3:
+            # share terms with opposite signs, so that sums cancel
+            b.update({k: -c for k, c in a.items() if rng.random() < 0.7})
+        R, (sa, sb) = sympy_polys([a, b], names)
+        assert (_from_sympy(sa), _from_sympy(sb)) == (a, b)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        total = poly_add(dict(a), b, c)
+        product = poly_mul(a, b)
+        assert total == _from_sympy(sa + sb * QQ(c.numerator, c.denominator))
+        assert product == _from_sympy(sa * sb)
+        for p in (total, product, poly_mul(product, a)):
+            assert all(list(k) == sorted(k) for k in p)
+            assert all(v != 0 for v in p.values())
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in names]
+        value = sa(*[QQ(v.numerator, v.denominator) for v in point])
+        assert poly_value(a, point) == _fraction(value)
+        assert poly_value(product, point) == poly_value(a, point) * poly_value(b, point)
+    assert sympy_polys([{}], names)[1] == [R.zero]
