@@ -77,15 +77,22 @@ def _complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int, out_of: 
 
     An F_p rank is at most the rank over Q, so an F_p bound of 0 is exact, and
     so is an F_p rank of min(rows, columns); only the other ranks are exact ones.
+    Each map, its F_p rank and any exact rank go into the ring's one-point
+    memo ``ring.point_maps(w)``, so a sweep over q at one point forms and
+    ranks each map once.
     """
-    mats = [(multiplication_complex(ring, w, d), ring.dim(d + 1)) for d in out_of]
-    fast = [rank_mod_p(rows) for rows, _ in mats]
-    if ring.dim(q) == sum(fast):
+    maps = ring.point_maps(w)
+    for d in out_of:
+        if d not in maps:
+            rows = multiplication_complex(ring, w, d)
+            r = rank_mod_p(rows)
+            maps[d] = [rows, r, r if r == min(len(rows), ring.dim(d + 1)) else None]
+    if ring.dim(q) == sum(maps[d][1] for d in out_of):
         return 0
-    return ring.dim(q) - sum(
-        r if r == min(len(rows), ncols) else rank_rows(rows)
-        for (rows, ncols), r in zip(mats, fast)
-    )
+    for d in out_of:
+        if maps[d][2] is None:
+            maps[d][2] = rank_rows(maps[d][0])
+    return ring.dim(q) - sum(maps[d][2] for d in out_of)
 
 
 def mu_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -> int:
@@ -93,7 +100,10 @@ def mu_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -> int
 
     b_q - rank(w: H^q -> H^q+1) - rank(w: H^q-1 -> H^q), which is >= 0
     because w^2 = 0 puts the incoming image inside the outgoing kernel.
-    Points ruled out over F_p return 0 without an exact rank.
+    Points ruled out over F_p return 0 without an exact rank.  The ring
+    keeps the maps and ranks of the most recent point only, so a sweep over
+    q at one point forms each map once, and any other point replaces them.
+    Raises ``ValueError`` unless w has b_1 coordinates.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")

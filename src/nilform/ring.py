@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .cdga import CDGA
 from .gca import Algebra, Multivector
@@ -37,6 +38,8 @@ class RingPresentation:
         self._products = source._class_products
         self._labels: dict[int, tuple[str, ...]] = {}
         self._pencil: dict[tuple[int, int], tuple[int, list[Row]]] = {}
+        self._point: tuple | None = None
+        self._point_maps: dict[int, list] = {}
 
     def dim(self, q: int) -> int:
         if q < 0:
@@ -102,6 +105,20 @@ class RingPresentation:
             rows = [{k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in coords]
             cached = self._pencil[(q, i)] = (d, rows)
         return cached
+
+    def point_maps(self, w: Sequence[Fraction]) -> dict[int, list]:
+        """Memo of the pencil at w: degree d -> [rows of w: H^d -> H^(d+1), F_p rank, exact rank or None].
+
+        Only the most recent point is kept, keyed by tuple(w) and so compared
+        by value; any other point replaces it, once it is checked to have b_1
+        coordinates.  A point seen again is recomputed.
+        """
+        key = tuple(w)
+        if self._point != key:
+            if len(key) != self.dim(1):
+                raise ValueError(f"point has {len(key)} coordinates but b_1 = {self.dim(1)}")
+            self._point, self._point_maps = key, {}
+        return self._point_maps
 
 
 def from_cdga(source: CDGA, max_degree: int) -> RingPresentation:

@@ -462,6 +462,65 @@ def test_multiplication_rows_are_built_only_for_used_classes():
     assert {i for _, i in r._pencil} == {2}
 
 
+def test_a_point_needs_one_coordinate_per_degree_one_class():
+    r = from_cdga(heisenberg(2), 5)
+    for w in [(Fraction(1),), tuple(Fraction(1) for _ in range(7))]:
+        with pytest.raises(ValueError, match="b_1 = 4"):
+            mu_complex_dim(r, w, 1)
+    assert mu_complex_dim(r, unit_point(r, 0), 1) == 0
+
+
+def test_a_sweep_forms_each_pencil_once(monkeypatch):
+    import nilform.resonance as res
+
+    calls = {"multiplication_complex": 0, "rank_mod_p": 0}
+
+    def counted(name):
+        fn = getattr(res, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(res, name, counted(name))
+    r = from_cdga(heisenberg(4), 5)
+    rng = random.Random(41)
+    for sweeps in (1, 2):
+        w = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(r.dim(1)))
+        assert [mu_complex_dim(r, w, q) for q in range(5)] == [0, 0, 0, 0, 14]
+        assert calls == {"multiplication_complex": 5 * sweeps, "rank_mod_p": 5 * sweeps}
+
+
+def test_the_point_memo_never_answers_for_another_point():
+    def sweep(r, w, degrees=range(5)):
+        for q in degrees:
+            assert mu_complex_dim(r, w, q) == reference_mu_complex_dim(r, w, q), (w, q)
+
+    h = from_cdga(heisenberg(2), 5)
+    a, b = unit_point(h, 0), zero_point(h)
+    for w in (a, b, a):
+        sweep(h, w)
+    # a list mutated in place keeps its identity but not its value
+    moving = list(a)
+    sweep(h, moving)
+    moving[:] = b
+    sweep(h, moving)
+    # equal values of another type reuse the memo
+    for w in ((1, 0, 0, 0), (Fraction(2, 2), 0, Fraction(0), 0), b):
+        sweep(h, w)
+    # the Kunneth pattern: two presentations of one CDGA, queried in turn
+    c = heisenberg(1)
+    ra, rb = from_cdga(c, 3), from_cdga(c, 3)
+    for w_a, w_b in [(unit_point(ra, 0), zero_point(rb)), (zero_point(ra), unit_point(rb, 1))]:
+        for q in range(3):
+            for i in range(q + 1):
+                sweep(ra, w_a, [i])
+                sweep(rb, w_b, [q - i])
+
+
 # -- duality and the Heisenberg picture ------------------------------------
 
 DUALITY_MODELS = {
