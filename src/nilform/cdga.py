@@ -55,10 +55,14 @@ class CDGA:
                 raise AlgebraError(f"d({name}) lives in a different algebra")
             if not value.is_zero():
                 self._d_gen[idx] = value
-        # (m, c, -c) per term of d(g), so the Leibniz terms share their coefficients
-        self._d_signed = {
-            i: [(m, c, -c) for m, c in v.terms.items()] for i, v in self._d_gen.items()
-        }
+        # (m, c, -c) per term of d(g), so the Leibniz terms share their coefficients;
+        # ints where d(g) is integral, so its differential matrices stay in integers
+        self._d_signed = {}
+        for i, v in self._d_gen.items():
+            terms = v.terms
+            if all(c.denominator == 1 for c in terms.values()):
+                terms = {m: c.numerator for m, c in terms.items()}
+            self._d_signed[i] = [(m, c, -c) for m, c in terms.items()]
         self._d_mono_cache: dict[Monomial, Multivector] = {}
         self._matrix_cache: dict[int, SparseMatrix] = {}
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
@@ -256,6 +260,7 @@ class CohomologyBasis:
     ``coordinates`` is the induced linear map onto class coordinates, read
     at pivots: reduced modulo the image, a cocycle w is sum c_i rep_i, and
     only rep_i is nonzero at its pivot p_i, so c_i = w[p_i] / rep_i[p_i].
+    The reduction is fraction-free, so that is one division per class.
     ``reduction`` lists them densely.  The basis keeps the algebra and the
     differentials into and out of degree q, not the CDGA, so a dropped CDGA
     and its cached bases are freed without the cyclic garbage collector.
@@ -306,9 +311,21 @@ class CohomologyBasis:
         coords = dict_coords(self.algebra, v, self.degree)
         if self._d.apply(coords):
             raise NotACocycle(f"{v} is not closed")
-        w = self._image.reduce(coords)
+        return self._classes(coords)
+
+    def _classes(self, coords: Vec | Row) -> Vec:
+        """``coordinates`` of a cocycle given over basis(q), with int or Fraction entries.
+
+        One fraction-free reduction gives the residual r / s, and class i,
+        with pivot p_i, is r[p_i] / (s rep_i[p_i]).
+        """
+        r, scale = self._image.reduce(coords)
         at = self._at_pivot
-        return {at[p][0]: w[p] / at[p][1] for p in sorted(p for p in w if p in at)}
+        out: Vec = {}
+        for p in sorted(p for p in r if p in at):
+            i, lead = at[p]
+            out[i] = Fraction(r[p], scale * lead)
+        return out
 
     def reduction(self, v: Multivector) -> list[Fraction]:
         """Dense class coordinates of a cocycle, checked against the representatives."""

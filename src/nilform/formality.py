@@ -584,7 +584,9 @@ def _split_by_span(
             by_mono.setdefault(mono, {})[index[key]] = c
     residual: dict = {}
     for mono, vec in by_mono.items():
-        for j, c in span.reduce(vec).items():
+        r, scale = span.reduce(vec)
+        for j, v in r.items():
+            c = Fraction(v, scale)
             residual.setdefault(keys[j], {})[mono] = c
             vec[j] = vec.get(j, 0) - c
     coeffs: dict[int, Poly] = {}

@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are sparse ``dict[int, Fraction]`` maps.  Internally rows are scaled
-to primitive integer form and eliminated fraction-free, so no floating point
-ever enters.  A single word-sized prime powers an optional fast path: a full
-rank over F_p certifies full rank over the rationals, everything else falls
-back to exact elimination.
+Vectors are sparse ``dict[int, Fraction]`` maps, or ``dict[int, int]`` rows
+where every entry is integral.  Rows are cleared of denominators and
+eliminated fraction-free, in integers, and a reduction returns its residual
+as an integer row over one positive denominator, so no floating point ever
+enters and a ``Fraction`` is built only where a caller reads one.  A single
+word-sized prime powers an optional fast path: a full rank over F_p
+certifies full rank over the rationals, everything else falls back to exact
+elimination.
 
 Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
 tuple of unknown indices (repeats allowed, ``()`` the constant) to a
@@ -14,123 +17,167 @@ package, for the Groebner fallbacks, which are its only callers.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 Vec = dict[int, Fraction]
 Row = dict[int, int]
 Poly = dict[tuple[int, ...], Fraction]
 
 _FAST_PRIME = 2**31 - 1
-_ZERO = Fraction(0)
 
 
-def to_int_row(vec: Vec) -> Row:
+def _integral(vec: Vec | Row) -> tuple[Row, int]:
+    """(L * vec, L): an integer row without zeros, L the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    if scale == 1:
+        return {j: v.numerator for j, v in vec.items() if v}, 1
+    return {j: v.numerator * (scale // v.denominator) for j, v in vec.items() if v}, scale
+
+
+def to_int_row(vec: Vec | Row) -> Row:
     """Clear denominators and strip content; zero vector becomes {}."""
-    if not vec:
-        return {}
-    denom = lcm(*(c.denominator for c in vec.values()))
-    row = {j: c.numerator * (denom // c.denominator) for j, c in vec.items() if c}
-    return row_primitive(row)
+    return row_primitive(_integral(vec)[0])
 
 
 def row_primitive(row: Row) -> Row:
     row = {j: v for j, v in row.items() if v}
     if not row:
         return {}
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    lead = row[min(row)]
-    if lead < 0:
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
-    return {j: v // g for j, v in row.items()}
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 def row_to_vec(row: Row) -> Vec:
     return {j: Fraction(v) for j, v in row.items()}
 
 
-def _combine(a: Row, ca: int, b: Row, cb: int) -> Row:
-    """ca*a + cb*b over the integers."""
-    out = dict((j, ca * v) for j, v in a.items()) if ca != 1 else dict(a)
-    for j, v in b.items():
-        w = out.get(j, 0) + cb * v
-        if w:
-            out[j] = w
+def _eliminate(
+    row: Row, base: Row, p: int, hits: list[int] | None = None, pivots: Container[int] = ()
+) -> tuple[Row, int]:
+    """(a * row - c * base, a), zero at base's pivot p, in integers.
+
+    a and c are base[p] > 0 and row[p] divided by their gcd.  The row keeps
+    its key order, and a key it gains goes last; one that is a key of
+    ``pivots`` is also pushed on the heap ``hits``.
+    """
+    a, c = base[p], row[p]
+    g = gcd(a, c)
+    if g != 1:
+        a //= g
+        c //= g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in base.items():
+        if j in row:
+            w = row[j] - c * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
         else:
-            out.pop(j, None)
-    return out
+            row[j] = -c * v
+            if j in pivots:
+                heappush(hits, j)
+    return row, a
 
 
 class Echelon:
-    """Reduced row echelon form maintained incrementally over primitive rows.
+    """Row echelon form of integer rows, reduced once, when first read.
 
-    :meth:`reduce` is the one reduction every caller uses, and null spaces
-    are read off the rows by :meth:`null_vectors`.
+    ``add`` eliminates forward only: the new row is reduced against the
+    pivots it hits, in increasing order, and a base row not yet reduced can
+    bring in a later pivot, so the hits sit on a heap.  The row is then made
+    primitive, with a positive entry at its pivot, the least column left.
+    No earlier row is touched, so a caller that needs only the rank, or
+    whether it grew, does no back-substitution at all.
 
-    ``by_pivot`` maps each pivot column to its row.  The rows are kept fully
-    reduced, so eliminating one pivot never brings in an entry at another:
-    a reduction visits only the pivot columns already present in the vector.
+    The first read of the reduced form, ``rows``, ``by_pivot``, ``reduce``
+    or ``null_vectors``, settles every row bottom-up in one pass: each is
+    reduced against the rows of larger pivot, already settled, so no row is
+    left with an entry at another's pivot.  The settled rows are the reduced
+    row echelon form, primitive, whatever the order of the adds; a reduction
+    then visits only the pivot columns already present in the vector.  An
+    add that raises the rank unsettles the form.  ``pivots`` is kept sorted
+    by ``add`` and settles nothing.
     """
 
     def __init__(self):
-        self.rows: list[Row] = []
         self.pivots: list[int] = []
-        self.by_pivot: dict[int, Row] = {}
+        self._rows: dict[int, Row] = {}
+        self._settled = True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _hit_pivots(self, vec: dict) -> list[int]:
-        return sorted(j for j in vec if j in self.by_pivot)
+    @property
+    def by_pivot(self) -> dict[int, Row]:
+        """Pivot column -> its row, settled."""
+        if not self._settled:
+            self._settle()
+        return self._rows
 
-    def _reduce(self, row: Row) -> Row:
-        for pivot in self._hit_pivots(row):
-            base = self.by_pivot[pivot]
-            row = _combine(row, base[pivot], base, -row[pivot])
-        return row
+    @property
+    def rows(self) -> list[Row]:
+        """The settled rows in increasing pivot order."""
+        rows = self.by_pivot
+        return [rows[p] for p in self.pivots]
+
+    def _settle(self) -> None:
+        rows = self._rows
+        for p in reversed(self.pivots):
+            hits = sorted(j for j in rows[p] if j != p and j in rows)
+            if hits:
+                # a copy: a row once read is never changed in place
+                row = dict(rows[p])
+                for q in hits:
+                    row = _eliminate(row, rows[q], q)[0]
+                rows[p] = row_primitive(row)
+        self._settled = True
 
     def add(self, vec: Vec | Row) -> bool:
         """Insert a vector; returns True when the rank grew."""
-        row = self._reduce(to_int_row(vec))
+        rows = self._rows
+        row = _integral(vec)[0]
+        hits = [j for j in row if j in rows]
+        heapify(hits)
+        while hits:
+            p = heappop(hits)
+            # a pivot pushed twice, or cancelled since it was pushed
+            if p in row:
+                row = _eliminate(row, rows[p], p, hits, rows)[0]
         if not row:
             return False
         row = row_primitive(row)
         pivot = min(row)
-        at = bisect_left(self.pivots, pivot)
-        # a row with a later pivot has no entry left of it, so only earlier rows change
-        for k in range(at):
-            base = self.rows[k]
-            c = base.get(pivot)
-            if c:
-                base = row_primitive(_combine(base, row[pivot], row, -c))
-                self.rows[k] = self.by_pivot[self.pivots[k]] = base
-        self.rows.insert(at, row)
-        self.pivots.insert(at, pivot)
-        self.by_pivot[pivot] = row
+        rows[pivot] = row
+        insort(self.pivots, pivot)
+        self._settled = False
         return True
 
-    def reduce(self, vec: Vec) -> Vec:
-        """Residual of a vector modulo the row space, zero at every pivot."""
-        w = {j: Fraction(v) for j, v in vec.items() if v}
-        for pivot in self._hit_pivots(w):
-            base = self.by_pivot[pivot]
-            f = w[pivot] / base[pivot]
-            for j, bv in base.items():
-                cur = w.get(j, _ZERO) - f * bv
-                if cur:
-                    w[j] = cur
-                else:
-                    del w[j]
-        return w
+    def reduce(self, vec: Vec | Row) -> tuple[Row, int]:
+        """(r, s) with r / s the residual of a vector modulo the row space.
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
+        r is an integer row, zero at every pivot, and s > 0; the reduction
+        is fraction-free.  r keeps the vector's key order, and a key it
+        gains goes last.
+        """
+        w, scale = _integral(vec)
+        rows = self.by_pivot
+        for p in sorted(j for j in w if j in rows):
+            w, a = _eliminate(w, rows[p], p)
+            scale *= a
+        return w, scale
+
+    def contains(self, vec: Vec | Row) -> bool:
+        return not self.reduce(vec)[0]
 
     def null_vectors(self, columns: Iterable[int]) -> list[tuple[int, Row]]:
         """(f, k_f) for each listed column f that is not a pivot, in order.
@@ -145,15 +192,17 @@ class Echelon:
         columns are a basis of the null space, each zero at the other free
         columns.
         """
+        rows = self.by_pivot
         holding: dict[int, list[tuple[int, int, int]]] = {}
-        for p, row in zip(self.pivots, self.rows):
+        for p in self.pivots:
+            row = rows[p]
             lead = row[p]
             for j, v in row.items():
                 if j != p:
                     holding.setdefault(j, []).append((p, v, lead))
         out: list[tuple[int, Row]] = []
         for f in columns:
-            if f in self.by_pivot:
+            if f in rows:
                 continue
             terms = holding.get(f, ())
             scale = lcm(*(lead for _, _, lead in terms))
@@ -225,12 +274,12 @@ class SparseMatrix:
         return all(not c for c in self.cols)
 
     def apply(self, vec: Vec) -> Vec:
-        out: dict[int, Fraction] = {}
+        out: Vec = {}
         for j, c in vec.items():
             if not c:
                 continue
             for i, v in self.cols[j].items():
-                w = out.get(i, Fraction(0)) + c * v
+                w = out.get(i, 0) + c * v
                 if w:
                     out[i] = w
                 else:

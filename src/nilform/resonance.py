@@ -54,9 +54,12 @@ def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int
 
     The pencil sum of (w_i / D_i) (D_i M_i) over the classes i with w_i != 0,
     D_i M_i the cached integer matrix of class i; L clears the w_i / D_i.
+    Raises ``ValueError`` unless w has b_1 coordinates.
     """
     if q + 1 > ring.max_degree:
         raise CutoffError(f"need degree {q + 1} but cutoff is {ring.max_degree}")
+    if len(w) != ring.dim(1):
+        raise ValueError(f"point has {len(w)} coordinates but b_1 = {ring.dim(1)}")
     terms = []
     for i, c in enumerate(w):
         if c:

@@ -86,9 +86,23 @@ class RingPresentation:
         key = (qa, ia, qb, ib)
         cached = self._products.get(key)
         if cached is None:
-            # representative checks both indices, so only valid keys are cached
-            prod = self.representative(qa, ia) * self.representative(qb, ib)
-            cached = self._products[key] = self._bases[q].coordinates(prod)
+            # representative checks both indices, so only valid keys are cached;
+            # the representatives are integer rows, so the product is taken in
+            # integers, and a product of cocycles is closed, so it skips the
+            # check that ``coordinates`` makes
+            a = self.representative(qa, ia).terms
+            b = self.representative(qb, ib).terms
+            alg = self.source.algebra
+            index = alg.basis_index(q)
+            prod: Row = {}
+            for ma, ca in a.items():
+                ca = ca.numerator
+                for mb, cb in b.items():
+                    m = alg.monomial_product(ma, mb)
+                    if m is not None:
+                        k = index[m[1]]
+                        prod[k] = prod.get(k, 0) + m[0] * ca * cb.numerator
+            cached = self._products[key] = self._bases[q]._classes(prod)
         return cached
 
     def class_multiplication(self, q: int, i: int) -> tuple[int, list[Row]]:
@@ -110,13 +124,11 @@ class RingPresentation:
         """Memo of the pencil at w: degree d -> [rows of w: H^d -> H^(d+1), F_p rank, exact rank or None].
 
         Only the most recent point is kept, keyed by tuple(w) and so compared
-        by value; any other point replaces it, once it is checked to have b_1
-        coordinates.  A point seen again is recomputed.
+        by value; any other point replaces it.  A point seen again is
+        recomputed.
         """
         key = tuple(w)
         if self._point != key:
-            if len(key) != self.dim(1):
-                raise ValueError(f"point has {len(key)} coordinates but b_1 = {self.dim(1)}")
             self._point, self._point_maps = key, {}
         return self._point_maps
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +24,8 @@ import pytest
 
 from nilform import cli
 
-FIXTURE = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "tests" / "data" / "golden_cli.json"
 
 COMMANDS = (
     ("cohomology", "--preset", "heisenberg:4", "--format", "json"),
@@ -34,14 +36,24 @@ COMMANDS = (
     ("cohomology", "--preset", "example_contr:p=x1*y2", "--format", "json"),
     ("cohomology", "--preset", "heisenberg_type:2,5", "--format", "json"),
     ("formality", "--preset", "example_contr:p=x1*y2", "--k-max", "1", "--format", "json"),
+    # d has coefficients 1/2 and -1/2, so its matrices keep Fraction entries
+    ("cohomology", "--input", "tests/data/half_coefficient.json", "--format", "json"),
 )
 
 
 def run(argv) -> dict:
-    """Exit code and stdout of one in-process CLI call."""
+    """Exit code and stdout of one in-process CLI call, run from the repository root.
+
+    An ``--input`` path is relative to the root and echoed as given.
+    """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 

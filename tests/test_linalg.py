@@ -22,7 +22,7 @@ from nilform.linalg import (
     to_int_row,
 )
 from test_ring import REPRESENTATIVE_MODELS
-from tracked_reference import _WalkEchelon, reference_rank_mod_p
+from tracked_reference import _WalkEchelon, reference_rank_mod_p, residual
 
 
 def frac(n, d=1):
@@ -86,6 +86,18 @@ def test_empty_shapes():
     assert len(flat.kernel()) == 3
 
 
+def test_apply_keeps_integer_matrices_integer():
+    ints = SparseMatrix(2, 3, [{0: 1, 1: 2}, {0: -1}, {1: 4}])
+    out = ints.apply({0: 3, 1: 3, 2: -1})
+    assert out == {1: 2} and type(out[1]) is int
+    # Fraction inputs give the same Fractions as before, zeros dropped
+    out = ints.apply({0: frac(1, 2), 1: frac(1, 2)})
+    assert out == {1: frac(1)} and type(out[1]) is Fraction
+    fracs = dense_to_cols([[1, 2], [3, 4]])
+    out = fracs.apply({0: frac(1, 3), 1: frac(-1, 6)})
+    assert out == {1: frac(1, 3)} and all(type(v) is Fraction for v in out.values())
+
+
 def test_rank_nullity_property():
     rng = random.Random(19)
     for _ in range(25):
@@ -130,12 +142,12 @@ def test_reduce_is_linear():
     ech.add({2: frac(3), 3: frac(1)})
     u = {0: frac(2), 1: frac(1), 3: frac(1)}
     v = {1: frac(1), 2: frac(5)}
-    ru = ech.reduce(u)
-    rv = ech.reduce(v)
+    ru = residual(ech, u)
+    rv = residual(ech, v)
     combined = dict(u)
     for j, val in v.items():
         combined[j] = combined.get(j, Fraction(0)) + 2 * val
-    rc = ech.reduce(combined)
+    rc = residual(ech, combined)
     expect = dict(ru)
     for j, val in rv.items():
         cur = expect.get(j, Fraction(0)) + 2 * val
@@ -145,7 +157,7 @@ def test_reduce_is_linear():
             expect.pop(j, None)
     assert rc == expect
     for row in ech.rows:
-        assert ech.reduce(row) == {}
+        assert ech.reduce(row) == ({}, 1)
 
 
 def _combination(weights, vecs):
@@ -188,12 +200,12 @@ def test_reduce_splits_off_the_span_exactly(seed):
                 w = _combination(weights, added)
             else:
                 w = rand_vec(ncols)
-            residual = ech.reduce(w)
-            assert all(residual.get(p, 0) == 0 for p in ech.pivots)
+            left = residual(ech, w)
+            assert all(left.get(p, 0) == 0 for p in ech.pivots)
             # the residual differs from w by an element of the row space
-            diff = _combination([1, -1], [w, residual])
+            diff = _combination([1, -1], [w, left])
             assert rank_rows([to_int_row(v) for v in added + [diff]]) == ech.rank
-            assert ech.contains(w) == (not residual)
+            assert ech.contains(w) == (not left)
 
 
 def test_to_int_row_matches_fraction_scaling():
@@ -262,10 +274,83 @@ def test_pivot_index_matches_the_full_walk(entries):
             if rng.random() < 0.5:
                 w = _combination([rng.randint(-3, 3) for _ in added], added)
             w = shuffled(w)
-            residual = ech.reduce(w)
+            left = residual(ech, w)
             ref_residual, _ = ref.reduce(w)
             # same entries in the same order, so downstream output cannot move
-            assert list(residual.items()) == list(ref_residual.items())
+            assert list(left.items()) == list(ref_residual.items())
+
+
+def _oracle_rows(rng, kind, entries, ncols, nrows):
+    """Seeded rows for the at-scale oracle: sparse or dense, a third of them dependent."""
+    density = 0.12 if kind == "sparse" else 0.85
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            # an integer combination of a few earlier rows
+            picked = rng.sample(rows, min(len(rows), rng.randint(1, 4)))
+            vec = _combination([rng.choice((-2, -1, 1, 3)) for _ in picked], picked)
+        else:
+            vec = {j: v for j in range(ncols) if rng.random() < density and (v := rng.randint(-9, 9))}
+        if entries == "fraction":
+            vec = {j: Fraction(v, rng.randint(1, 4)) for j, v in vec.items()}
+        elif entries == "non-primitive":
+            k = rng.randint(2, 6)
+            vec = {j: k * v for j, v in vec.items()}
+        rows.append(vec)
+    return rows
+
+
+def _read(ech, ref, added, ncols, rng):
+    """Every reduced-form read of ``ech`` against the all-pivot walk ``ref``."""
+    assert ech.rank == len(ref.rows)
+    assert ech.pivots == ref.pivots
+    assert ech.rows == ref.rows
+    assert ech.by_pivot == dict(zip(ref.pivots, ref.rows))
+    for _ in range(2):
+        w = {
+            j: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for j in range(ncols)
+            if rng.random() < 0.5
+        }
+        if added and rng.random() < 0.5:
+            w = _combination([rng.randint(-2, 2) for _ in added], added)
+        r, s = ech.reduce(w)
+        assert s > 0 and all(type(v) is int for v in r.values())
+        # the same entries; the keys a residual gains follow the rows' own key
+        # order, which the walk, back-substituting at every add, does not share
+        assert residual(ech, w) == ref.reduce(w)[0]
+    # the null space, against the tracked walk over the columns of the added rows
+    cols = [{i: v[j] for i, v in enumerate(added) if v.get(j)} for j in range(ncols)]
+    mat = SparseMatrix(len(added), ncols, cols)
+    walk = [{j: int(v) for j, v in k.items()} for k in _walk_kernel(mat)]
+    got = ech.null_vectors(range(ncols))
+    assert [f for f, _ in got] == [f for f in range(ncols) if f not in ref.pivots]
+    assert len(walk) == len(got)
+    for (f, k), null in zip(got, walk):
+        # the walk's relation is primitive and positive at its least column
+        assert k == (null if null[f] > 0 else {j: -v for j, v in null.items()})
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+@pytest.mark.parametrize("entries", ["int", "fraction", "non-primitive"])
+def test_echelon_matches_the_full_walk_at_scale(kind, entries):
+    """Up to 60 rows in up to 40 columns, read between adds and after them.
+
+    Reads fall at random points, so a form settled by one read and grown by
+    a later add is read again: a stale settle shows as rows, a residual or
+    a null space that the walk does not have.
+    """
+    rng = random.Random(f"{kind}-{entries}")
+    for _ in range(4):
+        ncols, nrows = rng.randint(20, 40), rng.randint(30, 60)
+        ech, ref = Echelon(), _WalkEchelon(ncols, False)
+        added = []
+        for vec in _oracle_rows(rng, kind, entries, ncols, nrows):
+            added.append(vec)
+            assert ech.add(vec) == ref.add(vec)
+            if rng.random() < 0.15:
+                _read(ech, ref, added, ncols, rng)
+        _read(ech, ref, added, ncols, rng)
 
 
 def _walk_kernel(mat):

@@ -467,7 +467,11 @@ def test_a_point_needs_one_coordinate_per_degree_one_class():
     for w in [(Fraction(1),), tuple(Fraction(1) for _ in range(7))]:
         with pytest.raises(ValueError, match="b_1 = 4"):
             mu_complex_dim(r, w, 1)
+        # the check is in the map itself, not only behind the memo
+        with pytest.raises(ValueError, match="b_1 = 4"):
+            multiplication_complex(r, w, 1)
     assert mu_complex_dim(r, unit_point(r, 0), 1) == 0
+    assert len(multiplication_complex(r, unit_point(r, 0), 1)) == 3
 
 
 def test_a_sweep_forms_each_pencil_once(monkeypatch):

@@ -26,7 +26,7 @@ from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
 from nilform.formality import is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon
-from tracked_reference import _WalkEchelon, multiply_coords
+from tracked_reference import _WalkEchelon, multiply_coords, reference_product_coords, residual
 from nilform.ring import (
     CutoffError,
     GenerationVerdict,
@@ -317,7 +317,7 @@ def test_sparse_representatives_equal_their_dense_rows(build, top):
             image.add(col)
         reps = Echelon()
         for z in c.differential_matrix(q).kernel():
-            reps.add(image.reduce(z))
+            reps.add(residual(image, z))
         dense = [
             alg.from_coordinates(q, [Fraction(row.get(j, 0)) for j in range(size)])
             for row in reps.rows
@@ -364,8 +364,8 @@ def test_pivot_read_coordinates_match_a_tracked_echelon(build, top):
             v = basis.class_of(dense)
             for mono in rng.sample(lower, min(3, len(lower))):
                 v = v + c.d(alg.monomial(mono)).scale(rng.choice((-2, -1, 1, 3)))
-            residual, coeffs = classes.reduce(image.reduce(dict_coords(alg, v, q)))
-            assert not residual and coeffs == dense
+            left, coeffs = classes.reduce(residual(image, dict_coords(alg, v, q)))
+            assert not left and coeffs == dense
             got = basis.coordinates(v)
             assert got == want and list(got) == sorted(want)
             assert basis.reduction(v) == dense
@@ -376,6 +376,67 @@ def test_pivot_read_coordinates_match_a_tracked_echelon(build, top):
                 basis.coordinates(v)
             with pytest.raises(NotACocycle):
                 basis.reduction(v)
+
+
+def _seeded_contr(seed):
+    """``example_contr(p)`` for a seeded integer 2-form p over the base generators."""
+    rng = random.Random(seed)
+    base = ("x1", "x2", "y1", "y2", "z")
+    terms = [
+        f"{rng.choice((-2, -1, 1, 2))}*{a}*{b}"
+        for k, a in enumerate(base)
+        for b in base[k + 1 :]
+        if rng.random() < 0.3
+    ]
+    return example_contr(" + ".join(terms) or "0")
+
+
+def _half_coefficient_model():
+    """The model of ``tests/data/half_coefficient.json``: d has coefficients 1/2 and -1/2."""
+    alg = Algebra([("x", 1), ("y", 1), ("z", 1), ("w", 1)])
+    return CDGA(alg, {"z": "1/2*x*y", "w": "x*z - 1/2*y*z"})
+
+
+STRUCTURE_MODELS = [
+    *(pytest.param(lambda n=n: heisenberg(n), id=f"heisenberg({n})") for n in (1, 2, 3, 4)),
+    *(
+        pytest.param(lambda m=m, n=n: heisenberg_type(m, n), id=f"heisenberg_type({m},{n})")
+        for m, n in ((1, 3), (2, 5), (2, 6), (3, 7))
+    ),
+    *(pytest.param(lambda s=s: _seeded_contr(s), id=f"contr{s}") for s in (3, 11, 19)),
+    *(pytest.param(lambda s=s: _three_step_tower(s), id=f"tower{s}") for s in TOWER_SEEDS),
+    pytest.param(_half_coefficient_model, id="half-coefficient"),
+]
+
+
+@pytest.mark.parametrize("build", STRUCTURE_MODELS)
+def test_structure_constants_match_the_fraction_path(build):
+    """Every product of two classes: integer products of the representatives,
+    one fraction-free reduction, against the product of the multivectors and
+    ``coordinates``, entry for entry and in the same order."""
+    c = build()
+    top = c.algebra.top_degree()
+    r = from_cdga(c, top)
+    for qa in range(top + 1):
+        for qb in range(top + 1 - qa):
+            for ia in range(r.dim(qa)):
+                for ib in range(r.dim(qb)):
+                    got = r.product_coords(qa, ia, qb, ib)
+                    want = reference_product_coords(r, qa, ia, qb, ib)
+                    assert list(got.items()) == list(want.items())
+                    assert all(type(v) is Fraction for v in got.values())
+
+
+def test_differential_matrices_stay_integral_where_d_is():
+    for c in (heisenberg(3), _three_step_tower(1), _seeded_contr(3)):
+        for q in range(c.algebra.top_degree()):
+            for col in c.differential_matrix(q).cols:
+                assert all(type(v) is int for v in col.values())
+    c = _half_coefficient_model()
+    entries = [v for q in range(4) for col in c.differential_matrix(q).cols for v in col.values()]
+    assert Fraction(1, 2) in entries and all(type(v) is Fraction for v in entries)
+    assert c.betti_numbers(4) == [1, 2, 2, 2, 1]
+    assert [str(v) for v in c.cohomology(2).representatives] == ["2*x*w - y*w", "y*z"]
 
 
 @pytest.mark.parametrize("seed", TOWER_SEEDS)

@@ -9,11 +9,21 @@ class coordinates can be checked against it.
 bilinear ``multiply_coords`` in ``Fraction`` arithmetic and ranks it with
 ``_WalkEchelon``, with no pencil and no F_p rank.
 ``reference_rank_mod_p`` rebuilds the row from a set union at every step.
+``residual`` reads the fraction-free ``(r, s)`` of ``Echelon.reduce`` as the
+vector r / s, in r's key order.
+``reference_product_coords`` takes a structure constant the ``Fraction``
+way: the two representatives multiplied as multivectors, and the product's
+class coordinates read by ``CohomologyBasis.coordinates``.
 """
 
 from fractions import Fraction
 
 from nilform.linalg import _FAST_PRIME, row_primitive, to_int_row
+
+
+def residual(ech, vec):
+    r, s = ech.reduce(vec)
+    return {j: Fraction(v, s) for j, v in r.items()}
 
 
 class _WalkEchelon:
@@ -74,6 +84,11 @@ class _WalkEchelon:
                     else:
                         del w[j]
         return w, coeffs
+
+
+def reference_product_coords(ring, qa, ia, qb, ib):
+    prod = ring.representative(qa, ia) * ring.representative(qb, ib)
+    return ring.basis(qa + qb).coordinates(prod)
 
 
 def multiply_coords(ring, qa, va, qb, vb):
