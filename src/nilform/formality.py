@@ -28,8 +28,9 @@ from .ring import (
     GenerationVerdict,
     RingPresentation,
     class_symbol_algebra,
+    closed_wedges,
     from_cdga,
-    generation_cokernel,
+    generated_in_degree_one_upto,
 )
 
 FORMAL = "CertifiedKFormal"
@@ -257,22 +258,12 @@ def full_formality(c: CDGA) -> str:
     return OVERALL_FORMAL if zero else OVERALL_NOT_FORMAL
 
 
-def _generation(c: CDGA, m: int) -> GenerationVerdict:
-    """Degree-1 generation up to H^m, one degree at a time: none above a failure is built."""
-    for q in range(2, m + 1):
-        # bases and structure constants are cached on c, so this step adds H^q
-        missed = generation_cokernel(from_cdga(c, q), q)
-        if missed:
-            return GenerationVerdict(False, q, missed)
-    return GenerationVerdict(True)
-
-
 def obstruction_generation(c: CDGA, k: int) -> Evidence | None:
     """Failure of degree-1 generation below degree k+2, if any."""
     _require_model(c)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    v = _generation(c, k + 1)
+    v = generated_in_degree_one_upto(c, k + 1)
     if v.generated:
         return None
     q = v.failure_degree
@@ -377,23 +368,14 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
 
 
 def is_twostep(c: CDGA) -> bool:
-    """Whether the differential lands in the square of the closed part."""
+    """Whether the differential lands in P_2, the square of the closed part."""
     _require_model(c)
-    alg = c.algebra
-    n = len(alg.generators)
-    kernel = c.differential_matrix(1).kernel()
-    closed = [
-        alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
-        for v in kernel
-    ]
+    _, pairs = itertools.islice(closed_wedges(c), 2)
     wedge = Echelon()
-    for a in range(len(closed)):
-        for b in range(a + 1, len(closed)):
-            w = closed[a] * closed[b]
-            if not w.is_zero():
-                wedge.add(dict_coords(alg, w, 2))
+    for w in pairs:
+        wedge.add(w)
     return all(
-        wedge.contains(dict_coords(alg, dv, 2))
+        wedge.contains(dict_coords(c.algebra, dv, 2))
         for dv in c.differential().values()
         if not dv.is_zero()
     )
@@ -416,7 +398,7 @@ def decide_twostep(c: CDGA, k: int) -> TwoStepDecision:
         raise NotTwoStep(
             "differential leaves the square of the closed degree-1 part"
         )
-    v = _generation(c, k + 1)
+    v = generated_in_degree_one_upto(c, k + 1)
     return TwoStepDecision(k, FORMAL if v.generated else NOT_FORMAL, v)
 
 
@@ -874,7 +856,7 @@ def formality_report(
     upgrade, and, for degree one, a verdict from the normalized chain-map
     search out of the degree-1 tower of the cohomology.
 
-    Generation climbs one degree at a time and stops at its first failure
+    Generation climbs cochains, with no class basis, to its first failure
     H^q, so degrees q-1 and up are not formal and resonance searches only
     the degrees below q-1: a point there or above could change no verdict.
     """

@@ -3,9 +3,10 @@
 A presentation stores per-degree class bases of a CDGA's cohomology plus
 lazily computed structure constants, which are cached on the CDGA and so
 shared by all its presentations; only products of total degree at most the
-cutoff are available.  On top of it sit the degree-1 generation test
-and the characteristic subspace, the kernel of multiplication from the
-second exterior power of H^1 into H^2.
+cutoff are available.  On top of it sits the characteristic subspace, the
+kernel of multiplication from the second exterior power of H^1 into H^2.
+The degree-1 generation test is one climb on cochains, two ranks per
+degree, with no cohomology basis and no structure constant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cdga import CDGA
 from .gca import Algebra, Multivector
@@ -42,19 +43,13 @@ class RingPresentation:
         self._point_maps: dict[int, list] = {}
 
     def dim(self, q: int) -> int:
-        if q < 0:
-            return 0
-        if q > self.max_degree:
-            raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
-        return self._bases[q].dim
+        return self.basis(q).dim if q >= 0 else 0
 
     def dims(self) -> list[int]:
         return [self.dim(q) for q in range(self.max_degree + 1)]
 
     def representative(self, q: int, i: int) -> Multivector:
-        if not 0 <= q <= self.max_degree:
-            raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
-        reps = self._bases[q].representatives
+        reps = self.basis(q).representatives
         if not 0 <= i < len(reps):
             raise IndexError(f"no class {i} in degree {q}")
         return reps[i]
@@ -147,30 +142,54 @@ class GenerationVerdict:
     cokernel_dim: int | None = None
 
 
-def generation_cokernel(ring: RingPresentation, q: int) -> int:
-    """dim H^q minus the rank of the products H^(q-1) x H^1: once H^(q-1) is
-    generated in degree 1, the dimension that degree-1 generation misses in H^q."""
-    dim = ring.dim(q)
-    span = Echelon()
-    for i, j in itertools.product(range(ring.dim(q - 1)), range(ring.dim(1))):
-        # no product is formed once the span is all of H^q
-        if span.rank == dim:
-            break
-        span.add(ring.product_coords(q - 1, i, 1, j))
-    return dim - span.rank
+def closed_wedges(c: CDGA) -> Iterator[list[Row]]:
+    """P_1, P_2, ...: in degree q, the wedges of the increasing q-tuples of a
+    basis of Z^1 = ker d_1, as integer rows over basis(q).
+
+    A q-wedge is a (q-1)-wedge times a basis vector of larger index, so each
+    degree is formed from the one below, and only when asked for.
+    """
+    alg = c.algebra
+    gens = alg.basis(1)
+    closed = [{gens[j]: v.numerator for j, v in z.items()} for z in c.differential_matrix(1).kernel()]
+    layer = list(enumerate(closed))  # (index of the last factor, terms)
+    for q in itertools.count(1):
+        index = alg.basis_index(q)
+        yield [{index[m]: v for m, v in w.items()} for _, w in layer]
+        wedges = []
+        for i, w in layer:
+            for j in range(i + 1, len(closed)):
+                prod: Row = {}
+                for (ma, a), (mb, b) in itertools.product(w.items(), closed[j].items()):
+                    if (t := alg.monomial_product(ma, mb)) is not None:
+                        prod[t[1]] = prod.get(t[1], 0) + t[0] * a * b
+                wedges.append((j, {m: v for m, v in prod.items() if v}))
+        layer = wedges
 
 
-def generated_in_degree_one_upto(ring: RingPresentation, m: int) -> GenerationVerdict:
+def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     """Check that products of degree-1 classes span H^q for every q <= m.
 
-    Degree q is reached only once H^(q-1) is generated.  Reports the first
-    failing degree and its `generation_cokernel`.
+    Two ranks per degree: dim Z^q = dim A^q - rank d_q against rank(P_q +
+    B^q), P_q spanned by `closed_wedges` and B^q by the columns of d_(q-1).
+    Once H^(q-1) is generated, (P_q + B^q) / B^q is the image of H^(q-1) x
+    H^1 in H^q, so the first degree where they differ fails by the gap.
     """
-    if not 1 <= m <= ring.max_degree:
-        raise CutoffError(f"generation bound {m} outside 1..{ring.max_degree}")
-    for q in range(2, m + 1):
-        missed = generation_cokernel(ring, q)
-        if missed:
+    if m < 1:
+        raise ValueError(f"generation bound must be >= 1, got {m}")
+    wedges = closed_wedges(c)
+    image = Echelon()
+    for q in range(1, m + 1):
+        # the echelon of d_q is B^(q+1) for the next degree
+        span, image = image, Echelon()
+        for col in c.differential_matrix(q).cols:
+            image.add(col)
+        cocycles = c.algebra.dim(q) - image.rank
+        for w in next(wedges):
+            if span.rank == cocycles:
+                break
+            span.add(w)
+        if missed := cocycles - span.rank:
             return GenerationVerdict(False, q, missed)
     return GenerationVerdict(True)
 
@@ -205,12 +224,8 @@ def characteristic_subspace(ring: RingPresentation) -> CharacteristicSubspace:
     if ring.max_degree < 2:
         raise CutoffError("characteristic subspace needs cutoff >= 2")
     alg = class_symbol_algebra(ring)
-    b1 = ring.dim(1)
     pairs = alg.basis(2)
-    cols: list[Vec] = []
-    for mono in pairs:
-        i, j = mono
-        cols.append(ring.product_coords(1, i, 1, j))
+    cols = [ring.product_coords(1, i, 1, j) for i, j in pairs]
     mat = SparseMatrix(ring.dim(2), len(pairs), cols)
     basis = tuple(
         alg.from_coordinates(2, [vec.get(k, Fraction(0)) for k in range(len(pairs))])

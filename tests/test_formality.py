@@ -52,6 +52,7 @@ from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
+from tracked_reference import full_scan
 
 
 # -- report bookkeeping ---------------------------------------------------
@@ -207,6 +208,22 @@ def test_generation_obstruction_first_heisenberg():
 def test_generation_obstruction_silent_when_generated():
     assert obstruction_generation(heisenberg(3), 2) is None
     assert obstruction_generation(free_abelian(["e1", "e2"]), 4) is None
+
+
+@pytest.mark.parametrize(
+    "build, rule",
+    [
+        (lambda: heisenberg(3), lambda c: decide_twostep(c, 3)),
+        (lambda: example_contr("y1*y2"), lambda c: obstruction_generation(c, 3)),
+    ],
+    ids=["decide_twostep", "obstruction_generation"],
+)
+def test_the_generation_rules_form_no_cohomology_basis(build, rule):
+    # the climb ranks cochain matrices: no class basis and no structure constant
+    c = build()
+    rule(c)
+    assert c._cohomology_cache == {}
+    assert c._class_products == {}
 
 
 def test_resonance_obstruction_first_heisenberg():
@@ -834,12 +851,13 @@ def test_top_cohomology_is_the_volume_class_on_the_formality_mix():
 
 
 def test_report_builds_no_cohomology_above_what_its_rules_read():
-    # generation fails at H^3, so resonance searches degree 1 only
+    # generation fails at H^3, so resonance searches degree 1 only, which
+    # reads H^2; the generation climb reads cochains, no class basis
     c = example_contr("y1*y2")
     rep = formality_report(c, 3)
     assert rep.overall == OVERALL_NOT_FORMAL and rep.best_formal is not None
     assert [ev.k for ev in rep.evidence if ev.rule == "generation"] == [2]
-    assert max(c._cohomology_cache) == 3 < c.algebra.top_degree()
+    assert max(c._cohomology_cache) == 2 < c.algebra.top_degree()
 
 
 @pytest.mark.parametrize("k_max, bound", [(0, 0), (1, 1), (2, 1), (3, 1)])
@@ -869,13 +887,15 @@ def generation_failing_tower():
 
 
 def test_tower_report_stops_at_its_generation_failure():
-    # the report needs H^2 and nothing above it, and runs no resonance search
+    # the report needs cochains up to degree 2 and no class basis, and runs
+    # no resonance search
     c = generation_failing_tower()
     assert not is_twostep(c)
     rep = formality_report(c, 3)
     assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
     assert [(ev.rule, ev.k) for ev in rep.evidence if ev.kind == "not_formal"] == [("generation", 1)]
-    assert max(c._cohomology_cache) == 2
+    assert max(c._matrix_cache) == 2
+    assert c._cohomology_cache == {}
 
 
 @pytest.mark.parametrize(
@@ -948,12 +968,13 @@ def test_random_seeded_reports_are_reproducible(seed=5):
 def _assert_the_report_skips_nothing(c, k_max, rep):
     """The work the report leaves out could not have changed its verdicts.
 
-    The degree-by-degree generation climb agrees with one full ring.  The
-    full resonance search finds nothing, or a degree already not formal,
-    and what it finds below the generation failure the report holds too.
+    The generation climb on cochains agrees with the full scan of the
+    products of one ring.  The full resonance search finds nothing, or a
+    degree already not formal, and what it finds below the generation
+    failure the report holds too.
     """
     m = k_max + 1
-    want = generated_in_degree_one_upto(from_cdga(c, m), m)
+    want = full_scan(from_cdga(c, m), m)
     gen = obstruction_generation(c, k_max)
     if want.generated:
         assert gen is None
@@ -981,7 +1002,7 @@ def _assert_certified_degrees_obey_the_theorem(c, k_max):
     best, top = max(certified), c.algebra.top_degree()
     r = from_cdga(c, max(2, min(best + 1, top)))
     for k in certified:
-        assert generated_in_degree_one_upto(r, min(k + 1, top)).generated
+        assert generated_in_degree_one_upto(c, min(k + 1, top)).generated
     if best >= 1:
         verdict = decide_r11_trivial(r)
         assert verdict.witness is None and not verdict.nontrivial_certified

@@ -38,6 +38,8 @@ COMMANDS = (
     ("formality", "--preset", "example_contr:p=x1*y2", "--k-max", "1", "--format", "json"),
     # d has coefficients 1/2 and -1/2, so its matrices keep Fraction entries
     ("cohomology", "--input", "tests/data/half_coefficient.json", "--format", "json"),
+    # 2-step: the generation climb reaches H^3 of a 13-generator model
+    ("formality", "--preset", "heisenberg:6", "--format", "json"),
 )
 
 

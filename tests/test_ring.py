@@ -26,7 +26,7 @@ from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
 from nilform.formality import is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon
-from tracked_reference import _WalkEchelon, multiply_coords, reference_product_coords, residual
+from tracked_reference import _WalkEchelon, full_scan, multiply_coords, reference_product_coords, residual
 from nilform.ring import (
     CutoffError,
     GenerationVerdict,
@@ -34,7 +34,6 @@ from nilform.ring import (
     class_symbol_algebra,
     from_cdga,
     generated_in_degree_one_upto,
-    generation_cokernel,
 )
 
 
@@ -129,43 +128,52 @@ def test_reduce_is_linear():
 
 
 def test_generation_heisenberg1_fails_immediately():
-    r = from_cdga(heisenberg(1), 3)
-    v = generated_in_degree_one_upto(r, 2)
+    v = generated_in_degree_one_upto(heisenberg(1), 2)
     assert not v.generated
     assert v.failure_degree == 2
     assert v.cokernel_dim == 2
 
 
 def test_generation_heisenberg2_boundary():
-    r = from_cdga(heisenberg(2), 5)
-    assert generated_in_degree_one_upto(r, 2).generated
-    v = generated_in_degree_one_upto(r, 3)
+    c = heisenberg(2)
+    assert generated_in_degree_one_upto(c, 2).generated
+    v = generated_in_degree_one_upto(c, 3)
     assert not v.generated
     assert v.failure_degree == 3
     assert v.cokernel_dim == 5
 
 
 def test_generation_free_abelian_always():
-    r = from_cdga(free_abelian(["e1", "e2", "e3"]), 3)
+    c = free_abelian(["e1", "e2", "e3"])
     for m in range(1, 4):
-        assert generated_in_degree_one_upto(r, m).generated
+        assert generated_in_degree_one_upto(c, m).generated
 
 
 def test_generation_example_initial():
-    r = from_cdga(example_initial(), 2)
-    assert r.dim(2) == 9
-    v = generated_in_degree_one_upto(r, 2)
+    c = example_initial()
+    assert from_cdga(c, 2).dim(2) == 9
+    v = generated_in_degree_one_upto(c, 2)
     assert not v.generated
     assert v.cokernel_dim == 1
 
 
 def test_generation_bound_validation():
-    r = from_cdga(heisenberg(1), 2)
-    with pytest.raises(CutoffError):
-        generated_in_degree_one_upto(r, 3)
-    with pytest.raises(CutoffError):
-        generated_in_degree_one_upto(r, 0)
-    assert generated_in_degree_one_upto(r, 1).generated
+    c = heisenberg(1)
+    with pytest.raises(ValueError):
+        generated_in_degree_one_upto(c, 0)
+    assert generated_in_degree_one_upto(c, 1).generated
+    # H^q = 0 above the top degree, so a bound beyond it is no error
+    assert generated_in_degree_one_upto(free_abelian(["e1", "e2"]), 5).generated
+    assert generated_in_degree_one_upto(c, 5) == GenerationVerdict(False, 2, 2)
+
+
+@pytest.mark.parametrize("n, missed", [(1, 2), (2, 5), (3, 14), (4, 42), (5, 132), (6, 429)])
+def test_generation_fails_at_the_closed_form_degree_of_heisenberg(n, missed):
+    # Santharoubane: b_q = C(2n, q) - C(2n, q - 2) for q <= n, and H^(n+1),
+    # dual to H^n, is all missed, since the products of degree-1 classes
+    # vanish past degree n
+    assert missed == comb(2 * n, n) - (comb(2 * n, n - 2) if n >= 2 else 0)
+    assert generated_in_degree_one_upto(heisenberg(n), n + 1) == GenerationVerdict(False, n + 1, missed)
 
 
 def test_characteristic_subspace_heisenberg():
@@ -450,24 +458,6 @@ def test_three_step_towers_satisfy_duality_and_euler(seed):
     assert sum((-1) ** q * b for q, b in enumerate(dims)) == 0
 
 
-def _full_cokernel(ring, q):
-    """dim H^q minus the rank of every product H^(q-1) x H^1, with no full-rank stop."""
-    span = Echelon()
-    for i in range(ring.dim(q - 1)):
-        for j in range(ring.dim(1)):
-            span.add(ring.product_coords(q - 1, i, 1, j))
-    return ring.dim(q) - span.rank
-
-
-def _full_scan(ring, m):
-    """The generation test without the full-rank stop: every product in every degree."""
-    for q in range(2, m + 1):
-        missed = _full_cokernel(ring, q)
-        if missed:
-            return GenerationVerdict(False, q, missed)
-    return GenerationVerdict(True)
-
-
 @pytest.mark.parametrize(
     "build, top",
     [*REPRESENTATIVE_MODELS, pytest.param(example_initial, None, id="initial")],
@@ -476,29 +466,41 @@ def test_generation_verdicts_match_a_full_scan(build, top):
     c = build()
     r = from_cdga(c, c.algebra.top_degree() if top is None else top)
     for m in range(1, r.max_degree + 1):
-        assert generated_in_degree_one_upto(r, m) == _full_scan(r, m)
+        assert generated_in_degree_one_upto(c, m) == full_scan(r, m)
 
 
-@pytest.mark.parametrize(
-    "build, top",
-    [*REPRESENTATIVE_MODELS, pytest.param(example_initial, None, id="initial")],
-)
-def test_generation_cokernel_matches_a_full_scan(build, top):
-    # in every degree, also above a failure, where the products span less
+NON_COORDINATE_CLOSED = [
+    # Z^1 = <x, y, z - w>: no basis of it is a set of generators
+    pytest.param(lambda: central_extension(["x", "y"], [("z", "x*y"), ("w", "x*y")]), id="dz=dw=xy"),
+    # the same with a further generator over it; d(x*z) = -x*x*y = 0
+    pytest.param(
+        lambda: central_extension(["x", "y"], [("z", "x*y"), ("w", "x*y"), ("u", "x*z")]),
+        id="dz=dw=xy,du=xz",
+    ),
+    # a 3-step extension declared out of order: x (z - w) takes two signs,
+    # x z = -(z x) and x w, and d(s) meets its monomials in B^2
+    pytest.param(
+        lambda: CDGA(Algebra([(n, 1) for n in "suyzxw"]), {"z": "x*y", "w": "x*y", "u": "y*z", "s": "x*w - x*z - y*w"}),
+        id="dz=dw=xy,du=yz,ds",
+    ),
+    # heisenberg(2) times a closed z - w: generated up to H^2, so the climb
+    # reaches degree 3 with wedges of z - w
+    pytest.param(
+        lambda: central_extension(["x1", "y1", "x2", "y2"], [("z", "x1*y1 + x2*y2"), ("w", "x1*y1 + x2*y2")]),
+        id="dz=dw=omega",
+    ),
+]
+
+
+@pytest.mark.parametrize("build", NON_COORDINATE_CLOSED)
+def test_generation_climb_matches_the_ring_when_closed_forms_mix_generators(build):
     c = build()
-    r = from_cdga(c, c.algebra.top_degree() if top is None else top)
-    for q in range(2, r.max_degree + 1):
-        assert generation_cokernel(r, q) == _full_cokernel(r, q)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_generation_stops_forming_products_at_full_rank(n):
-    c = heisenberg(n)
-    r = from_cdga(c, 2 * n + 1)
-    v = generated_in_degree_one_upto(r, 2 * n + 1)
-    assert v.failure_degree == n + 1
-    scanned = sum(r.dim(1) * r.dim(q - 1) for q in range(2, n + 2))
-    assert 0 < len(c._class_products) < scanned
+    kernel = c.differential_matrix(1).kernel()
+    assert any(len(z) > 1 for z in kernel)
+    top = c.algebra.top_degree()
+    r = from_cdga(c, top)
+    for m in range(1, top + 1):
+        assert generated_in_degree_one_upto(c, m) == full_scan(r, m)
 
 
 def test_class_indices_are_checked():

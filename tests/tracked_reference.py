@@ -14,11 +14,16 @@ vector r / s, in r's key order.
 ``reference_product_coords`` takes a structure constant the ``Fraction``
 way: the two representatives multiplied as multivectors, and the product's
 class coordinates read by ``CohomologyBasis.coordinates``.
+``full_scan`` is the degree-1 generation test on the ring: in each degree
+it ranks every product H^(q-1) x H^1 of basis classes, with no full-rank
+stop, so it forms structure constants where the climb on cochains ranks
+cochain matrices.
 """
 
 from fractions import Fraction
 
-from nilform.linalg import _FAST_PRIME, row_primitive, to_int_row
+from nilform.linalg import _FAST_PRIME, Echelon, row_primitive, to_int_row
+from nilform.ring import GenerationVerdict
 
 
 def residual(ech, vec):
@@ -89,6 +94,24 @@ class _WalkEchelon:
 def reference_product_coords(ring, qa, ia, qb, ib):
     prod = ring.representative(qa, ia) * ring.representative(qb, ib)
     return ring.basis(qa + qb).coordinates(prod)
+
+
+def full_cokernel(ring, q):
+    """dim H^q minus the rank of every product H^(q-1) x H^1, with no full-rank stop."""
+    span = Echelon()
+    for i in range(ring.dim(q - 1)):
+        for j in range(ring.dim(1)):
+            span.add(ring.product_coords(q - 1, i, 1, j))
+    return ring.dim(q) - span.rank
+
+
+def full_scan(ring, m):
+    """The generation test on the ring: every product in every degree up to the first failure."""
+    for q in range(2, m + 1):
+        missed = full_cokernel(ring, q)
+        if missed:
+            return GenerationVerdict(False, q, missed)
+    return GenerationVerdict(True)
 
 
 def multiply_coords(ring, qa, va, qb, vb):
