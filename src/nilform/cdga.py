@@ -9,6 +9,7 @@ class coordinates.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
 from .linalg import Echelon, Row, SparseMatrix, Vec
+
+# (index of the last closed factor, terms by monomial) per wedge of closed 1-forms
+Wedges = list[tuple[int, dict[Monomial, int]]]
 
 
 class NotADifferential(ValueError):
@@ -68,6 +72,7 @@ class CDGA:
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
         # q -> least-index pivots of B^q, recorded by the row pass of d_(q-1)
         self._image_pivots: dict[int, list[int]] = {}
+        self._coboundaries: dict[int, Echelon] = {}
         # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
         # shared by every ring presentation of this CDGA
         self._class_products: dict[tuple[int, int, int, int], Vec] = {}
@@ -195,6 +200,24 @@ class CDGA:
     def betti_numbers(self, q_max: int) -> list[int]:
         return [self.betti(q) for q in range(q_max + 1)]
 
+    @cached_property
+    def cocycles_1(self) -> tuple[Row, ...]:
+        """Z^1 = ker d_1 in the reduced echelon basis of ``SparseMatrix.kernel``,
+        primitive integer rows over basis(1), built once and shared."""
+        kernel = self.differential_matrix(1).kernel()
+        return tuple({j: v.numerator for j, v in z.items()} for z in kernel)
+
+    @cached_property
+    def wedges_2(self) -> Wedges:
+        """P_2 as (j, z_i z_j) for i < j over the rows z of `cocycles_1`, built once and shared."""
+        gens = self.algebra.basis(1)
+        closed = [{gens[j]: v for j, v in z.items()} for z in self.cocycles_1]
+        return wedge_layer(self.algebra, list(enumerate(closed)), closed)
+
+    def coboundaries(self, q: int) -> Echelon:
+        """B^q, the column echelon of d_(q-1), built once and shared: extend a ``copy``."""
+        return _column_echelon(self._coboundaries, self.differential_matrix(q - 1), q)
+
     def is_coboundary(self, v: Multivector) -> Multivector | None:
         """A u with d(u) = v, or None; v must be a cocycle.
 
@@ -222,6 +245,26 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
             raise DegreeError(f"term outside degree {q}")
         out[pos] = c
     return out
+
+
+def wedge_layer(alg: Algebra, layer: Wedges, closed: list[dict[Monomial, int]]) -> Wedges:
+    """(j, w * closed[j]) for each (i, w) of a layer and each j > i, in integers."""
+    out = []
+    for i, w in layer:
+        for j in range(i + 1, len(closed)):
+            prod: dict[Monomial, int] = {}
+            for (ma, a), (mb, b) in itertools.product(w.items(), closed[j].items()):
+                if (t := alg.monomial_product(ma, mb)) is not None:
+                    prod[t[1]] = prod.get(t[1], 0) + t[0] * a * b
+            out.append((j, {m: v for m, v in prod.items() if v}))
+    return out
+
+
+def _column_echelon(cache: dict[int, Echelon], d: SparseMatrix, q: int) -> Echelon:
+    """cache[q], first set to the column echelon of d."""
+    if q not in cache:
+        cache[q] = Echelon(d.cols)
+    return cache[q]
 
 
 def _row_pass(d: SparseMatrix) -> tuple[Echelon, list[int]]:
@@ -255,7 +298,7 @@ class CohomologyBasis:
     that raise the rank in increasing order (the pivot columns of RREF(D^T)
     are the columns of D^T, the rows of D, independent of earlier ones).
     Degree q-1 records them on the CDGA, else a rank-only row pass reads
-    them, and ``_image``, the column echelon of d_(q-1), is built lazily.
+    them.  ``_image`` is B^q, the CDGA's shared `coboundaries` (q), read lazily.
 
     ``coordinates`` is the induced linear map onto class coordinates, read
     at pivots: reduced modulo the image, a cocycle w is sum c_i rep_i, and
@@ -271,6 +314,7 @@ class CohomologyBasis:
         self.degree = degree
         self._d = cdga.differential_matrix(degree)
         self._d_prev = cdga.differential_matrix(degree - 1)
+        self._coboundaries = cdga._coboundaries
         image_pivots = cdga._image_pivots.get(degree)
         if image_pivots is None:
             image_pivots = _row_pass(self._d_prev)[1]
@@ -286,11 +330,8 @@ class CohomologyBasis:
 
     @cached_property
     def _image(self) -> Echelon:
-        """Column echelon of d_(q-1), built on the first reduction."""
-        image = Echelon()
-        for col in self._d_prev.cols:
-            image.add(col)
-        return image
+        """B^q, the CDGA's `coboundaries` (q), read on the first reduction."""
+        return _column_echelon(self._coboundaries, self._d_prev, self.degree)
 
     def _cocycle_rows(self, ech: Echelon, image_pivots: list[int]) -> list[tuple[int, Row]]:
         """(f, primitive k_f, positive at f) for the free columns f that are not image pivots."""

@@ -216,11 +216,8 @@ class Decomposition:
 
 
 def default_decomposition(c: CDGA) -> Decomposition:
-    """The unit-vector complement of the closed kernel, in declaration order."""
-    span = Echelon()
-    for vec in c.differential_matrix(1).kernel():
-        span.add(vec)
-    pivots = set(span.pivots)
+    """The generators off the echelon pivots of the CDGA's `cocycles_1`, as unit vectors."""
+    pivots = set(Echelon(c.cocycles_1).pivots)
     return Decomposition(
         tuple({j: Fraction(1)} for j in range(len(c.algebra.generators)) if j not in pivots)
     )
@@ -237,14 +234,12 @@ def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
     """The complement meets the closed kernel in 0 and spans with it degree 1.
 
     Both are rank checks on the images under d_1, whose kernel is the
-    closed part: the images are independent, and they span the image of d_1.
+    closed part: the images are independent, and they span B^2 = d_1(A^1).
     """
-    d_1 = c.differential_matrix(1)
-    images = Echelon()
-    for vec in dec.complement:
-        if not images.add(d_1.apply(vec)):
-            raise ValueError("invalid decomposition: vectors are dependent")
-    if images.rank != d_1.rank():
+    images = Echelon(c.differential_matrix(1).apply(vec) for vec in dec.complement)
+    if images.rank < len(dec.complement):
+        raise ValueError("invalid decomposition: vectors are dependent")
+    if images.rank != c.coboundaries(2).rank:
         raise ValueError("invalid decomposition: parts do not span degree 1")
 
 
@@ -328,10 +323,11 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     Checks, for every degree q <= k+1, that each cocycle inside the ideal I
     generated by the complement of the closed degree-1 part is a coboundary.
     I cap Z^q is the kernel of d_q on I and always holds I cap B^q, so it
-    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q.
-    Passing every degree up to j+1 certifies j-formality, so a first failure
-    at q certifies q-2.  Returns the evidence for the largest certified
-    j <= k, or None when degree 1 fails and j < 0.
+    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q; I + B^q
+    grows from a copy of the CDGA's shared `coboundaries` (q).  Passing every
+    degree up to j+1 certifies j-formality, so a first failure at q certifies
+    q-2.  Returns the evidence for the largest certified j <= k, or None when
+    degree 1 fails and j < 0.
     """
     _require_model(c)
     if k < 0:
@@ -344,9 +340,7 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     complement = [alg.from_coordinates(1, [v.get(j, 0) for j in range(n)]) for v in dec.complement]
     for q in range(1, min(k + 1, alg.top_degree()) + 1):
         d_q = c.differential_matrix(q)
-        ideal_plus_image = Echelon()
-        for col in c.differential_matrix(q - 1).cols:
-            ideal_plus_image.add(col)
+        ideal_plus_image = c.coboundaries(q).copy()
         image_rank = ideal_plus_image.rank
         d_ideal = Echelon()
         for nv in complement:
@@ -371,9 +365,7 @@ def is_twostep(c: CDGA) -> bool:
     """Whether the differential lands in P_2, the square of the closed part."""
     _require_model(c)
     _, pairs = itertools.islice(closed_wedges(c), 2)
-    wedge = Echelon()
-    for w in pairs:
-        wedge.add(w)
+    wedge = Echelon(pairs)
     return all(
         wedge.contains(dict_coords(c.algebra, dv, 2))
         for dv in c.differential().values()
@@ -614,7 +606,7 @@ def dga_map_solve(
         source.algebra.index_of(name)
     names = [g.name for g in source.algebra.generators]
     if require_h1_iso:
-        h1_kernel = source.differential_matrix(1).kernel()
+        h1_kernel = source.cocycles_1
         on_closed = {i for vec in h1_kernel for i in vec}
         free = [n for i, n in enumerate(names) if i in on_closed and n not in constraints]
         if free:
@@ -639,10 +631,8 @@ def dga_map_solve(
     basis1, keys2 = alg.basis(1), alg.basis(2)
     # the columns of d_1 span the exact degree-2 part
     d1 = target.differential_matrix(1)
-    exact_span = Echelon()
-    for col in d1.cols:
-        exact_span.add(col)
-    closed = [{basis1[j]: c for j, c in sorted(vec.items()) if c} for vec in d1.kernel()]
+    exact_span = target.coboundaries(2)
+    closed = [{basis1[j]: c for j, c in sorted(vec.items())} for vec in target.cocycles_1]
 
     # one unknown per closed direction of a free generator
     labels = [

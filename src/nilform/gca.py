@@ -146,8 +146,8 @@ class Algebra:
         return result
 
     def basis_index(self, q: int) -> dict[Monomial, int]:
-        self.basis(q)
-        return self._basis_index_cache[q]
+        self.basis(q)  # caches the index of every q >= 0
+        return self._basis_index_cache.get(q, {})
 
     def dim(self, q: int) -> int:
         return len(self.basis(q))

@@ -108,10 +108,19 @@ class Echelon:
     by ``add`` and settles nothing.
     """
 
-    def __init__(self):
+    def __init__(self, vectors: Iterable[Vec | Row] = ()):
         self.pivots: list[int] = []
         self._rows: dict[int, Row] = {}
         self._settled = True
+        for vec in vectors:
+            self.add(vec)
+
+    def copy(self) -> Echelon:
+        """The same rows, to extend without changing this echelon; the row
+        dicts are shared, since no stored row is changed in place."""
+        out = Echelon()
+        out.pivots, out._rows, out._settled = list(self.pivots), dict(self._rows), self._settled
+        return out
 
     @property
     def rank(self) -> int:
@@ -250,10 +259,7 @@ def rank_rows(rows: Sequence[Row], max_rank: int | None = None) -> int:
         fast = rank_mod_p(rows)
         if fast == min(len(rows), max_rank):
             return fast
-    ech = Echelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    return Echelon(rows).rank
 
 
 @dataclass
@@ -287,8 +293,7 @@ class SparseMatrix:
         return out
 
     def rank(self) -> int:
-        rows = [to_int_row(c) for c in self.cols]
-        return rank_rows(rows, max_rank=self.nrows)
+        return rank_rows([to_int_row(c) for c in self.cols], max_rank=self.nrows)
 
     def _row_echelon(self, extra: Sequence[Vec] = ()) -> Echelon:
         """Echelon of the matrix's rows, with ``extra`` as more columns after its own."""
@@ -296,10 +301,7 @@ class SparseMatrix:
         for j, col in enumerate(self.cols + list(extra)):
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        ech = Echelon()
-        for row in rows.values():
-            ech.add(row)
-        return ech
+        return Echelon(rows.values())
 
     def kernel(self) -> list[Vec]:
         """Reduced echelon basis of the null space, one vector per free column.
@@ -331,7 +333,7 @@ class SparseMatrix:
         return out
 
 
-class Span:
+class Span(Echelon):
     """Subspace of Q^n grown one vector at a time; ``add`` reports a rank gain.
 
     No module of the package uses it; it stays for the benchmark's input
@@ -339,13 +341,8 @@ class Span:
     """
 
     def __init__(self, ncols: int, vectors: Iterable[Vec]):
+        super().__init__(vectors)
         self.ncols = ncols
-        self._ech = Echelon()
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vec: Vec) -> bool:
-        return self._ech.add(vec)
 
 
 def poly_add(acc: Poly, p: Poly, c: Fraction | int = 1) -> Poly:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .cdga import CDGA
+from .cdga import CDGA, wedge_layer
 from .gca import Algebra, Multivector
 from .linalg import Echelon, Row, SparseMatrix, Vec
 
@@ -143,28 +143,20 @@ class GenerationVerdict:
 
 
 def closed_wedges(c: CDGA) -> Iterator[list[Row]]:
-    """P_1, P_2, ...: in degree q, the wedges of the increasing q-tuples of a
-    basis of Z^1 = ker d_1, as integer rows over basis(q).
+    """P_1, P_2, ...: in degree q, the wedges of the increasing q-tuples of
+    the CDGA's Z^1 basis `cocycles_1`, as integer rows over basis(q).
 
-    A q-wedge is a (q-1)-wedge times a basis vector of larger index, so each
-    degree is formed from the one below, and only when asked for.
+    P_2 is the CDGA's shared `wedges_2`; a q-wedge above it is a (q-1)-wedge
+    times a basis vector of larger index, formed only when asked for.
     """
     alg = c.algebra
     gens = alg.basis(1)
-    closed = [{gens[j]: v.numerator for j, v in z.items()} for z in c.differential_matrix(1).kernel()]
+    closed = [{gens[j]: v for j, v in z.items()} for z in c.cocycles_1]
     layer = list(enumerate(closed))  # (index of the last factor, terms)
     for q in itertools.count(1):
         index = alg.basis_index(q)
         yield [{index[m]: v for m, v in w.items()} for _, w in layer]
-        wedges = []
-        for i, w in layer:
-            for j in range(i + 1, len(closed)):
-                prod: Row = {}
-                for (ma, a), (mb, b) in itertools.product(w.items(), closed[j].items()):
-                    if (t := alg.monomial_product(ma, mb)) is not None:
-                        prod[t[1]] = prod.get(t[1], 0) + t[0] * a * b
-                wedges.append((j, {m: v for m, v in prod.items() if v}))
-        layer = wedges
+        layer = c.wedges_2 if q == 1 else wedge_layer(alg, layer, closed)
 
 
 def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
@@ -174,16 +166,15 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     B^q), P_q spanned by `closed_wedges` and B^q by the columns of d_(q-1).
     Once H^(q-1) is generated, (P_q + B^q) / B^q is the image of H^(q-1) x
     H^1 in H^q, so the first degree where they differ fails by the gap.
+    B^2 is the CDGA's shared `coboundaries` (2), so its wedges go on a copy;
+    above it, B^(q+1) is built here and handed on, to be extended in place.
     """
     if m < 1:
         raise ValueError(f"generation bound must be >= 1, got {m}")
     wedges = closed_wedges(c)
-    image = Echelon()
+    span = Echelon()  # B^1 = 0
     for q in range(1, m + 1):
-        # the echelon of d_q is B^(q+1) for the next degree
-        span, image = image, Echelon()
-        for col in c.differential_matrix(q).cols:
-            image.add(col)
+        image = c.coboundaries(2) if q == 1 else Echelon(c.differential_matrix(q).cols)
         cocycles = c.algebra.dim(q) - image.rank
         for w in next(wedges):
             if span.rank == cocycles:
@@ -191,6 +182,7 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
             span.add(w)
         if missed := cocycles - span.rank:
             return GenerationVerdict(False, q, missed)
+        span = image.copy() if q == 1 else image
     return GenerationVerdict(True)
 
 

@@ -886,6 +886,29 @@ def generation_failing_tower():
     )
 
 
+@pytest.mark.parametrize(
+    "build", [generation_failing_tower, lambda: example_contr("y1*y2")], ids=["tower", "contr-y1y2"]
+)
+def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build):
+    # Z^1 is one kernel of d_1 for every rule, and a shared B^q is never
+    # extended in place: each equals a fresh column echelon of d_(q-1)
+    c = build()
+    kernels = []
+    real = SparseMatrix.kernel
+    monkeypatch.setattr(SparseMatrix, "kernel", lambda m: kernels.append(m) or real(m))
+    rep = formality_report(c, 3)
+    monkeypatch.undo()
+    assert sum(m is c.differential_matrix(1) for m in kernels) == 1
+    assert rep.verdicts() == formality_report(build(), 3).verdicts()
+    assert {1, 2} <= set(c._coboundaries)
+    for q, shared in c._coboundaries.items():
+        fresh = Echelon()
+        for col in c.differential_matrix(q - 1).cols:
+            fresh.add(col)
+        assert shared.pivots == fresh.pivots
+        assert shared.rows == fresh.rows
+
+
 def test_tower_report_stops_at_its_generation_failure():
     # the report needs cochains up to degree 2 and no class basis, and runs
     # no resonance search

@@ -74,6 +74,13 @@ def test_basis_examples():
     assert six.basis(7) == ()
 
 
+def test_negative_degrees_have_an_empty_basis_and_index(e4):
+    assert e4.basis(-1) == ()
+    assert e4.basis_index(-1) == {}
+    # the matrix of d out of degree -1 has no columns
+    assert e4.basis_index(-2) == {} and e4.basis(-2) == ()
+
+
 def test_basis_is_lexicographic(e4):
     for q in range(5):
         monos = e4.basis(q)

@@ -40,6 +40,8 @@ COMMANDS = (
     ("cohomology", "--input", "tests/data/half_coefficient.json", "--format", "json"),
     # 2-step: the generation climb reaches H^3 of a 13-generator model
     ("formality", "--preset", "heisenberg:6", "--format", "json"),
+    # a 3-step tower of the benchmark's light class: generation fails at H^2
+    ("formality", "--input", "tests/data/three_step_tower.json", "--format", "json"),
 )
 
 

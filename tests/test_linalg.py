@@ -276,8 +276,78 @@ def test_pivot_index_matches_the_full_walk(entries):
             w = shuffled(w)
             left = residual(ech, w)
             ref_residual, _ = ref.reduce(w)
-            # same entries in the same order, so downstream output cannot move
-            assert list(left.items()) == list(ref_residual.items())
+            # same entries; their key order is not compared, since no reader
+            # depends on it (test_readers_of_a_residual_ignore_its_key_order)
+            assert left == ref_residual
+
+
+@pytest.mark.parametrize("settled", [True, False], ids=["settled", "unsettled"])
+def test_a_copy_extends_without_changing_its_source(settled):
+    added = [{0: 2, 2: 4, 3: 1}, {1: 3, 2: -1, 4: 2}, {0: 1, 1: 1, 3: 5}]
+    src = Echelon()
+    for row in added:
+        src.add(row)
+    if settled:
+        src.rows
+    before = (src.rank, list(src.pivots), {p: dict(r) for p, r in src._rows.items()}, src._settled)
+    copy = src.copy()
+    assert copy.add({2: 1, 4: 7}) and not copy.add({0: 2, 1: 3, 2: 3, 3: 1, 4: 2})
+    # settling the copy rewrites rows it shares with the source
+    grown = Echelon()
+    for row in added + [{2: 1, 4: 7}]:
+        grown.add(row)
+    assert copy.rows == grown.rows and copy.pivots == grown.pivots
+    assert (src.rank, src.pivots, src._rows, src._settled) == before
+    fresh = Echelon()
+    for row in added:
+        fresh.add(row)
+    assert src.rows == fresh.rows and src.pivots == fresh.pivots
+
+
+def test_readers_of_a_residual_ignore_its_key_order(monkeypatch):
+    # Echelon.reduce lists the keys a residual gains after the vector's own,
+    # an order no reader should depend on: with every residual reversed,
+    # class coordinates, span membership, the solver's split and the solve
+    # it feeds give the same results
+    from nilform.catalog import example_contr
+    from nilform.formality import _split_by_span
+
+    def results():
+        rng = random.Random(11)
+        c = example_contr("y1*y2")
+        alg, coh = c.algebra, c.cohomology(2)
+        d1, span = c.differential_matrix(1), c.coboundaries(2)
+        out = []
+        for _ in range(20):
+            coeffs = [rng.randint(-3, 3) for _ in range(coh.dim)]
+            u = alg.from_coordinates(1, [rng.randint(-2, 2) for _ in range(alg.dim(1))])
+            v = coh.class_of(coeffs) + c.d(u)
+            out.append(list(coh.coordinates(v).items()))
+            w = {j: Fraction(rng.randint(-3, 3)) for j in range(alg.dim(2)) if rng.random() < 0.4}
+            out.append(span.contains(w))
+            out.append(span.contains(d1.apply({j: Fraction(rng.randint(-2, 2)) for j in range(d1.ncols)})))
+        keys = alg.basis(2)
+        pel = {
+            key: {(i,): Fraction(rng.randint(-3, 3)) for i in range(3) if rng.random() < 0.5}
+            for key in rng.sample(keys, 8)
+        }
+        coeffs, residual = _split_by_span(span, d1, keys, pel)
+        out.append((coeffs, residual, sorted(residual)))
+        bs = [d1.apply({j: Fraction(rng.randint(-2, 2)) for j in range(d1.ncols)}) for _ in range(4)]
+        out.append(d1.solve(bs + [w]))
+        out.append(d1.solve([dict(reversed(b.items())) for b in bs + [w]]))
+        return out
+
+    want = results()
+    assert want[-1] == want[-2]
+    real = Echelon.reduce
+
+    def reversed_residual(self, vec):
+        r, s = real(self, vec)
+        return dict(reversed(r.items())), s
+
+    monkeypatch.setattr(Echelon, "reduce", reversed_residual)
+    assert results() == want
 
 
 def _oracle_rows(rng, kind, entries, ncols, nrows):

@@ -23,7 +23,7 @@ from nilform.catalog import (
     heisenberg_type,
 )
 from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
-from nilform.formality import is_twostep
+from nilform.formality import formality_report, is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon
 from tracked_reference import _WalkEchelon, full_scan, multiply_coords, reference_product_coords, residual
@@ -530,6 +530,25 @@ def test_dropped_ring_is_freed_without_the_cycle_collector():
         assert r.basis(3).reduction(r.representative(3, 1))[1] == 1
         ref_cdga, ref_alg = weakref.ref(c), weakref.ref(c.algebra)
         del c, r
+        assert ref_cdga() is None
+        assert ref_alg() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("build", [lambda: example_contr("0"), lambda: example_contr("y1*y2"), lambda: heisenberg(3)])
+def test_a_dropped_report_model_is_freed_without_the_cycle_collector(build):
+    # the cochain data the rules share sit on the CDGA, and its class bases
+    # reach them without a reference back to it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c = build()
+        formality_report(c, 3)
+        assert c._coboundaries and "cocycles_1" in vars(c)
+        ref_cdga, ref_alg = weakref.ref(c), weakref.ref(c.algebra)
+        del c
         assert ref_cdga() is None
         assert ref_alg() is None
     finally:
