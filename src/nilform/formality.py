@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cdga import CDGA, dict_coords, hirsch_extend
+from .cdga import CDGA, hirsch_extend
 from .gca import Algebra, AlgebraError, Generator, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
@@ -200,32 +200,21 @@ def _require_model(c: CDGA) -> None:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Chosen complement of the closed part of the degree-1 generator space."""
+    """Complement of the closed degree-1 part, as the names of its generators."""
 
-    complement: tuple[Vec, ...]
-
-    def complement_names(self, alg: Algebra) -> tuple[str, ...] | None:
-        """Generator names when every complement vector is a unit vector."""
-        names = []
-        for v in self.complement:
-            items = [(j, c) for j, c in v.items() if c]
-            if len(items) != 1 or items[0][1] != 1:
-                return None
-            names.append(alg.generators[items[0][0]].name)
-        return tuple(names)
+    complement: tuple[str, ...]
 
 
 def default_decomposition(c: CDGA) -> Decomposition:
-    """The generators off the echelon pivots of the CDGA's `cocycles_1`, as unit vectors."""
+    """The generators off the echelon pivots of the CDGA's `cocycles_1`."""
     pivots = set(Echelon(c.cocycles_1).pivots)
-    return Decomposition(
-        tuple({j: Fraction(1)} for j in range(len(c.algebra.generators)) if j not in pivots)
-    )
+    gens = c.algebra.generators
+    return Decomposition(tuple(g.name for j, g in enumerate(gens) if j not in pivots))
 
 
 def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
     """Complement picked as a set of generators; validated against the kernel."""
-    dec = Decomposition(tuple({c.algebra.index_of(n): Fraction(1)} for n in names))
+    dec = Decomposition(tuple(names))
     validate_decomposition(c, dec)
     return dec
 
@@ -233,10 +222,12 @@ def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
 def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
     """The complement meets the closed kernel in 0 and spans with it degree 1.
 
-    Both are rank checks on the images under d_1, whose kernel is the
-    closed part: the images are independent, and they span B^2 = d_1(A^1).
+    d_1 has the closed part as kernel, so both are rank checks on its columns
+    at the complement's generators, whose names must exist (else
+    ``AlgebraError``): they are independent and span B^2 = d_1(A^1).
     """
-    images = Echelon(c.differential_matrix(1).apply(vec) for vec in dec.complement)
+    cols = c.differential_matrix(1).cols
+    images = Echelon(cols[c.algebra.index_of(name)] for name in dec.complement)
     if images.rank < len(dec.complement):
         raise ValueError("invalid decomposition: vectors are dependent")
     if images.rank != c.coboundaries(2).rank:
@@ -249,8 +240,7 @@ def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
 def full_formality(c: CDGA) -> str:
     """Formality of the whole model: exactly the vanishing differential."""
     _require_model(c)
-    zero = all(v.is_zero() for v in c.differential().values())
-    return OVERALL_FORMAL if zero else OVERALL_NOT_FORMAL
+    return OVERALL_NOT_FORMAL if c.differential() else OVERALL_FORMAL
 
 
 def obstruction_generation(c: CDGA, k: int) -> Evidence | None:
@@ -322,12 +312,13 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
 
     Checks, for every degree q <= k+1, that each cocycle inside the ideal I
     generated by the complement of the closed degree-1 part is a coboundary.
-    I cap Z^q is the kernel of d_q on I and always holds I cap B^q, so it
-    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q; I + B^q
-    grows from a copy of the CDGA's shared `coboundaries` (q).  Passing every
-    degree up to j+1 certifies j-formality, so a first failure at q certifies
-    q-2.  Returns the evidence for the largest certified j <= k, or None when
-    degree 1 fails and j < 0.
+    I^q is spanned by the monomials of basis(q) that hold a complement
+    generator.  I cap Z^q, the kernel of d_q on I, holds I cap B^q, so it
+    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q: d_q(I)
+    is spanned by d_q's columns at I, and I + B^q adds I's unit rows to a
+    copy of the CDGA's shared `coboundaries` (q).  Passing every degree up
+    to j+1 certifies j-formality, so a first failure at q certifies q-2.
+    Returns the evidence for the largest certified j <= k, or None if j < 0.
     """
     _require_model(c)
     if k < 0:
@@ -336,41 +327,30 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
         dec = default_decomposition(c)
     validate_decomposition(c, dec)
     alg = c.algebra
-    n = len(alg.generators)
-    complement = [alg.from_coordinates(1, [v.get(j, 0) for j in range(n)]) for v in dec.complement]
+    complement = {alg.index_of(name) for name in dec.complement}
     for q in range(1, min(k + 1, alg.top_degree()) + 1):
-        d_q = c.differential_matrix(q)
+        ideal = [j for j, mono in enumerate(alg.basis(q)) if not complement.isdisjoint(mono)]
         ideal_plus_image = c.coboundaries(q).copy()
-        image_rank = ideal_plus_image.rank
-        d_ideal = Echelon()
-        for nv in complement:
-            for mono in alg.basis(q - 1):
-                w = nv * alg.monomial(mono)
-                if not w.is_zero():
-                    row = dict_coords(alg, w, q)
-                    ideal_plus_image.add(row)
-                    d_ideal.add(d_q.apply(row))
-        if d_ideal.rank != ideal_plus_image.rank - image_rank:
+        for j in ideal:
+            ideal_plus_image.add({j: 1})
+        cols = c.differential_matrix(q).cols
+        d_ideal = Echelon(cols[j] for j in ideal)
+        if d_ideal.rank != ideal_plus_image.rank - c.coboundaries(q).rank:
             k = q - 2
             break
     if k < 0:
         return None
-    names = dec.complement_names(alg)
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
-    data = {"complement": list(names) if names else "custom vectors"}
+    data = {"complement": list(dec.complement)}
     return Evidence("prop-art-certificate", k, "formal", detail, data)
 
 
 def is_twostep(c: CDGA) -> bool:
-    """Whether the differential lands in P_2, the square of the closed part."""
+    """Whether each column of d_1 lies in P_2, the square of the closed part."""
     _require_model(c)
     _, pairs = itertools.islice(closed_wedges(c), 2)
     wedge = Echelon(pairs)
-    return all(
-        wedge.contains(dict_coords(c.algebra, dv, 2))
-        for dv in c.differential().values()
-        if not dv.is_zero()
-    )
+    return all(wedge.contains(col) for col in c.differential_matrix(1).cols)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nilform import formality
+from nilform import cdga, cli, formality
 from nilform.catalog import (
     central_extension,
     example_contr,
@@ -47,12 +48,14 @@ from nilform.formality import (
     obstruction_resonance,
     validate_decomposition,
 )
-from nilform.gca import Algebra, AlgebraError, Generator
+from nilform.gca import Algebra, AlgebraError, Generator, Multivector
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
 from test_ring import REPRESENTATIVE_MODELS
 from tracked_reference import full_scan
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- report bookkeeping ---------------------------------------------------
@@ -166,16 +169,42 @@ def test_full_formality_values():
 def test_default_decomposition_heisenberg():
     c = heisenberg(2)
     dec = default_decomposition(c)
-    assert dec.complement_names(c.algebra) == ("z",)
+    assert dec.complement == ("z",)
     validate_decomposition(c, dec)
 
 
 def test_decomposition_from_names_checks_membership():
     c = heisenberg(1)
     dec = decomposition_from_names(c, ["z"])
-    assert dec.complement_names(c.algebra) == ("z",)
+    assert dec.complement == ("z",)
     with pytest.raises(ValueError):
         decomposition_from_names(c, ["x1"])
+
+
+def test_decomposition_keeps_the_names_in_the_order_given():
+    c = example_contr("y1*y2")
+    assert default_decomposition(c).complement == ("w1", "w2", "a")
+    assert decomposition_from_names(c, ["a", "w2", "w1"]).complement == ("a", "w2", "w1")
+
+
+@pytest.mark.parametrize(
+    "names, error, match",
+    [
+        (["a", "w2", "q"], AlgebraError, "q"),
+        (["a", "a", "w1"], ValueError, "dependent"),
+        (["a", "w2", "x1"], ValueError, "dependent"),
+        (["a", "w2"], ValueError, "do not span"),
+    ],
+    ids=["unknown", "repeated", "closed", "short"],
+)
+def test_decomposition_rejections(names, error, match):
+    c = example_contr("y1*y2")
+    with pytest.raises(error, match=match):
+        decomposition_from_names(c, names)
+    with pytest.raises(error, match=match):
+        validate_decomposition(c, Decomposition(tuple(names)))
+    with pytest.raises(error, match=match):
+        certify_prop_art(c, 1, Decomposition(tuple(names)))
 
 
 def test_decomposition_wrong_sizes_rejected():
@@ -265,6 +294,11 @@ def test_prop_certificate_abelian_all_degrees():
         assert certify_prop_art(c, k).k == k
 
 
+def test_an_empty_complement_is_reported_as_an_empty_list():
+    # d = 0: every generator is closed, and no name is left to report
+    assert certify_prop_art(free_abelian(["e1", "e2"]), 1).data == {"complement": []}
+
+
 def test_prop_certificate_matches_twostep_decision():
     for n in (1, 2, 3):
         c = heisenberg(n)
@@ -278,14 +312,14 @@ def test_prop_certificate_matches_twostep_decision():
 def _ideal_cocycles_are_exact(c, dec, q):
     """Oracle: every vector of I_q cap Z^q lies in the span of the d_(q-1) columns.
 
-    I_q cap Z^q is spanned by the ideal parts of the relations between the
-    ideal rows and the kernel() columns of d_q.
+    I_q is spanned by the products of the complement's generators with the
+    monomials of degree q-1, and I_q cap Z^q by the ideal parts of the
+    relations between those products and the kernel() columns of d_q.
     """
     alg = c.algebra
-    n = len(alg.generators)
     ideal = []
-    for v in dec.complement:
-        nv = alg.from_coordinates(1, [v.get(j, Fraction(0)) for j in range(n)])
+    for name in dec.complement:
+        nv = alg.gen(name)
         for mono in alg.basis(q - 1):
             w = nv * alg.monomial(mono)
             if not w.is_zero():
@@ -301,15 +335,18 @@ def _ideal_cocycles_are_exact(c, dec, q):
     return True
 
 
-def _prop_art_verdicts_match_the_oracle(c):
-    """certify_prop_art(c, k) for k <= 3 against the oracle; whether each k is certified.
+def _prop_art_verdicts_match_the_oracle(c, dec=None):
+    """certify_prop_art(c, k, dec) for k <= 3 against the oracle; whether each k is certified.
 
     The certified degree is the largest j <= k whose degrees up to j+1 all
-    pass the oracle, and there is no evidence when degree 1 fails.
+    pass the oracle, and there is no evidence when degree 1 fails.  The
+    default decomposition is used when none is given.
     """
-    dec = default_decomposition(c)
+    if dec is None:
+        dec = default_decomposition(c)
     exact = [_ideal_cocycles_are_exact(c, dec, q) for q in range(1, 5)]
-    got = [certify_prop_art(c, k) for k in range(4)]
+    got = [certify_prop_art(c, k, dec) for k in range(4)]
+    assert all(ev.data == {"complement": list(dec.complement)} for ev in got if ev)
     passing = [j for j in range(4) if all(exact[: j + 1])]
     want = [max((j for j in passing if j <= k), default=None) for k in range(4)]
     assert [None if ev is None else ev.k for ev in got] == want
@@ -325,12 +362,61 @@ def test_prop_certificate_rank_criterion_matches_the_intersection(build, top):
     _prop_art_verdicts_match_the_oracle(build())
 
 
+def _dz_equals_dw():
+    """d(z) = d(w) = x*y: {z} and {w} are both complements of the closed part."""
+    return central_extension(["x", "y"], [("z", "x*y"), ("w", "x*y")])
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        *(
+            pytest.param(lambda p=p: example_contr(p), ("a", "w2", "w1"), id=f"contr[{p}]")
+            for p in ("0", "y1*y2", "x1*y2", "x1*x2 - 2*y1*z")
+        ),
+        pytest.param(_dz_equals_dw, ("z",), id="dz=dw=xy-z"),
+        pytest.param(_dz_equals_dw, ("w",), id="dz=dw=xy-w"),
+    ],
+)
+def test_prop_certificate_of_a_chosen_complement_matches_the_intersection(build, names):
+    c = build()
+    _prop_art_verdicts_match_the_oracle(c, decomposition_from_names(c, names))
+
+
 def test_prop_certificate_rank_criterion_matches_the_intersection_on_the_formality_mix():
     models = _formality_mix_models(seeds=(3,))
     assert len(models) == 176
     verdicts = [v for c in models for v in _prop_art_verdicts_match_the_oracle(c)]
     # both outcomes occur, so neither direction of the criterion goes untested
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: example_contr("y1*y2"),
+        lambda: cli._cdga_from_document(json.loads((DATA / "three_step_tower.json").read_text())),
+    ],
+    ids=["contr-y1y2", "three_step_tower"],
+)
+def test_the_degree_one_rules_do_no_algebra_products(monkeypatch, build):
+    # the complement's ideal, its validation, the 2-step test and the
+    # vanishing differential are all read off the cochain matrices
+    c = build()
+
+    def refuse(*args):
+        raise AssertionError("an algebra product or coordinate dict was formed")
+
+    monkeypatch.setattr(Multivector, "__mul__", refuse)
+    monkeypatch.setattr(cdga, "dict_coords", refuse)
+    ev = certify_prop_art(c, 3)
+    validate_decomposition(c, default_decomposition(c))
+    twostep = is_twostep(c)
+    overall = full_formality(c)
+    monkeypatch.undo()
+    fresh = build()
+    assert ev == certify_prop_art(fresh, 3)
+    assert (twostep, overall) == (False, OVERALL_NOT_FORMAL)
 
 
 def test_report_checks_the_prop_art_degrees_in_one_pass(monkeypatch):

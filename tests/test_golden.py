@@ -42,6 +42,11 @@ COMMANDS = (
     ("formality", "--preset", "heisenberg:6", "--format", "json"),
     # a 3-step tower of the benchmark's light class: generation fails at H^2
     ("formality", "--input", "tests/data/three_step_tower.json", "--format", "json"),
+    # a chosen complement: the evidence lists its names in the order given
+    (
+        "formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3",
+        "--complement", "a,w2,w1", "--format", "json",
+    ),
 )
 
 
@@ -61,7 +66,16 @@ def run(argv) -> dict:
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 
-@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[" ".join(c[:3]) for c in COMMANDS])
+def case_id(argv) -> str:
+    """The first three words of a command, and its chosen complement if any."""
+    words = list(argv[:3])
+    if "--complement" in argv:
+        i = argv.index("--complement")
+        words += argv[i : i + 2]
+    return " ".join(words)
+
+
+@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[case_id(c) for c in COMMANDS])
 def test_cli_output_matches_golden_fixture(k):
     want = json.loads(FIXTURE.read_text())[k]
     assert want["argv"] == list(COMMANDS[k])
