@@ -203,9 +203,8 @@ class CDGA:
     @cached_property
     def cocycles_1(self) -> tuple[Row, ...]:
         """Z^1 = ker d_1 in the reduced echelon basis of ``SparseMatrix.kernel``,
-        primitive integer rows over basis(1), built once and shared."""
-        kernel = self.differential_matrix(1).kernel()
-        return tuple({j: v.numerator for j, v in z.items()} for z in kernel)
+        its primitive integer rows over basis(1), built once and shared."""
+        return tuple(self.differential_matrix(1).kernel())
 
     @cached_property
     def wedges_2(self) -> Wedges:

@@ -307,18 +307,19 @@ def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     return None
 
 
-def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evidence | None:
+def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evidence:
     """Sufficient certificate: the complement ideal meets cocycles in exacts.
 
-    Checks, for every degree q <= k+1, that each cocycle inside the ideal I
-    generated by the complement of the closed degree-1 part is a coboundary.
-    I^q is spanned by the monomials of basis(q) that hold a complement
-    generator.  I cap Z^q, the kernel of d_q on I, holds I cap B^q, so it
-    lies in B^q exactly when rank d_q(I) = rank(I + B^q) - rank B^q: d_q(I)
-    is spanned by d_q's columns at I, and I + B^q adds I's unit rows to a
-    copy of the CDGA's shared `coboundaries` (q).  Passing every degree up
-    to j+1 certifies j-formality, so a first failure at q certifies q-2.
-    Returns the evidence for the largest certified j <= k, or None if j < 0.
+    Checks, for every degree q <= k+1, that each cocycle in the ideal I of
+    the complement N of the closed degree-1 part is a coboundary.  Degree 1
+    is Z^1 cap span N = 0, which `validate_decomposition` checks.  Above it,
+    A^q = wedge^q Z^1 + I^q with wedge^q Z^1 in Z^q, so H^q maps onto
+    A^q / (I^q + B^q) with kernel the classes of Z^q cap I^q: degree q
+    passes exactly when b_q = dim A^q - rank(I^q + B^q).  I^q is spanned by
+    the monomials of basis(q) that hold a complement generator, so that is
+    |R| - rank of B^q cut to the other monomials R.  Passing every degree up
+    to j+1 certifies j-formality, so a first failure at q certifies q-2 >=
+    0.  Returns the evidence for the largest certified j <= k.
     """
     _require_model(c)
     if k < 0:
@@ -328,18 +329,13 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     validate_decomposition(c, dec)
     alg = c.algebra
     complement = {alg.index_of(name) for name in dec.complement}
-    for q in range(1, min(k + 1, alg.top_degree()) + 1):
-        ideal = [j for j, mono in enumerate(alg.basis(q)) if not complement.isdisjoint(mono)]
-        ideal_plus_image = c.coboundaries(q).copy()
-        for j in ideal:
-            ideal_plus_image.add({j: 1})
-        cols = c.differential_matrix(q).cols
-        d_ideal = Echelon(cols[j] for j in ideal)
-        if d_ideal.rank != ideal_plus_image.rank - c.coboundaries(q).rank:
+    for q in range(2, min(k + 1, alg.top_degree()) + 1):
+        rest = {j for j, mono in enumerate(alg.basis(q)) if complement.isdisjoint(mono)}
+        cols = c.differential_matrix(q - 1).cols
+        image = Echelon({i: v for i, v in col.items() if i in rest} for col in cols)
+        if len(rest) - image.rank != c.betti(q):
             k = q - 2
             break
-    if k < 0:
-        return None
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
     data = {"complement": list(dec.complement)}
     return Evidence("prop-art-certificate", k, "formal", detail, data)
@@ -348,8 +344,7 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
 def is_twostep(c: CDGA) -> bool:
     """Whether each column of d_1 lies in P_2, the square of the closed part."""
     _require_model(c)
-    _, pairs = itertools.islice(closed_wedges(c), 2)
-    wedge = Echelon(pairs)
+    wedge = Echelon(next(closed_wedges(c)))
     return all(wedge.contains(col) for col in c.differential_matrix(1).cols)
 
 
@@ -487,7 +482,7 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedT
             break
         additions = []
         for idx, vec in enumerate(kern):
-            trans = coh2.class_of([vec.get(t, Fraction(0)) for t in range(coh2.dim)])
+            trans = coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
             if image(trans):
                 raise RuntimeError("kernel transgression image is not zero in the ring")
             name = _unique_name(f"w{wave}_{idx}", taken)
@@ -829,6 +824,9 @@ def formality_report(
     Generation climbs cochains, with no class basis, to its first failure
     H^q, so degrees q-1 and up are not formal and resonance searches only
     the degrees below q-1: a point there or above could change no verdict.
+    Every not-formal rule speaks to a degree of at least 1, so the
+    certificate is always asked for some k >= 0 and always gives evidence;
+    it reads the Betti numbers of the ring the resonance rule built.
     """
     _require_model(c)
     report = FormalityReport(k_max)
@@ -872,15 +870,14 @@ def formality_report(
             )
         else:
             q = v.failure_degree
-            if q - 2 >= 0:
-                report.mark_formal_upto(
-                    Evidence(
-                        "two-step-decision",
-                        q - 2,
-                        "formal",
-                        f"2-step model generated in degree one up to H^{q - 1}",
-                    )
+            report.mark_formal_upto(
+                Evidence(
+                    "two-step-decision",
+                    q - 2,
+                    "formal",
+                    f"2-step model generated in degree one up to H^{q - 1}",
                 )
+            )
             report.mark_not_formal_from(
                 Evidence(
                     "two-step-decision",
@@ -902,12 +899,9 @@ def formality_report(
     if ev is not None:
         report.mark_not_formal_from(ev)
 
-    # the largest k not ruled out; the certificate falls back to the largest it can certify
+    # the largest k not ruled out, >= 0; the certificate falls back to the largest it can certify
     k = k_max if report.least_not_formal is None else report.least_not_formal - 1
-    if k >= 0:
-        ev = certify_prop_art(c, k, decomposition)
-        if ev is not None:
-            report.mark_formal_upto(ev)
+    report.mark_formal_upto(certify_prop_art(c, k, decomposition))
 
     if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
         try:

@@ -54,10 +54,6 @@ def row_primitive(row: Row) -> Row:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
-def row_to_vec(row: Row) -> Vec:
-    return {j: Fraction(v) for j, v in row.items()}
-
-
 def _eliminate(
     row: Row, base: Row, p: int, hits: list[int] | None = None, pivots: Container[int] = ()
 ) -> tuple[Row, int]:
@@ -303,15 +299,16 @@ class SparseMatrix:
                 rows.setdefault(i, {})[j] = v
         return Echelon(rows.values())
 
-    def kernel(self) -> list[Vec]:
+    def kernel(self) -> list[Row]:
         """Reduced echelon basis of the null space, one vector per free column.
 
         One row pass: the matrix's rows go into an echelon, and each free
-        column f, in increasing order, gives the primitive null vector of
-        f's dependence on the earlier independent columns.
+        column f, in increasing order, gives the null vector of f's
+        dependence on the earlier independent columns, as a primitive
+        integer row, positive at its least column.
         """
         ech = self._row_echelon()
-        return [row_to_vec(row_primitive(k)) for _, k in ech.null_vectors(range(self.ncols))]
+        return [row_primitive(k) for _, k in ech.null_vectors(range(self.ncols))]
 
     def solve(self, bs: Sequence[Vec]) -> list[Vec | None]:
         """For each b, the x with A x = b that is zero at each column dependent on earlier ones.

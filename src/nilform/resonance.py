@@ -405,16 +405,13 @@ def kunneth_membership(
     w_a: Sequence[Fraction],
     w_b: Sequence[Fraction],
     q: int,
-    k: int = 1,
 ) -> bool:
-    """Resonance membership of a product point, degree q, depth 1 only.
+    """Resonance membership of a product point in degree q, at depth 1.
 
     The product point lies in the degree-q variety iff some split q = i + j
     puts each factor point in its own degree-i and degree-j varieties.
     Raises when a split falls outside what the factor cutoffs can decide.
     """
-    if k != 1:
-        raise ValueError("only depth k = 1 is supported for product points")
     if q < 0:
         raise ValueError("degree must be nonnegative")
     for i in range(q + 1):

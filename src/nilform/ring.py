@@ -135,7 +135,11 @@ def from_cdga(source: CDGA, max_degree: int) -> RingPresentation:
 
 @dataclass(frozen=True)
 class GenerationVerdict:
-    """Outcome of the degree-1 generation test up to a degree bound."""
+    """Outcome of the degree-1 generation test up to a degree bound.
+
+    A failure names the first degree H^q not generated, always q >= 2 since
+    H^1 is, and the dimension missed there.
+    """
 
     generated: bool
     failure_degree: int | None = None
@@ -143,38 +147,41 @@ class GenerationVerdict:
 
 
 def closed_wedges(c: CDGA) -> Iterator[list[Row]]:
-    """P_1, P_2, ...: in degree q, the wedges of the increasing q-tuples of
+    """P_2, P_3, ...: in degree q, the wedges of the increasing q-tuples of
     the CDGA's Z^1 basis `cocycles_1`, as integer rows over basis(q).
 
-    P_2 is the CDGA's shared `wedges_2`; a q-wedge above it is a (q-1)-wedge
-    times a basis vector of larger index, formed only when asked for.
+    P_1 is Z^1 itself, which no reader asks for.  P_2 is the CDGA's shared
+    `wedges_2`; a q-wedge above it is a (q-1)-wedge times a basis vector of
+    larger index, formed only when asked for.
     """
     alg = c.algebra
     gens = alg.basis(1)
     closed = [{gens[j]: v for j, v in z.items()} for z in c.cocycles_1]
-    layer = list(enumerate(closed))  # (index of the last factor, terms)
-    for q in itertools.count(1):
+    layer = c.wedges_2  # (index of the last factor, terms)
+    for q in itertools.count(2):
         index = alg.basis_index(q)
         yield [{index[m]: v for m, v in w.items()} for _, w in layer]
-        layer = c.wedges_2 if q == 1 else wedge_layer(alg, layer, closed)
+        layer = wedge_layer(alg, layer, closed)
 
 
 def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     """Check that products of degree-1 classes span H^q for every q <= m.
 
-    Two ranks per degree: dim Z^q = dim A^q - rank d_q against rank(P_q +
-    B^q), P_q spanned by `closed_wedges` and B^q by the columns of d_(q-1).
-    Once H^(q-1) is generated, (P_q + B^q) / B^q is the image of H^(q-1) x
-    H^1 in H^q, so the first degree where they differ fails by the gap.
-    B^2 is the CDGA's shared `coboundaries` (2), so its wedges go on a copy;
-    above it, B^(q+1) is built here and handed on, to be extended in place.
+    Degree 1 holds by construction: d(1) = 0, so B^1 = 0 and H^1 = Z^1 =
+    P_1.  From q = 2 on, two ranks per degree: dim Z^q = dim A^q - rank d_q
+    against rank(P_q + B^q), P_q spanned by `closed_wedges` and B^q by the
+    columns of d_(q-1).  Once H^(q-1) is generated, (P_q + B^q) / B^q is the
+    image of H^(q-1) x H^1 in H^q, so the first degree where they differ
+    fails by the gap, and a failure degree is at least 2.  B^2 is the CDGA's
+    shared `coboundaries` (2), so its wedges go on a copy; B^(q+1) is built
+    here and handed on, to be extended in place.
     """
     if m < 1:
         raise ValueError(f"generation bound must be >= 1, got {m}")
     wedges = closed_wedges(c)
-    span = Echelon()  # B^1 = 0
-    for q in range(1, m + 1):
-        image = c.coboundaries(2) if q == 1 else Echelon(c.differential_matrix(q).cols)
+    span = c.coboundaries(2).copy()
+    for q in range(2, m + 1):
+        image = Echelon(c.differential_matrix(q).cols)
         cocycles = c.algebra.dim(q) - image.rank
         for w in next(wedges):
             if span.rank == cocycles:
@@ -182,7 +189,7 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
             span.add(w)
         if missed := cocycles - span.rank:
             return GenerationVerdict(False, q, missed)
-        span = image.copy() if q == 1 else image
+        span = image
     return GenerationVerdict(True)
 
 
@@ -220,7 +227,7 @@ def characteristic_subspace(ring: RingPresentation) -> CharacteristicSubspace:
     cols = [ring.product_coords(1, i, 1, j) for i, j in pairs]
     mat = SparseMatrix(ring.dim(2), len(pairs), cols)
     basis = tuple(
-        alg.from_coordinates(2, [vec.get(k, Fraction(0)) for k in range(len(pairs))])
+        alg.from_coordinates(2, [vec.get(k, 0) for k in range(len(pairs))])
         for vec in mat.kernel()
     )
     return CharacteristicSubspace(ring, alg, basis)

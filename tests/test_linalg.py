@@ -463,6 +463,9 @@ def test_kernel_is_the_tracked_column_walk(mat):
     kern = mat.kernel()
     assert kern == _walk_kernel(mat)
     assert all(mat.apply(vec) == {} for vec in kern)
+    # primitive integer rows, positive at the least column
+    assert all(row_primitive(vec) == vec for vec in kern)
+    assert all(type(v) is int for vec in kern for v in vec.values())
 
 
 @pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)

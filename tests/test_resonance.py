@@ -388,13 +388,6 @@ def test_kunneth_cutoff_raises_when_blind():
         kunneth_membership(ra, rb, w_a, w_b, 1)
 
 
-def test_kunneth_depth_restriction():
-    ra = from_cdga(heisenberg(1), 3)
-    rb = from_cdga(free_abelian(["t"]), 1)
-    with pytest.raises(ValueError):
-        kunneth_membership(ra, rb, zero_point(ra), zero_point(rb), 1, k=2)
-
-
 # -- the integer pencil against the Fraction build -------------------------
 
 PENCIL_MODELS = {
