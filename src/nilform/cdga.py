@@ -201,16 +201,9 @@ class CDGA:
         return [self.betti(q) for q in range(q_max + 1)]
 
     @cached_property
-    def cocycles_1(self) -> tuple[Row, ...]:
-        """Z^1 = ker d_1 in the reduced echelon basis of ``SparseMatrix.kernel``,
-        its primitive integer rows over basis(1), built once and shared."""
-        return tuple(self.differential_matrix(1).kernel())
-
-    @cached_property
     def wedges_2(self) -> Wedges:
-        """P_2 as (j, z_i z_j) for i < j over the rows z of `cocycles_1`, built once and shared."""
-        gens = self.algebra.basis(1)
-        closed = [{gens[j]: v for j, v in z.items()} for z in self.cocycles_1]
+        """P_2 as (j, z_i z_j) for i < j over the rows z of `closed_terms`, built once and shared."""
+        closed = closed_terms(self)
         return wedge_layer(self.algebra, list(enumerate(closed)), closed)
 
     def coboundaries(self, q: int) -> Echelon:
@@ -244,6 +237,11 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
             raise DegreeError(f"term outside degree {q}")
         out[pos] = c
     return out
+
+
+def closed_terms(c: CDGA) -> list[dict[Monomial, int]]:
+    """Z^1 in integers: d(1) = 0, so B^1 = 0 and the H^1 representatives are its basis."""
+    return [{m: v.numerator for m, v in z.terms.items()} for z in c.cohomology(1).representatives]
 
 
 def wedge_layer(alg: Algebra, layer: Wedges, closed: list[dict[Monomial, int]]) -> Wedges:

@@ -70,8 +70,9 @@ def _cdga_from_document(doc) -> CDGA:
         raise InputError("'differential' must be a list")
     differential = {}
     for item in spec:
-        if not isinstance(item, dict) or "generator" not in item:
-            raise InputError("each differential entry needs 'generator' and 'value'")
+        # a name that is not a string would reach the algebra's name lookup
+        if not isinstance(item, dict) or not isinstance(item.get("generator"), str):
+            raise InputError("each differential entry needs a 'generator' name and a 'value'")
         gname = item["generator"]
         alg.index_of(gname)
         value = item.get("value", [])
@@ -86,7 +87,7 @@ def _cdga_from_document(doc) -> CDGA:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad rational {term['coeff']!r}: {exc}") from None
             names = term["monomial"]
-            if not isinstance(names, list):
+            if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
                 raise InputError("'monomial' must be a list of generator names")
             part = alg.one()
             for nm in names:

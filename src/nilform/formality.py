@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cdga import CDGA, hirsch_extend
+from .cdga import CDGA, closed_terms, hirsch_extend
 from .gca import Algebra, AlgebraError, Generator, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
@@ -206,8 +206,13 @@ class Decomposition:
 
 
 def default_decomposition(c: CDGA) -> Decomposition:
-    """The generators off the echelon pivots of the CDGA's `cocycles_1`."""
-    pivots = set(Echelon(c.cocycles_1).pivots)
+    """The generators that are not the least index of an H^1 representative.
+
+    Valid by construction: the representatives, a basis of Z^1, have
+    increasing least-index pivots, each zero at the others', so a nonzero z
+    in Z^1 has a pivot as least index: Z^1 cap span N = 0, |N| = n - dim Z^1.
+    """
+    pivots = {min(z.terms)[0] for z in c.cohomology(1).representatives}
     gens = c.algebra.generators
     return Decomposition(tuple(g.name for j, g in enumerate(gens) if j not in pivots))
 
@@ -312,21 +317,23 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
 
     Checks, for every degree q <= k+1, that each cocycle in the ideal I of
     the complement N of the closed degree-1 part is a coboundary.  Degree 1
-    is Z^1 cap span N = 0, which `validate_decomposition` checks.  Above it,
-    A^q = wedge^q Z^1 + I^q with wedge^q Z^1 in Z^q, so H^q maps onto
-    A^q / (I^q + B^q) with kernel the classes of Z^q cap I^q: degree q
-    passes exactly when b_q = dim A^q - rank(I^q + B^q).  I^q is spanned by
-    the monomials of basis(q) that hold a complement generator, so that is
-    |R| - rank of B^q cut to the other monomials R.  Passing every degree up
-    to j+1 certifies j-formality, so a first failure at q certifies q-2 >=
-    0.  Returns the evidence for the largest certified j <= k.
+    is Z^1 cap span N = 0: by construction for the default N, else checked
+    by `validate_decomposition`.  Above it, A^q = wedge^q Z^1 + I^q with
+    wedge^q Z^1 in Z^q, so H^q maps onto A^q / (I^q + B^q) with kernel the
+    classes of Z^q cap I^q: degree q passes exactly when b_q = dim A^q -
+    rank(I^q + B^q).  I^q is spanned by the monomials of basis(q) that hold
+    a complement generator, so that is |R| - rank of B^q cut to the other
+    monomials R.  Passing every degree up to j+1 certifies j-formality, so a
+    first failure at q certifies q-2 >= 0.  Returns the evidence for the
+    largest certified j <= k.
     """
     _require_model(c)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if dec is None:
         dec = default_decomposition(c)
-    validate_decomposition(c, dec)
+    else:
+        validate_decomposition(c, dec)
     alg = c.algebra
     complement = {alg.index_of(name) for name in dec.complement}
     for q in range(2, min(k + 1, alg.top_degree()) + 1):
@@ -557,16 +564,17 @@ def dga_map_solve(
     A constraint fixes the image of a source generator: a ``Multivector`` of
     the target's algebra, or an expression parsed there.  Every other
     generator receives a particular lift of its transgression image plus
-    free closed directions.  Compatibility with both differentials becomes
-    a polynomial system in the unknown coefficients: a linear system is
-    eliminated exactly, and a non-linear one goes through a Groebner basis
-    of its equations when the unknown count stays within
-    ``ELIMINATION_BOUND``.
+    free closed directions, the target's `closed_terms`.  Compatibility with
+    both differentials becomes a polynomial system in the unknown
+    coefficients: a linear system is eliminated exactly, and a non-linear
+    one goes through a Groebner basis of its equations when the unknown
+    count stays within ``ELIMINATION_BOUND``.
 
     ``require_h1_iso`` asks for a map that is invertible on degree-one
     cohomology.  Every closed degree-one element of the source must then
     lie on fixed generators (else ``ValueError``), so the map on H^1 is the
-    same for every solution, and one exact rank on the map found decides it.
+    same for every solution, and one exact rank of the images of the
+    source's H^1 representatives decides it.
     """
     if not isinstance(target, CDGA):
         raise TypeError(f"unsupported chain-map target {type(target).__name__}")
@@ -581,8 +589,8 @@ def dga_map_solve(
         source.algebra.index_of(name)
     names = [g.name for g in source.algebra.generators]
     if require_h1_iso:
-        h1_kernel = source.cocycles_1
-        on_closed = {i for vec in h1_kernel for i in vec}
+        h1_reps = source.cohomology(1).representatives
+        on_closed = {m[0] for z in h1_reps for m in z.terms}
         free = [n for i, n in enumerate(names) if i in on_closed and n not in constraints]
         if free:
             raise ValueError(
@@ -607,7 +615,7 @@ def dga_map_solve(
     # the columns of d_1 span the exact degree-2 part
     d1 = target.differential_matrix(1)
     exact_span = target.coboundaries(2)
-    closed = [{basis1[j]: c for j, c in sorted(vec.items())} for vec in target.cocycles_1]
+    closed = closed_terms(target)
 
     # one unknown per closed direction of a free generator
     labels = [
@@ -682,14 +690,13 @@ def dga_map_solve(
         images_pel[i] = img
 
     if require_h1_iso:
-        n1 = len(h1_kernel)
-        h1 = target.cohomology(1).dim
-        if n1 != h1:
+        coh1 = target.cohomology(1)
+        if len(h1_reps) != coh1.dim:
             return MapSolveResult(
                 "unsatisfiable",
                 None,
-                f"closed degree-one dimensions differ: source {n1}, "
-                f"target {h1}",
+                f"closed degree-one dimensions differ: source {len(h1_reps)}, "
+                f"target {coh1.dim}",
                 nparams,
                 len(equations),
             )
@@ -749,12 +756,8 @@ def dga_map_solve(
             raise RuntimeError(f"chain-map verification failed at {name!r}")
     if require_h1_iso:
         # every closed generator is fixed, so this is the H^1 map of every solution
-        coh1 = target.cohomology(1)
-        span = Echelon()
-        for vec in h1_kernel:
-            closed_image = sum((images[i].scale(c) for i, c in vec.items()), alg.zero())
-            span.add(coh1.coordinates(closed_image))
-        if span.rank < n1:
+        span = Echelon(coh1.coordinates(apply_chain_map(images, z, target)) for z in h1_reps)
+        if span.rank < len(h1_reps):
             return MapSolveResult(
                 "unsatisfiable",
                 None,
@@ -906,11 +909,8 @@ def formality_report(
     if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
         try:
             tower = bigraded_tower(from_cdga(c, 2), stage_cap=TOWER_CAP)
-            coh1 = c.cohomology(1)
-            constraints = {
-                name: coh1.representatives[j]
-                for j, name in enumerate(tower.stages[0])
-            }
+            # stage-0 generator i is fixed to H^1 representative i
+            constraints = dict(zip(tower.stages[0], c.cohomology(1).representatives))
             res = dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)
             if res.status == "unsatisfiable":
                 report.mark_not_formal_from(

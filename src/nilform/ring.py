@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .cdga import CDGA, wedge_layer
+from .cdga import CDGA, closed_terms, wedge_layer
 from .gca import Algebra, Multivector
 from .linalg import Echelon, Row, SparseMatrix, Vec
 
@@ -148,15 +148,14 @@ class GenerationVerdict:
 
 def closed_wedges(c: CDGA) -> Iterator[list[Row]]:
     """P_2, P_3, ...: in degree q, the wedges of the increasing q-tuples of
-    the CDGA's Z^1 basis `cocycles_1`, as integer rows over basis(q).
+    the Z^1 basis `closed_terms`, the H^1 representatives, as integer rows.
 
     P_1 is Z^1 itself, which no reader asks for.  P_2 is the CDGA's shared
-    `wedges_2`; a q-wedge above it is a (q-1)-wedge times a basis vector of
-    larger index, formed only when asked for.
+    `wedges_2`; a q-wedge above it is a (q-1)-wedge times a representative
+    of larger index, formed only when asked for.
     """
     alg = c.algebra
-    gens = alg.basis(1)
-    closed = [{gens[j]: v for j, v in z.items()} for z in c.cocycles_1]
+    closed = closed_terms(c)
     layer = c.wedges_2  # (index of the last factor, terms)
     for q in itertools.count(2):
         index = alg.basis_index(q)

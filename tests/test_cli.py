@@ -283,6 +283,24 @@ def test_input_unknown_generator_name(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "entry, fragment",
+    [
+        ({"generator": ["b"], "value": []}, "'generator' name"),
+        ({"generator": "b", "value": [{"coeff": "1", "monomial": [["a"], "a"]}]}, "'monomial'"),
+    ],
+    ids=["generator", "monomial"],
+)
+def test_input_non_string_generator_name(capsys, tmp_path, entry, fragment):
+    # a list where a name belongs is an input error, not an unhashable lookup
+    doc = {"generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1}], "differential": [entry]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["cohomology", "--input", str(path)])
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 def test_input_duplicate_differential(capsys, tmp_path):
     bad_input_case(
         capsys,

@@ -248,10 +248,11 @@ def test_generation_obstruction_silent_when_generated():
     ids=["decide_twostep", "obstruction_generation"],
 )
 def test_the_generation_rules_form_no_cohomology_basis(build, rule):
-    # the climb ranks cochain matrices: no class basis and no structure constant
+    # the climb ranks cochain matrices: no class basis but H^1, whose
+    # representatives are the basis of Z^1, and no structure constant
     c = build()
     rule(c)
-    assert c._cohomology_cache == {}
+    assert set(c._cohomology_cache) == {1}
     assert c._class_products == {}
 
 
@@ -460,6 +461,33 @@ def test_prop_certificate_rank_criterion_matches_the_intersection_on_the_formali
     assert any(verdicts) and not all(verdicts)
 
 
+def _dependent_closed():
+    """d(w1) = d(v) = d(v2): the kernel of d_1 and the H^1 representatives are two bases of Z^1."""
+    return cli._cdga_from_document(json.loads((DATA / "dependent_closed.json").read_text()))
+
+
+def test_the_default_complement_is_valid_by_construction():
+    # it is never validated at run time, so the oracle checks it here: it
+    # leaves out the least index of each H^1 representative, and those are
+    # the pivots of every echelon basis of Z^1, here the kernel of d_1
+    models = [p.values[0]() for p in PROP_ART_MODELS] + [_dependent_closed(), _dz_equals_dw()]
+    for c in models + _formality_mix_models():
+        dec = default_decomposition(c)
+        validate_decomposition(c, dec)
+        least = {min(z.terms)[0] for z in c.cohomology(1).representatives}
+        assert least == set(Echelon(c.differential_matrix(1).kernel()).pivots)
+        names = [g.name for g in c.algebra.generators]
+        assert dec.complement == tuple(n for j, n in enumerate(names) if j not in least)
+
+
+def test_the_dependent_model_has_two_bases_of_z1():
+    c = _dependent_closed()
+    # w1, v, v2 are generators 5, 6, 7: the kernel has w1 - v and w1 - v2
+    assert c.differential_matrix(1).kernel()[-2:] == [{5: 1, 6: -1}, {5: 1, 7: -1}]
+    assert [str(z) for z in c.cohomology(1).representatives][-2:] == ["w1 - v2", "v - v2"]
+    assert default_decomposition(c).complement == ("v2", "w2", "a")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -496,9 +524,14 @@ def test_report_checks_the_prop_art_degrees_in_one_pass(monkeypatch):
             formality, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     rep = formality_report(example_contr("y1*y2"), 3)
-    monkeypatch.undo()
-    # one certificate call, which validates the decomposition once
+    # one certificate call; the default complement is valid by construction
+    assert calls == ["certify_prop_art"]
+    # a complement passed in is validated once, by the certificate
+    calls.clear()
+    chosen = formality_report(example_contr("y1*y2"), 3, decomposition=Decomposition(("a", "w2", "w1")))
     assert calls == ["certify_prop_art", "validate_decomposition"]
+    monkeypatch.undo()
+    assert chosen.verdicts() == rep.verdicts()
     assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
     (ev,) = [e for e in rep.evidence if e.rule == "prop-art-certificate"]
     assert ev == certify_prop_art(example_contr("y1*y2"), 0)
@@ -1045,15 +1078,19 @@ def generation_failing_tower():
     "build", [generation_failing_tower, lambda: example_contr("y1*y2")], ids=["tower", "contr-y1y2"]
 )
 def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build):
-    # Z^1 is one kernel of d_1 for every rule, and a shared B^q is never
-    # extended in place: each equals a fresh column echelon of d_(q-1)
+    # Z^1 is H^1 for every rule: one row pass of d_1 and no kernel of it;
+    # and a shared B^q is never extended in place: each equals a fresh
+    # column echelon of d_(q-1)
     c = build()
-    kernels = []
-    real = SparseMatrix.kernel
-    monkeypatch.setattr(SparseMatrix, "kernel", lambda m: kernels.append(m) or real(m))
+    kernels, passes = [], []
+    real_kernel, real_pass = SparseMatrix.kernel, cdga._row_pass
+    monkeypatch.setattr(SparseMatrix, "kernel", lambda m: kernels.append(m) or real_kernel(m))
+    monkeypatch.setattr(cdga, "_row_pass", lambda d: passes.append(d) or real_pass(d))
     rep = formality_report(c, 3)
     monkeypatch.undo()
-    assert sum(m is c.differential_matrix(1) for m in kernels) == 1
+    d1 = c.differential_matrix(1)
+    assert not any(m is d1 for m in kernels)
+    assert sum(d is d1 for d in passes) == 1
     assert rep.verdicts() == formality_report(build(), 3).verdicts()
     assert 2 in c._coboundaries
     for q, shared in c._coboundaries.items():
@@ -1065,15 +1102,15 @@ def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build):
 
 
 def test_tower_report_stops_at_its_generation_failure():
-    # the report needs cochains up to degree 2 and no class basis, and runs
-    # no resonance search
+    # the report needs cochains up to degree 2 and no class basis but H^1,
+    # the basis of Z^1, and runs no resonance search
     c = generation_failing_tower()
     assert not is_twostep(c)
     rep = formality_report(c, 3)
     assert rep.verdicts() == [FORMAL, NOT_FORMAL, NOT_FORMAL, NOT_FORMAL]
     assert [(ev.rule, ev.k) for ev in rep.evidence if ev.kind == "not_formal"] == [("generation", 1)]
     assert max(c._matrix_cache) == 2
-    assert c._cohomology_cache == {}
+    assert set(c._cohomology_cache) == {1}
 
 
 @pytest.mark.parametrize(
