@@ -3,6 +3,9 @@
 Input models come either from a JSON document or from a named preset.  All
 reports are available as fixed-width ASCII tables (default) or as
 deterministic JSON with rational numbers serialized as strings.
+
+Each command imports the layers it runs when it runs, so ``cohomology`` and
+``preset list`` load no resonance or formality code.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .catalog import PRESETS, parse_preset
 from .cdga import CDGA
-from .formality import decomposition_from_names, formality_report
 from .gca import Algebra, Generator
-from .resonance import (
-    decide_r11_trivial,
-    find_resonance_point,
-    mu_complex_dim,
-    point_from_expression,
-)
-from .ring import from_cdga
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,6 +167,8 @@ def _document(command: str, echo: dict, options: dict, section: dict) -> dict:
 
 
 def _cmd_cohomology(args) -> int:
+    from .ring import from_cdga
+
     c, origin = _load_model(args)
     echo = _echo_model(c, origin)
     max_degree = args.max_degree
@@ -202,6 +199,14 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_resonance(args) -> int:
+    from .resonance import (
+        decide_r11_trivial,
+        find_resonance_point,
+        mu_complex_dim,
+        point_from_expression,
+    )
+    from .ring import from_cdga
+
     if args.q < 0:
         raise InputError("--q must be nonnegative")
     if args.k < 1:
@@ -282,6 +287,8 @@ def _cmd_resonance(args) -> int:
 
 
 def _cmd_formality(args) -> int:
+    from .formality import decomposition_from_names, formality_report
+
     if args.k_max < 0:
         raise InputError("--k-max must be nonnegative")
     c, origin = _load_model(args)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cdga import CDGA, closed_terms, hirsch_extend
 from .gca import Algebra, AlgebraError, Generator, Multivector
@@ -72,21 +71,25 @@ class EliminationBoundError(RuntimeError):
 # -- report ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """One applied rule with the degree it speaks to and its payload."""
+class Evidence(
+    NamedTuple(
+        "Evidence",
+        [("rule", str), ("k", int), ("kind", str), ("detail", str), ("data", "dict | None")],
+    )
+):
+    """One applied rule with the degree it speaks to and its payload.
 
-    rule: str
-    k: int
-    kind: str  # "formal" | "not_formal" | "info"
-    detail: str
-    data: dict | None = None
+    ``kind`` is "formal", "not_formal" or "info"; ``data`` defaults to None.
+    """
 
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.kind not in ("formal", "not_formal", "info"):
-            raise ValueError(f"unknown evidence kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, rule: str, k: int, kind: str, detail: str, data: dict | None = None):
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        if kind not in ("formal", "not_formal", "info"):
+            raise ValueError(f"unknown evidence kind {kind!r}")
+        return super().__new__(cls, rule, k, kind, detail, data)
 
 
 class FormalityReport:
@@ -198,8 +201,7 @@ def _require_model(c: CDGA) -> None:
 # -- decompositions of the degree-1 part ----------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Complement of the closed degree-1 part, as the names of its generators."""
 
     complement: tuple[str, ...]
@@ -218,7 +220,9 @@ def default_decomposition(c: CDGA) -> Decomposition:
 
 
 def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
-    """Complement picked as a set of generators; validated against the kernel."""
+    """Complement picked as a set of generators; validated against the kernel
+    of a model the report accepts, checked first (``ValueError`` otherwise)."""
+    _require_model(c)
     dec = Decomposition(tuple(names))
     validate_decomposition(c, dec)
     return dec
@@ -355,8 +359,7 @@ def is_twostep(c: CDGA) -> bool:
     return all(wedge.contains(col) for col in c.differential_matrix(1).cols)
 
 
-@dataclass(frozen=True)
-class TwoStepDecision:
+class TwoStepDecision(NamedTuple):
     """Exact formality decision available for 2-step models."""
 
     k: int
@@ -425,8 +428,7 @@ def apply_chain_map(images: Sequence[Multivector], v: Multivector, target: CDGA)
 # -- bigraded tower -------------------------------------------------------
 
 
-@dataclass
-class BigradedTower:
+class BigradedTower(NamedTuple):
     """Degree-1 stages of the bigraded model of a ring with zero differential."""
 
     ring: RingPresentation
@@ -509,8 +511,7 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedT
 # ``linalg.sympy_polys``.
 
 
-@dataclass
-class MapSolveResult:
+class MapSolveResult(NamedTuple):
     """Outcome of the symbolic search for a constrained chain map."""
 
     status: str  # "solution" | "unsatisfiable" | "unknown"

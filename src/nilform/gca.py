@@ -10,9 +10,8 @@ indices in declaration order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -30,18 +29,17 @@ class InhomogeneousError(DegreeError):
     """An operation required a homogeneous element."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("name", str), ("degree", int)])):
     """Algebra generator with a name and a positive degree."""
 
-    name: str
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", self.name):
-            raise AlgebraError(f"invalid generator name {self.name!r}")
-        if self.degree < 1:
-            raise DegreeError(f"generator {self.name!r} must have degree >= 1")
+    def __new__(cls, name: str, degree: int):
+        if not name or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", name):
+            raise AlgebraError(f"invalid generator name {name!r}")
+        if degree < 1:
+            raise DegreeError(f"generator {name!r} must have degree >= 1")
+        return super().__new__(cls, name, degree)
 
 
 def _as_generator(spec: Generator | tuple) -> Generator:

@@ -18,7 +18,6 @@ package, for the Groebner fallbacks, which are its only callers.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -258,18 +257,14 @@ def rank_rows(rows: Sequence[Row], max_rank: int | None = None) -> int:
     return Echelon(rows).rank
 
 
-@dataclass
 class SparseMatrix:
-    """Column-major sparse rational matrix."""
+    """Column-major sparse rational matrix; ``cols`` defaults to empty columns."""
 
-    nrows: int
-    ncols: int
-    cols: list[Vec] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.cols:
-            self.cols = [{} for _ in range(self.ncols)]
-        if len(self.cols) != self.ncols:
+    def __init__(self, nrows: int, ncols: int, cols: list[Vec] | None = None) -> None:
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols = cols or [{} for _ in range(ncols)]
+        if len(self.cols) != ncols:
             raise ValueError("column count mismatch")
 
     def is_zero(self) -> bool:

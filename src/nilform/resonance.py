@@ -13,12 +13,11 @@ nontriviality is certified by a decomposable witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .gca import Monomial, Multivector
 from .linalg import Poly, Row, poly_value, rank_mod_p, rank_rows, sympy_polys, to_int_row
@@ -123,8 +122,7 @@ def in_resonance(ring: RingPresentation, w: Sequence[Fraction], q: int, k: int =
 # -- the degree-1 decision procedure ------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricSystem:
+class QuadricSystem(NamedTuple):
     """Coefficient forms of omega^2 over the characteristic subspace.
 
     A candidate omega = sum c_a k_a squares to zero exactly when every form
@@ -164,8 +162,7 @@ def r11_quadric_system(subspace: CharacteristicSubspace) -> QuadricSystem:
     return QuadricSystem(subspace, monomials, tuple(forms))
 
 
-@dataclass(frozen=True)
-class ResonanceWitness:
+class ResonanceWitness(NamedTuple):
     """Nonzero decomposable element of the characteristic subspace.
 
     omega = alpha ^ beta in the class symbol algebra; the coordinates of
@@ -178,8 +175,7 @@ class ResonanceWitness:
     point: Point
 
 
-@dataclass(frozen=True)
-class R11Verdict:
+class R11Verdict(NamedTuple):
     kind: str  # "trivial" | "witness" | "inconclusive"
     witness: ResonanceWitness | None
     detail: str

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cdga import CDGA, closed_terms, wedge_layer
 from .gca import Algebra, Multivector
@@ -133,8 +132,7 @@ def from_cdga(source: CDGA, max_degree: int) -> RingPresentation:
     return RingPresentation(source, max_degree)
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(NamedTuple):
     """Outcome of the degree-1 generation test up to a degree bound.
 
     A failure names the first degree H^q not generated, always q >= 2 since
@@ -192,8 +190,7 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     return GenerationVerdict(True)
 
 
-@dataclass(frozen=True)
-class CharacteristicSubspace:
+class CharacteristicSubspace(NamedTuple):
     """Kernel of multiplication from the second exterior power of H^1 to H^2.
 
     Elements live in a fresh exterior algebra on degree-1 class symbols, one

@@ -219,7 +219,7 @@ def test_formality_strict_exits_three_on_bound(capsys, monkeypatch):
         rep.add_info(Evidence("morphism-solver", 1, "info", "search skipped"))
         return rep
 
-    monkeypatch.setattr(cli, "formality_report", fake_report)
+    monkeypatch.setattr("nilform.formality.formality_report", fake_report)
     code, out, _ = run(
         capsys,
         ["formality", "--preset", "heisenberg:2", "--k-max", "1", "--strict"],
@@ -242,6 +242,15 @@ def test_formality_rejects_non_model_input(capsys, tmp_path):
     code, _, err = run(capsys, ["formality", "--input", str(path), "--k-max", "1"])
     assert code == 2
     assert "degree 1" in err
+
+
+def test_formality_rejects_mixed_degrees_before_the_complement(capsys):
+    # u of degree 2 comes first, so d_1's columns are not indexed by generator
+    path = Path(__file__).resolve().parent / "data" / "mixed_degree.json"
+    code, out, err = run(capsys, ["formality", "--input", str(path), "--complement", "a"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: model must be generated in degree 1\n"
 
 
 # -- input validation -----------------------------------------------------
@@ -466,3 +475,51 @@ def test_light_commands_never_import_sympy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr.decode() == repr([False] * 10)
+
+
+_LAYERS_PROBE = """
+import io
+import sys
+from contextlib import redirect_stdout
+
+import nilform.cli
+
+with redirect_stdout(io.StringIO()):
+    assert nilform.cli.main(sys.argv[1:]) == 0
+layers = sorted(m for m in sys.modules if m.startswith("nilform"))
+sys.stderr.write(repr((layers, [m for m in ("dataclasses", "inspect") if m in sys.modules])))
+"""
+
+_ENTRY = ["nilform", "nilform.catalog", "nilform.cdga", "nilform.cli", "nilform.gca", "nilform.linalg"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["preset", "list"], []),
+        (["cohomology", "--preset", "heisenberg:4", "--format", "json"], ["ring"]),
+        (["resonance", "--preset", "heisenberg:3", "--q", "3", "--point", "x1 + 2*y2"],
+         ["resonance", "ring"]),
+        (["resonance", "--preset", "heisenberg:2", "--q", "1", "--decide"], ["resonance", "ring"]),
+        (["formality", "--preset", "heisenberg:3"], ["formality", "resonance", "ring"]),
+        (["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3", "--format", "json"],
+         ["formality", "resonance", "ring"]),
+    ],
+    ids=["preset-list", "cohomology", "resonance-point", "resonance-decide", "formality",
+         "formality-solver"],
+)
+def test_a_command_loads_only_its_layers(argv, layers):
+    # a cold command compiles every module it imports, so each subcommand
+    # imports its own layers, and no layer makes its records with dataclasses
+    # (which brings in inspect, ast, dis and tokenize)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERS_PROBE, *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = sorted(_ENTRY + [f"nilform.{m}" for m in layers])
+    assert proc.stderr.decode() == repr((expected, []))

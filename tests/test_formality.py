@@ -68,6 +68,12 @@ def test_evidence_rejects_unknown_rule():
         Evidence("generation", 0, "maybe", "x")
 
 
+def test_evidence_data_defaults_to_none():
+    ev = Evidence("generation", 1, "info", "x")
+    assert ev.data is None
+    assert Evidence("generation", 1, "info", "x", {"q": 2}).data == {"q": 2}
+
+
 def test_report_marking_and_extremes():
     rep = FormalityReport(4)
     assert rep.verdicts() == [INCONCLUSIVE] * 5

@@ -34,6 +34,16 @@ def test_generator_validation():
         Algebra([("x", 1), ("x", 1)])
 
 
+def test_generator_is_an_immutable_value():
+    g = Generator("x", 1)
+    assert g == Generator("x", 1) != Generator("x", 2)
+    assert hash(g) == hash(Generator("x", 1))
+    assert len({g, Generator("x", 1), Generator("y", 1)}) == 2
+    assert (g.name, g.degree) == ("x", 1)
+    with pytest.raises(AttributeError):
+        g.degree = 2
+
+
 def test_wedge_anticommutes(e4):
     x1, y1 = e4.gen("x1"), e4.gen("y1")
     assert x1 * y1 == e4.parse("x1*y1")

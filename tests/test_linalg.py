@@ -77,6 +77,12 @@ def test_identity_and_zero():
     assert zero.is_zero()
 
 
+def test_sparse_matrix_columns_default_to_empty():
+    assert SparseMatrix(2, 3).cols == [{}, {}, {}]
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 3, [{0: 1}])
+
+
 def test_empty_shapes():
     tall = SparseMatrix(4, 0)
     assert tall.rank() == 0
