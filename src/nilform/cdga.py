@@ -9,7 +9,6 @@ class coordinates.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
@@ -18,9 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
 from .linalg import Echelon, Row, SparseMatrix, Vec
-
-# (index of the last closed factor, terms by monomial) per wedge of closed 1-forms
-Wedges = list[tuple[int, dict[Monomial, int]]]
 
 
 class NotADifferential(ValueError):
@@ -201,13 +197,27 @@ class CDGA:
         return [self.betti(q) for q in range(q_max + 1)]
 
     @cached_property
-    def wedges_2(self) -> Wedges:
-        """P_2 as (j, z_i z_j) for i < j over the rows z of `closed_terms`, built once and shared."""
-        closed = closed_terms(self)
-        return wedge_layer(self.algebra, list(enumerate(closed)), closed)
+    def _coordinates(self) -> tuple[frozenset[int], CDGA | None]:
+        """`coordinate_model` as (pivots, d' model), with None for self, so
+        that nothing cached here refers back to this CDGA."""
+        reps = self.cohomology(1).representatives
+        pivots = frozenset(min(z.terms)[0] for z in reps)
+        if all(len(z.terms) == 1 for z in reps):
+            return pivots, None
+        alg = self.algebra
+        images = [alg.monomial((i,)) for i in range(len(alg.generators))]
+        for z in reps:
+            ((p,), lead), *rest = sorted(z.terms.items())
+            images[p] = Multivector(alg, {(p,): 1, **{m: -v for m, v in rest}}).scale(1 / lead)
+        differential = {
+            alg.generators[i].name: apply_chain_map(images, v, self)
+            for i, v in self._d_gen.items()
+            if i not in pivots
+        }
+        return pivots, CDGA(alg, differential)
 
     def coboundaries(self, q: int) -> Echelon:
-        """B^q, the column echelon of d_(q-1), built once and shared: extend a ``copy``."""
+        """B^q, the column echelon of d_(q-1), built once and shared; no reader extends it."""
         return _column_echelon(self._coboundaries, self.differential_matrix(q - 1), q)
 
     def is_coboundary(self, v: Multivector) -> Multivector | None:
@@ -239,22 +249,31 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
     return out
 
 
-def closed_terms(c: CDGA) -> list[dict[Monomial, int]]:
-    """Z^1 in integers: d(1) = 0, so B^1 = 0 and the H^1 representatives are its basis."""
-    return [{m: v.numerator for m, v in z.terms.items()} for z in c.cohomology(1).representatives]
-
-
-def wedge_layer(alg: Algebra, layer: Wedges, closed: list[dict[Monomial, int]]) -> Wedges:
-    """(j, w * closed[j]) for each (i, w) of a layer and each j > i, in integers."""
-    out = []
-    for i, w in layer:
-        for j in range(i + 1, len(closed)):
-            prod: dict[Monomial, int] = {}
-            for (ma, a), (mb, b) in itertools.product(w.items(), closed[j].items()):
-                if (t := alg.monomial_product(ma, mb)) is not None:
-                    prod[t[1]] = prod.get(t[1], 0) + t[0] * a * b
-            out.append((j, {m: v for m, v in prod.items() if v}))
+def apply_chain_map(images: Sequence[Multivector], v: Multivector, target: CDGA) -> Multivector:
+    """Multiplicative extension of generator images to a multivector."""
+    unit = target.algebra.one()
+    out = unit.scale(0)
+    for mono, c in sorted(v.terms.items()):
+        cur = unit
+        for i in mono:
+            cur = cur * images[i]
+        out = out + cur.scale(c)
     return out
+
+
+def coordinate_model(c: CDGA) -> tuple[frozenset[int], CDGA]:
+    """The pivots p_i, least indices of the H^1 representatives z_i, and a
+    model of d' = phi d phi^-1, for ranks only: phi makes each z_i = c_i
+    e_(p_i) + n_i, n_i in the span of the other generators N, a generator.
+
+    phi substitutes (e_(p_i) - n_i) / c_i for e_(p_i) in each d(g), g in N,
+    and d'(e_(p_i)) = 0.  It fixes N, so it maps P_q, the span of the q-fold
+    wedges of the z_i, onto the monomials in the pivots alone, R^q, and the
+    ideal of N onto the other monomials, I^q.  The model is ``c`` when each
+    z_i is a generator, else a CDGA on the same algebra, d' maybe fractional.
+    """
+    pivots, model = c._coordinates
+    return pivots, c if model is None else model
 
 
 def _column_echelon(cache: dict[int, Echelon], d: SparseMatrix, q: int) -> Echelon:

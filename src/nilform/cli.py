@@ -65,12 +65,14 @@ def _cdga_from_document(doc) -> CDGA:
         raise InputError("'differential' must be a list")
     differential = {}
     for item in spec:
-        # a name that is not a string would reach the algebra's name lookup
-        if not isinstance(item, dict) or not isinstance(item.get("generator"), str):
+        # a name that is not a string would reach the algebra's name lookup, and
+        # a missing value would read as d = 0
+        named = isinstance(item, dict) and isinstance(item.get("generator"), str)
+        if not named or "value" not in item:
             raise InputError("each differential entry needs a 'generator' name and a 'value'")
         gname = item["generator"]
         alg.index_of(gname)
-        value = item.get("value", [])
+        value = item["value"]
         if not isinstance(value, list):
             raise InputError(f"'value' of {gname!r} must be a list of terms")
         total = alg.zero()

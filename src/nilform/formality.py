@@ -18,7 +18,7 @@ import weakref
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .cdga import CDGA, closed_terms, hirsch_extend
+from .cdga import CDGA, apply_chain_map, coordinate_model, hirsch_extend
 from .gca import Algebra, AlgebraError, Generator, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
@@ -27,7 +27,6 @@ from .ring import (
     GenerationVerdict,
     RingPresentation,
     class_symbol_algebra,
-    closed_wedges,
     from_cdga,
     generated_in_degree_one_upto,
 )
@@ -208,13 +207,14 @@ class Decomposition(NamedTuple):
 
 
 def default_decomposition(c: CDGA) -> Decomposition:
-    """The generators that are not the least index of an H^1 representative.
+    """The generators that are not the least index of an H^1 representative,
+    the pivots of the `coordinate_model`.
 
     Valid by construction: the representatives, a basis of Z^1, have
     increasing least-index pivots, each zero at the others', so a nonzero z
     in Z^1 has a pivot as least index: Z^1 cap span N = 0, |N| = n - dim Z^1.
     """
-    pivots = {min(z.terms)[0] for z in c.cohomology(1).representatives}
+    pivots = coordinate_model(c)[0]
     gens = c.algebra.generators
     return Decomposition(tuple(g.name for j, g in enumerate(gens) if j not in pivots))
 
@@ -330,6 +330,10 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     monomials R.  Passing every degree up to j+1 certifies j-formality, so a
     first failure at q certifies q-2 >= 0.  Returns the evidence for the
     largest certified j <= k.
+
+    For the default N, R^q spans P_q in the `coordinate_model`, and the
+    climb ranks B'^q cut to I^q.  So where H^q is generated, degree q passes
+    exactly when rank pi_I(B'^q) + rank pi_R(B'^q) = rank B'^q.
     """
     _require_model(c)
     if k < 0:
@@ -342,9 +346,7 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     complement = {alg.index_of(name) for name in dec.complement}
     for q in range(2, min(k + 1, alg.top_degree()) + 1):
         rest = {j for j, mono in enumerate(alg.basis(q)) if complement.isdisjoint(mono)}
-        cols = c.differential_matrix(q - 1).cols
-        image = Echelon({i: v for i, v in col.items() if i in rest} for col in cols)
-        if len(rest) - image.rank != c.betti(q):
+        if len(rest) - c.differential_matrix(q - 1).cut_rank(rest) != c.betti(q):
             k = q - 2
             break
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
@@ -353,10 +355,11 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
 
 
 def is_twostep(c: CDGA) -> bool:
-    """Whether each column of d_1 lies in P_2, the square of the closed part."""
+    """Whether each column of d_1 lies in P_2, the square of the closed part:
+    in the `coordinate_model`, whether each term of d' is a product of pivots."""
     _require_model(c)
-    wedge = Echelon(next(closed_wedges(c)))
-    return all(wedge.contains(col) for col in c.differential_matrix(1).cols)
+    pivots, model = coordinate_model(c)
+    return all(pivots.issuperset(m) for v in model._d_gen.values() for m in v.terms)
 
 
 class TwoStepDecision(NamedTuple):
@@ -408,21 +411,6 @@ def infer_prop_k2(
     report.mark_formal_upto(ev)
     report.overall = OVERALL_FORMAL
     return ev
-
-
-# -- chain maps -----------------------------------------------------------
-
-
-def apply_chain_map(images: Sequence[Multivector], v: Multivector, target: CDGA) -> Multivector:
-    """Multiplicative extension of generator images to a multivector."""
-    unit = target.algebra.one()
-    out = unit.scale(0)
-    for mono, c in sorted(v.terms.items()):
-        cur = unit
-        for i in mono:
-            cur = cur * images[i]
-        out = out + cur.scale(c)
-    return out
 
 
 # -- bigraded tower -------------------------------------------------------
@@ -565,7 +553,7 @@ def dga_map_solve(
     A constraint fixes the image of a source generator: a ``Multivector`` of
     the target's algebra, or an expression parsed there.  Every other
     generator receives a particular lift of its transgression image plus
-    free closed directions, the target's `closed_terms`.  Compatibility with
+    free closed directions, the target's H^1 representatives.  Compatibility with
     both differentials becomes a polynomial system in the unknown
     coefficients: a linear system is eliminated exactly, and a non-linear
     one goes through a Groebner basis of its equations when the unknown
@@ -616,11 +604,12 @@ def dga_map_solve(
     # the columns of d_1 span the exact degree-2 part
     d1 = target.differential_matrix(1)
     exact_span = target.coboundaries(2)
-    closed = closed_terms(target)
+    # Z^1 = H^1: its representatives are the closed directions
+    coh1 = target.cohomology(1)
 
     # one unknown per closed direction of a free generator
     labels = [
-        f"{names[i]}<{t}>" for i in order if names[i] not in constraints for t in range(len(closed))
+        f"{names[i]}<{t}>" for i in order if names[i] not in constraints for t in range(coh1.dim)
     ]
     nparams = len(labels)
     unknowns = iter(range(nparams))
@@ -683,15 +672,14 @@ def dga_map_solve(
             img = {}
             for col, poly in sorted(lift.items()):
                 add_into(img, basis1[col], poly, 1)
-            for terms in closed:
+            for z in coh1.representatives:
                 x = {(next(unknowns),): Fraction(1)}
-                for key, c in terms.items():
+                for key, c in z.terms.items():
                     add_into(img, key, x, c)
             img = nonzero_part(img)
         images_pel[i] = img
 
     if require_h1_iso:
-        coh1 = target.cohomology(1)
         if len(h1_reps) != coh1.dim:
             return MapSolveResult(
                 "unsatisfiable",

@@ -110,13 +110,6 @@ class Echelon:
         for vec in vectors:
             self.add(vec)
 
-    def copy(self) -> Echelon:
-        """The same rows, to extend without changing this echelon; the row
-        dicts are shared, since no stored row is changed in place."""
-        out = Echelon()
-        out.pivots, out._rows, out._settled = list(self.pivots), dict(self._rows), self._settled
-        return out
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -285,6 +278,10 @@ class SparseMatrix:
 
     def rank(self) -> int:
         return rank_rows([to_int_row(c) for c in self.cols], max_rank=self.nrows)
+
+    def cut_rank(self, rows: Container[int]) -> int:
+        """Rank of the columns cut to a set of rows."""
+        return Echelon({i: v for i, v in col.items() if i in rows} for col in self.cols).rank
 
     def _row_echelon(self, extra: Sequence[Vec] = ()) -> Echelon:
         """Echelon of the matrix's rows, with ``extra`` as more columns after its own."""

@@ -5,19 +5,19 @@ lazily computed structure constants, which are cached on the CDGA and so
 shared by all its presentations; only products of total degree at most the
 cutoff are available.  On top of it sits the characteristic subspace, the
 kernel of multiplication from the second exterior power of H^1 into H^2.
-The degree-1 generation test is one climb on cochains, two ranks per
-degree, with no cohomology basis and no structure constant.
+The degree-1 generation test is one climb on the coordinate model's
+cochains, two ranks per degree, with no wedge, cohomology basis or
+structure constant.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from math import comb, lcm
+from typing import NamedTuple, Sequence
 
-from .cdga import CDGA, closed_terms, wedge_layer
+from .cdga import CDGA, coordinate_model
 from .gca import Algebra, Multivector
 from .linalg import Echelon, Row, SparseMatrix, Vec
 
@@ -144,49 +144,28 @@ class GenerationVerdict(NamedTuple):
     cokernel_dim: int | None = None
 
 
-def closed_wedges(c: CDGA) -> Iterator[list[Row]]:
-    """P_2, P_3, ...: in degree q, the wedges of the increasing q-tuples of
-    the Z^1 basis `closed_terms`, the H^1 representatives, as integer rows.
-
-    P_1 is Z^1 itself, which no reader asks for.  P_2 is the CDGA's shared
-    `wedges_2`; a q-wedge above it is a (q-1)-wedge times a representative
-    of larger index, formed only when asked for.
-    """
-    alg = c.algebra
-    closed = closed_terms(c)
-    layer = c.wedges_2  # (index of the last factor, terms)
-    for q in itertools.count(2):
-        index = alg.basis_index(q)
-        yield [{index[m]: v for m, v in w.items()} for _, w in layer]
-        layer = wedge_layer(alg, layer, closed)
-
-
 def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     """Check that products of degree-1 classes span H^q for every q <= m.
 
     Degree 1 holds by construction: d(1) = 0, so B^1 = 0 and H^1 = Z^1 =
-    P_1.  From q = 2 on, two ranks per degree: dim Z^q = dim A^q - rank d_q
-    against rank(P_q + B^q), P_q spanned by `closed_wedges` and B^q by the
-    columns of d_(q-1).  Once H^(q-1) is generated, (P_q + B^q) / B^q is the
-    image of H^(q-1) x H^1 in H^q, so the first degree where they differ
-    fails by the gap, and a failure degree is at least 2.  B^2 is the CDGA's
-    shared `coboundaries` (2), so its wedges go on a copy; B^(q+1) is built
-    here and handed on, to be extended in place.
+    P_1.  From q = 2 on, P_q + B^q is read in the `coordinate_model`: P_q is
+    span R^q, so its rank is C(b_1, q) plus that of d'_(q-1) cut to the rows
+    I^q.  It is compared with dim Z^q = dim A^q - rank d'_q.  Once H^(q-1)
+    is generated, (P_q + B^q) / B^q is the image of H^(q-1) x H^1 in H^q, so
+    the first degree where they differ fails by the gap, at least 2.  Where
+    H^q is generated, the default prop-art certificate, which ranks the cut
+    to R^q, passes at q exactly when B'^q splits over span R^q + span I^q.
     """
     if m < 1:
         raise ValueError(f"generation bound must be >= 1, got {m}")
-    wedges = closed_wedges(c)
-    span = c.coboundaries(2).copy()
+    pivots, model = coordinate_model(c)
+    alg = c.algebra
     for q in range(2, m + 1):
-        image = Echelon(c.differential_matrix(q).cols)
-        cocycles = c.algebra.dim(q) - image.rank
-        for w in next(wedges):
-            if span.rank == cocycles:
-                break
-            span.add(w)
-        if missed := cocycles - span.rank:
+        ideal = {j for j, mono in enumerate(alg.basis(q)) if not pivots.issuperset(mono)}
+        cocycles = alg.dim(q) - Echelon(model.differential_matrix(q).cols).rank
+        products = comb(len(pivots), q) + model.differential_matrix(q - 1).cut_rank(ideal)
+        if missed := cocycles - products:
             return GenerationVerdict(False, q, missed)
-        span = image
     return GenerationVerdict(True)
 
 

@@ -310,6 +310,23 @@ def test_input_non_string_generator_name(capsys, tmp_path, entry, fragment):
     assert fragment in err
 
 
+def test_input_differential_entry_needs_a_value(capsys, tmp_path):
+    # terms under another key are no zero differential: d(z) = x*y here
+    gens = [{"name": n, "degree": 1} for n in ("x", "y", "z", "w", "u")]
+    terms = [{"coeff": "1", "monomial": ["x", "y"]}]
+    doc = {"generators": gens, "differential": [{"generator": "z", "terms": terms}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["formality", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: each differential entry needs a 'generator' name and a 'value'\n"
+    # an explicit empty value stays legal, as does a generator with no entry
+    doc["differential"] = [{"generator": "z", "value": []}]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["formality", "--input", str(path)])
+    assert code == 0 and "overall: CertifiedFormal" in out
+
+
 def test_input_duplicate_differential(capsys, tmp_path):
     bad_input_case(
         capsys,

@@ -19,7 +19,7 @@ from nilform.catalog import (
     heisenberg,
     heisenberg_type,
 )
-from nilform.cdga import CDGA, dict_coords, hirsch_extend, tensor
+from nilform.cdga import CDGA, coordinate_model, dict_coords, hirsch_extend, tensor
 from nilform.formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -52,7 +52,7 @@ from nilform.gca import Algebra, AlgebraError, Generator, Multivector
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
-from test_ring import REPRESENTATIVE_MODELS
+from test_ring import NON_COORDINATE_CLOSED, REPRESENTATIVE_MODELS
 from tracked_reference import full_scan
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -426,14 +426,45 @@ def test_a_prop_art_certificate_implies_generation_on_the_formality_mix():
     assert any(j >= 1 for j in certified)
 
 
+def _splitting_matches_the_certificate(c):
+    """Where H^q is generated, the default certificate passes at q exactly
+    when B'^q, the image of d'_(q-1) in the coordinate model, splits over
+    span R^q + span I^q: the ranks of its two row cuts add up to its rank.
+
+    Passing is read off the intersection oracle, on the model itself.
+    Returns whether B'^q split, per degree checked.
+    """
+    pivots, model = coordinate_model(c)
+    dec = default_decomposition(c)
+    out = []
+    for q in range(2, min(4, c.algebra.top_degree()) + 1):
+        if not generated_in_degree_one_upto(c, q).generated:
+            break
+        d = model.differential_matrix(q - 1)
+        pure = {j for j, mono in enumerate(c.algebra.basis(q)) if pivots.issuperset(mono)}
+        ideal = set(range(d.nrows)) - pure
+        splits = d.cut_rank(pure) + d.cut_rank(ideal) == d.rank()
+        assert splits == _ideal_cocycles_are_exact(c, dec, q)
+        out.append(splits)
+    return out
+
+
+def test_the_certificate_passes_where_the_coboundaries_split():
+    models = [p.values[0]() for p in PROP_ART_MODELS + NON_COORDINATE_CLOSED]
+    models += [heisenberg(n) for n in (1, 2, 3, 4)] + _formality_mix_models()
+    splits = [s for c in models for s in _splitting_matches_the_certificate(c)]
+    # both outcomes occur, so neither direction of the identity goes untested
+    assert True in splits and False in splits
+
+
 def test_a_warm_certificate_copies_no_echelon_and_builds_no_basis(monkeypatch):
-    # each degree compares one rank with b_q, which the report's ring holds
+    # each degree compares one rank with b_q, which the report's ring holds,
+    # and no shared coboundary echelon is built or extended
     c = example_contr("0")
     formality_report(c, 3)
-    shared = set(c._coboundaries)
+    shared = {q: span.rank for q, span in c._coboundaries.items()}
     made = []
-    real_copy, real_basis = Echelon.copy, cdga.CohomologyBasis.__init__
-    monkeypatch.setattr(Echelon, "copy", lambda self: made.append("copy") or real_copy(self))
+    real_basis = cdga.CohomologyBasis.__init__
     monkeypatch.setattr(
         cdga.CohomologyBasis,
         "__init__",
@@ -441,7 +472,7 @@ def test_a_warm_certificate_copies_no_echelon_and_builds_no_basis(monkeypatch):
     )
     ev = certify_prop_art(c, 1)
     monkeypatch.undo()
-    assert made == [] and set(c._coboundaries) == shared
+    assert made == [] and {q: span.rank for q, span in c._coboundaries.items()} == shared
     # the one catalog model whose certificate passes degree 2 on its own
     assert ev.k == 1
 
@@ -1081,12 +1112,16 @@ def generation_failing_tower():
 
 
 @pytest.mark.parametrize(
-    "build", [generation_failing_tower, lambda: example_contr("y1*y2")], ids=["tower", "contr-y1y2"]
+    "build, shared",
+    [(generation_failing_tower, set()), (lambda: example_contr("y1*y2"), {2})],
+    ids=["tower", "contr-y1y2"],
 )
-def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build):
+def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build, shared):
     # Z^1 is H^1 for every rule: one row pass of d_1 and no kernel of it;
     # and a shared B^q is never extended in place: each equals a fresh
-    # column echelon of d_(q-1)
+    # column echelon of d_(q-1).  Only a rule that reduces modulo B^2, the
+    # resonance ring's or the solver's, builds one: the tower's report,
+    # which fails generation at H^2, ranks cuts of d_1 alone
     c = build()
     kernels, passes = [], []
     real_kernel, real_pass = SparseMatrix.kernel, cdga._row_pass
@@ -1098,13 +1133,13 @@ def test_a_report_shares_z1_and_each_coboundary_echelon(monkeypatch, build):
     assert not any(m is d1 for m in kernels)
     assert sum(d is d1 for d in passes) == 1
     assert rep.verdicts() == formality_report(build(), 3).verdicts()
-    assert 2 in c._coboundaries
-    for q, shared in c._coboundaries.items():
+    assert set(c._coboundaries) == shared
+    for q, span in c._coboundaries.items():
         fresh = Echelon()
         for col in c.differential_matrix(q - 1).cols:
             fresh.add(col)
-        assert shared.pivots == fresh.pivots
-        assert shared.rows == fresh.rows
+        assert span.pivots == fresh.pivots
+        assert span.rows == fresh.rows
 
 
 def test_tower_report_stops_at_its_generation_failure():

@@ -52,6 +52,8 @@ COMMANDS = (
     # the kernel of d_1 and the H^1 representatives are two bases of Z^1 here,
     # and the solver ends at an inconsistent exactness equation
     ("formality", "--input", "tests/data/dependent_closed.json", "--k-max", "3", "--format", "json"),
+    # the H^1 representative 2z - w has leading entry 2, not 1
+    ("formality", "--input", "tests/data/scaled_closed.json", "--k-max", "3", "--format", "json"),
 )
 
 

@@ -287,29 +287,6 @@ def test_pivot_index_matches_the_full_walk(entries):
             assert left == ref_residual
 
 
-@pytest.mark.parametrize("settled", [True, False], ids=["settled", "unsettled"])
-def test_a_copy_extends_without_changing_its_source(settled):
-    added = [{0: 2, 2: 4, 3: 1}, {1: 3, 2: -1, 4: 2}, {0: 1, 1: 1, 3: 5}]
-    src = Echelon()
-    for row in added:
-        src.add(row)
-    if settled:
-        src.rows
-    before = (src.rank, list(src.pivots), {p: dict(r) for p, r in src._rows.items()}, src._settled)
-    copy = src.copy()
-    assert copy.add({2: 1, 4: 7}) and not copy.add({0: 2, 1: 3, 2: 3, 3: 1, 4: 2})
-    # settling the copy rewrites rows it shares with the source
-    grown = Echelon()
-    for row in added + [{2: 1, 4: 7}]:
-        grown.add(row)
-    assert copy.rows == grown.rows and copy.pivots == grown.pivots
-    assert (src.rank, src.pivots, src._rows, src._settled) == before
-    fresh = Echelon()
-    for row in added:
-        fresh.add(row)
-    assert src.rows == fresh.rows and src.pivots == fresh.pivots
-
-
 def test_readers_of_a_residual_ignore_its_key_order(monkeypatch):
     # Echelon.reduce lists the keys a residual gains after the vector's own,
     # an order no reader should depend on: with every residual reversed,

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilform import cli
 from nilform.catalog import (
     central_extension,
     example_contr,
@@ -22,7 +25,7 @@ from nilform.catalog import (
     heisenberg_betti_oracle,
     heisenberg_type,
 )
-from nilform.cdga import CDGA, NotACocycle, dict_coords, tensor
+from nilform.cdga import CDGA, NotACocycle, apply_chain_map, coordinate_model, dict_coords, tensor
 from nilform.formality import formality_report, is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon
@@ -35,6 +38,8 @@ from nilform.ring import (
     from_cdga,
     generated_in_degree_one_upto,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_dims_match_betti():
@@ -489,6 +494,12 @@ NON_COORDINATE_CLOSED = [
         lambda: central_extension(["x1", "y1", "x2", "y2"], [("z", "x1*y1 + x2*y2"), ("w", "x1*y1 + x2*y2")]),
         id="dz=dw=omega",
     ),
+    # Z^1 = <x, y, 2z - w>: a representative with leading entry 2, so d' holds 1/2
+    pytest.param(lambda: central_extension(["x", "y"], [("z", "x*y"), ("w", "2*x*y")]), id="dz=xy,dw=2xy"),
+    pytest.param(
+        lambda: central_extension(["x", "y"], [("z", "x*y"), ("w", "2*x*y"), ("u", "x*z")]),
+        id="dz=xy,dw=2xy,du=xz",
+    ),
 ]
 
 
@@ -501,6 +512,42 @@ def test_generation_climb_matches_the_ring_when_closed_forms_mix_generators(buil
     r = from_cdga(c, top)
     for m in range(1, top + 1):
         assert generated_in_degree_one_upto(c, m) == full_scan(r, m)
+
+
+def test_the_twostep_test_reads_the_coordinate_model():
+    twostep = [is_twostep(p.values[0]()) for p in NON_COORDINATE_CLOSED]
+    assert twostep == [True, False, False, True, True, False]
+
+
+@pytest.mark.parametrize("build", NON_COORDINATE_CLOSED)
+def test_the_coordinate_model_conjugates_d(build):
+    # phi sends e_p to (e_p - n) / lead for each representative lead e_p + n,
+    # fixes every other generator, and is a chain map from d to d'
+    c = build()
+    alg = c.algebra
+    pivots, model = coordinate_model(c)
+    assert model is not c and model.algebra is alg
+    images = [alg.monomial((i,)) for i in range(len(alg.generators))]
+    for z in c.cohomology(1).representatives:
+        (p,), lead = min(z.terms.items())
+        rest = z - alg.monomial((p,)).scale(lead)
+        images[p] = (alg.monomial((p,)) - rest).scale(1 / lead)
+    assert pivots == {min(z.terms)[0] for z in c.cohomology(1).representatives}
+    for i, g in enumerate(alg.generators):
+        assert model.d(images[i]) == apply_chain_map(images, c.d_generator(g.name), model)
+    assert all(model.d_generator(alg.generators[p].name).is_zero() for p in pivots)
+    for q in range(alg.top_degree() + 1):
+        assert model.differential_matrix(q).rank() == c.differential_matrix(q).rank()
+
+
+def test_a_model_whose_closed_forms_are_generators_is_its_own_coordinate_model():
+    for c in (heisenberg(3), example_initial(), example_contr("y1*y2"), free_abelian(["e1"])):
+        pivots, model = coordinate_model(c)
+        assert model is c
+        assert pivots == {i for z in c.cohomology(1).representatives for (i,) in z.terms}
+    # only a representative with leading entry other than 1 gives d' a fraction
+    c = NON_COORDINATE_CLOSED[-1].values[0]()
+    assert str(coordinate_model(c)[1].d_generator("u")) == "1/2*x*z + 1/2*x*w"
 
 
 def test_class_indices_are_checked():
@@ -537,16 +584,26 @@ def test_dropped_ring_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-@pytest.mark.parametrize("build", [lambda: example_contr("0"), lambda: example_contr("y1*y2"), lambda: heisenberg(3)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: example_contr("0"),
+        lambda: example_contr("y1*y2"),
+        lambda: heisenberg(3),
+        # a second CDGA, the coordinate model, is kept with these two
+        lambda: cli._cdga_from_document(json.loads((DATA / "dependent_closed.json").read_text())),
+        lambda: central_extension(["x", "y"], [("z", "x*y"), ("w", "2*x*y")]),
+    ],
+)
 def test_a_dropped_report_model_is_freed_without_the_cycle_collector(build):
     # the cochain data the rules share sit on the CDGA, and its class bases
-    # reach them without a reference back to it
+    # and coordinate model reach them without a reference back to it
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         c = build()
         formality_report(c, 3)
-        assert c._coboundaries and 1 in c._cohomology_cache
+        assert c._matrix_cache and 1 in c._cohomology_cache and "_coordinates" in vars(c)
         ref_cdga, ref_alg = weakref.ref(c), weakref.ref(c.algebra)
         del c
         assert ref_cdga() is None
