@@ -177,8 +177,9 @@ def _nilpotent_order(c: CDGA) -> list[int] | None:
     return order
 
 
-# accepted models, so the rules of one report check each once; a CDGA never changes
+# accepted models and validated complements, so each is checked once; a CDGA never changes
 _ACCEPTED: weakref.WeakSet[CDGA] = weakref.WeakSet()
+_VALID: weakref.WeakKeyDictionary[CDGA, set[Decomposition]] = weakref.WeakKeyDictionary()
 
 
 def _require_model(c: CDGA) -> None:
@@ -241,6 +242,7 @@ def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
         raise ValueError("invalid decomposition: vectors are dependent")
     if images.rank != c.coboundaries(2).rank:
         raise ValueError("invalid decomposition: parts do not span degree 1")
+    _VALID.setdefault(c, set()).add(dec)
 
 
 # -- rules ----------------------------------------------------------------
@@ -322,14 +324,14 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     Checks, for every degree q <= k+1, that each cocycle in the ideal I of
     the complement N of the closed degree-1 part is a coboundary.  Degree 1
     is Z^1 cap span N = 0: by construction for the default N, else checked
-    by `validate_decomposition`.  Above it, A^q = wedge^q Z^1 + I^q with
-    wedge^q Z^1 in Z^q, so H^q maps onto A^q / (I^q + B^q) with kernel the
-    classes of Z^q cap I^q: degree q passes exactly when b_q = dim A^q -
-    rank(I^q + B^q).  I^q is spanned by the monomials of basis(q) that hold
-    a complement generator, so that is |R| - rank of B^q cut to the other
-    monomials R.  Passing every degree up to j+1 certifies j-formality, so a
-    first failure at q certifies q-2 >= 0.  Returns the evidence for the
-    largest certified j <= k.
+    by `validate_decomposition` unless N passed it before for this model.
+    Above it, A^q = wedge^q Z^1 + I^q with wedge^q Z^1 in Z^q, so H^q maps
+    onto A^q / (I^q + B^q) with kernel the classes of Z^q cap I^q: degree q
+    passes exactly when b_q = dim A^q - rank(I^q + B^q).  I^q is spanned by
+    the monomials of basis(q) that hold a complement generator, so that is
+    |R| - rank of B^q cut to the other monomials R.  Passing every degree up
+    to j+1 certifies j-formality, so a first failure at q certifies q-2 >= 0.
+    Returns the evidence for the largest certified j <= k.
 
     For the default N, R^q spans P_q in the `coordinate_model`, and the
     climb ranks B'^q cut to I^q.  So where H^q is generated, degree q passes
@@ -340,7 +342,7 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
         raise ValueError("k must be nonnegative")
     if dec is None:
         dec = default_decomposition(c)
-    else:
+    elif dec not in _VALID.get(c, ()):
         validate_decomposition(c, dec)
     alg = c.algebra
     complement = {alg.index_of(name) for name in dec.complement}

@@ -214,27 +214,31 @@ class Echelon:
 def rank_mod_p(rows: Iterable[Row]) -> int:
     """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q.
 
-    Each row is reduced in place against the pivot rows, which are scaled
-    to 1 at their pivot: a step touches only the pivot row's columns and
-    drops the entries it zeroes.
+    Each row is reduced in place against the pivot rows, scaled to 1 at their
+    pivot and taken off a heap of the pivots it hits, as in ``Echelon.add``:
+    a step touches only the pivot row's columns and drops the zeros it makes.
     """
     p = _FAST_PRIME
     pivots: dict[int, Row] = {}
     for raw in rows:
         row = {j: r for j, v in raw.items() if (r := v % p)}
-        while row:
-            col = min(row)
-            base = pivots.get(col)
-            if base is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {j: v * inv % p for j, v in row.items()}
-                break
-            c = row[col]
-            for j, v in base.items():
-                if r := (row.get(j, 0) - c * v) % p:
+        hits = [j for j in row if j in pivots]
+        heapify(hits)
+        while hits:
+            if (c := row.get(col := heappop(hits))) is None:  # pushed twice, or cancelled
+                continue
+            for j, v in pivots[col].items():
+                if j not in row:
+                    row[j] = -c * v % p
+                    if j in pivots:
+                        heappush(hits, j)
+                elif r := (row[j] - c * v) % p:
                     row[j] = r
                 else:
                     del row[j]
+        if row:
+            inv = pow(row[col := min(row)], -1, p)
+            pivots[col] = {j: v * inv % p for j, v in row.items()}
     return len(pivots)
 
 

@@ -1,13 +1,15 @@
 """Degree-1 resonance varieties of truncated cohomology rings.
 
 For a degree-1 class w the maps given by multiplication with w form a
-cochain complex on the ring; resonance asks how much cohomology that
-complex has.  Membership at a rational point is decided exactly.  For the
-first resonance variety in degree one there is a full decision procedure:
-triviality reduces to a homogeneous quadric system on the characteristic
-subspace having only the zero solution, which a full-rank Macaulay matrix
-over F_p certifies and a Groebner basis computation settles otherwise, and
-nontriviality is certified by a decomposable witness.
+cochain complex on the ring, as w^2 = 0; resonance asks how much cohomology
+that complex has.  Membership at a rational point is decided exactly.  The
+ranks over Q into and out of a degree e sum to at most b_e, and an F_p rank
+is at most the rank over Q, so where the F_p ranks sum to b_e (e is F_p-exact)
+both are exact.  For the first resonance variety in degree one there is a full
+decision procedure: triviality reduces to a homogeneous quadric system on the
+characteristic subspace having only the zero solution, which a full-rank
+Macaulay matrix over F_p certifies and a Groebner basis computation settles
+otherwise, and nontriviality is certified by a decomposable witness.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .gca import Monomial, Multivector
@@ -51,9 +53,9 @@ def point_from_expression(ring: RingPresentation, text: str) -> Point:
 def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int) -> list[Row]:
     """Nonzero integer rows of L times multiplication by w, H^q -> H^q+1, one per class of H^q.
 
-    The pencil sum of (w_i / D_i) (D_i M_i) over the classes i with w_i != 0,
-    D_i M_i the cached integer matrix of class i; L clears the w_i / D_i.
-    Raises ``ValueError`` unless w has b_1 coordinates.
+    The pencil sum of (w_i / D_i) (D_i M_i) over the classes i with w_i != 0 (an
+    ``int`` or ``Fraction``), D_i M_i the cached integer matrix of class i; L
+    clears the w_i / D_i.  Raises ``ValueError`` unless w has b_1 coordinates.
     """
     if q + 1 > ring.max_degree:
         raise CutoffError(f"need degree {q + 1} but cutoff is {ring.max_degree}")
@@ -63,11 +65,12 @@ def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int
     for i, c in enumerate(w):
         if c:
             denom, rows = ring.class_multiplication(q, i)
-            terms.append((Fraction(c) / denom, rows))
-    scale = lcm(1, *(c.denominator for c, _ in terms))
+            g = gcd(c.numerator, denom)  # w_i / D_i in lowest terms, as w_i is
+            terms.append((c.numerator // g, c.denominator * denom // g, rows))
+    scale = lcm(1, *(d for _, d, _ in terms))
     acc: list[Row] = [{} for _ in range(ring.dim(q))]
-    for c, rows in terms:
-        a = c.numerator * (scale // c.denominator)
+    for n, d, rows in terms:
+        a = n * (scale // d)
         for out, row in zip(acc, rows):
             for k, v in row.items():
                 out[k] = out.get(k, 0) + a * v
@@ -77,22 +80,29 @@ def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int
 def _complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int, out_of: list[int]) -> int:
     """b_q minus the ranks of multiplication by w out of each degree in ``out_of``.
 
-    An F_p rank is at most the rank over Q, so an F_p bound of 0 is exact, and
-    so is an F_p rank of min(rows, columns); only the other ranks are exact ones.
-    Each map, its F_p rank and any exact rank go into the ring's one-point
-    memo ``ring.point_maps(w)``, so a sweep over q at one point forms and
-    ranks each map once.
+    A rank is exact when its F_p rank is full or an end e of its map d is
+    F_p-exact, as ``exact_at(e, ds)`` marks, forming the maps the memo lacks;
+    a map d tries e = q, then d, then d+1 if d+2 is within the cutoff, then Q.
     """
     maps = ring.point_maps(w)
+
+    def exact_at(e: int, ds: list[int]) -> bool:
+        for d in ds:
+            if d not in maps:
+                rows = multiplication_complex(ring, w, d)
+                r = rank_mod_p(rows)
+                maps[d] = [rows, r, r if r == min(len(rows), ring.dim(d + 1)) else None]
+        if exact := sum(maps[d][1] for d in ds) == ring.dim(e):
+            for d in ds:
+                maps[d][2] = maps[d][1]
+        return exact
+
+    exact_at(q, out_of)
     for d in out_of:
-        if d not in maps:
-            rows = multiplication_complex(ring, w, d)
-            r = rank_mod_p(rows)
-            maps[d] = [rows, r, r if r == min(len(rows), ring.dim(d + 1)) else None]
-    if ring.dim(q) == sum(maps[d][1] for d in out_of):
-        return 0
-    for d in out_of:
-        if maps[d][2] is None:
+        if maps[d][2] is None and not (
+            exact_at(d, [e for e in (d - 1, d) if e >= 0])
+            or d + 2 <= ring.max_degree and exact_at(d + 1, [d, d + 1])
+        ):
             maps[d][2] = rank_rows(maps[d][0])
     return ring.dim(q) - sum(maps[d][2] for d in out_of)
 
@@ -100,12 +110,11 @@ def _complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int, out_of: 
 def mu_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -> int:
     """Cohomology dimension of the multiplication complex (H*, w·) at degree q.
 
-    b_q - rank(w: H^q -> H^q+1) - rank(w: H^q-1 -> H^q), which is >= 0
-    because w^2 = 0 puts the incoming image inside the outgoing kernel.
-    Points ruled out over F_p return 0 without an exact rank.  The ring
-    keeps the maps and ranks of the most recent point only, so a sweep over
-    q at one point forms each map once, and any other point replaces them.
-    Raises ``ValueError`` unless w has b_1 coordinates.
+    b_q - rank(w: H^q -> H^q+1) - rank(w: H^q-1 -> H^q) >= 0, as w^2 = 0 puts
+    the incoming image inside the outgoing kernel.  A rank is exact when its
+    F_p rank is full or an end of its map is F_p-exact; only the others are
+    eliminated over Q.  The ring keeps the maps of the latest point only, so a
+    sweep over q forms each once.  Raises ``ValueError`` unless w has b_1 coordinates.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")

@@ -202,6 +202,27 @@ def test_formality_bad_complement(capsys):
     assert "error" in err
 
 
+def test_a_complement_is_validated_once_per_run(capsys, monkeypatch):
+    from nilform import formality
+
+    calls = []
+    real = formality.validate_decomposition
+    monkeypatch.setattr(
+        formality, "validate_decomposition", lambda *args: calls.append(args) or real(*args)
+    )
+    argv = ["formality", "--preset", "example_contr:p=y1*y2", "--k-max", "3"]
+    code, out, _ = run(capsys, argv + ["--complement", "a,w2,w1"])
+    assert code == 0
+    assert "prop-art-certificate" in out
+    # decomposition_from_names validates; the report's certificate reads that
+    assert len(calls) == 1
+    # a bad complement on a 2-step model never reaches the certificate
+    calls.clear()
+    code, _, err = run(capsys, ["formality", "--preset", "heisenberg:2", "--complement", "x1"])
+    assert (code, err) == (2, "error: invalid decomposition: vectors are dependent\n")
+    assert len(calls) == 1
+
+
 def test_formality_strict_without_bound_is_clean(capsys):
     code, _, _ = run(
         capsys,

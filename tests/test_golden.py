@@ -54,6 +54,8 @@ COMMANDS = (
     ("formality", "--input", "tests/data/dependent_closed.json", "--k-max", "3", "--format", "json"),
     # the H^1 representative 2z - w has leading entry 2, not 1
     ("formality", "--input", "tests/data/scaled_closed.json", "--k-max", "3", "--format", "json"),
+    # the resonant middle degree: both maps at q = 4 have full F_p rank at q = 3 or 5
+    ("resonance", "--preset", "heisenberg:4", "--q", "4", "--point", "x1 + 2*y2"),
 )
 
 

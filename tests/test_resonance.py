@@ -9,7 +9,7 @@ import pytest
 
 from nilform.catalog import example_contr, example_initial, free_abelian, heisenberg, heisenberg_type
 from nilform.cdga import tensor
-from nilform.linalg import _FAST_PRIME, SparseMatrix, rank_mod_p
+from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, rank_mod_p
 from nilform.ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -549,3 +549,57 @@ def test_heisenberg_resonance_sits_in_the_middle_degrees(n, mu):
             continue
         dims = [mu_complex_dim(r, w, q) for q in range(2 * n + 1)]
         assert dims == [mu if q in (n, n + 1) else 0 for q in range(2 * n + 1)], w
+
+
+# -- the F_p sandwich ------------------------------------------------------
+
+SANDWICH_RINGS = {
+    **{
+        name: (lambda mk=mk: _full_ring(mk()))
+        for name, mk in {**PENCIL_MODELS, **DUALITY_MODELS}.items()
+    },
+    # the AC05 tensor rings, cut below their top degree
+    "h2xt@4": lambda: from_cdga(tensor(heisenberg(2), free_abelian(["t"])), 4),
+    "h1xh1@4": lambda: from_cdga(tensor(heisenberg(1), heisenberg(1)), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SANDWICH_RINGS))
+def test_every_rank_the_memo_marks_exact_is_exact(name):
+    r = SANDWICH_RINGS[name]()
+    points = _seeded_points(r, 43)
+    # every entry is 0 mod p: each F_p rank is 0, and certifies only where b_q = 0
+    points += [tuple(_FAST_PRIME * c for c in w) for w in points[:2]]
+    degrees = range(r.max_degree)
+    for w in points:
+        want = [reference_mu_complex_dim(r, w, q) for q in degrees]
+        # a sweep up, a sweep down, and each degree alone on a fresh memo
+        for order in (degrees, reversed(degrees), *([q] for q in degrees)):
+            r.point_maps(())  # no point has this key, so the memo starts empty
+            for q in order:
+                assert mu_complex_dim(r, w, q) == want[q], (w, q)
+            for d, (rows, _, exact) in r.point_maps(w).items():
+                if exact is not None:
+                    assert exact == Echelon(rows).rank, (w, d)
+
+
+def test_heisenberg_points_need_no_exact_rank(monkeypatch):
+    import nilform.resonance as res
+
+    calls = []
+    real = res.rank_rows
+    monkeypatch.setattr(res, "rank_rows", lambda rows: calls.append(rows) or real(rows))
+    r = from_cdga(heisenberg(4), 5)
+    rng = random.Random(53)
+    points = [
+        w for _ in range(16)
+        if any(w := tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(8)))
+    ]
+    for w in points[:8]:
+        assert [mu_complex_dim(r, w, q) for q in range(5)] == [0, 0, 0, 0, 14]
+    # a single query at q = 4, as the CLI's --point makes: map 3's rank is not
+    # full, but degree 3 is F_p-exact, so forming map 2 makes it exact
+    for w in points[8:]:
+        assert in_resonance(r, w, 4)
+        assert sorted(r.point_maps(w)) == [2, 3, 4]
+    assert calls == []
