@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .gca import Algebra, AlgebraError, DegreeError, Generator, Monomial, Multivector
@@ -69,6 +69,8 @@ class CDGA:
         # q -> least-index pivots of B^q, recorded by the row pass of d_(q-1)
         self._image_pivots: dict[int, list[int]] = {}
         self._coboundaries: dict[int, Echelon] = {}
+        self._ranks: dict[int, int] = {}
+        self._characteristic = None  # ring.characteristic_subspace, no reference back
         # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
         # shared by every ring presentation of this CDGA
         self._class_products: dict[tuple[int, int, int, int], Vec] = {}
@@ -85,11 +87,10 @@ class CDGA:
                 raise DegreeError(
                     f"d({gen.name}) has degree {value.degree}, expected {gen.degree + 1}"
                 )
-        for idx in self._d_gen:
-            gen = alg.generators[idx]
-            residual = self.d(self._d_gen[idx])
+        for idx, value in self._d_gen.items():
+            residual = self.d(value)
             if not residual.is_zero():
-                raise NotADifferential(gen.name, residual)
+                raise NotADifferential(alg.generators[idx].name, residual)
         return self
 
     @property
@@ -157,11 +158,12 @@ class CDGA:
         return cached
 
     def d(self, v: Multivector) -> Multivector:
-        """Leibniz extension of the generator differential."""
-        out = self.algebra.zero()
+        """Leibniz extension of the generator differential, its terms summed in one dict."""
+        out: dict[Monomial, Fraction] = {}
         for mono, c in v.terms.items():
-            out = out + self._d_monomial(mono).scale(c)
-        return out
+            for m, x in self._d_monomial(mono).terms.items():
+                out[m] = out.get(m, Fraction(0)) + c * x
+        return Multivector(self.algebra, out)
 
     def is_cocycle(self, v: Multivector) -> bool:
         return self.d(v).is_zero()
@@ -190,8 +192,16 @@ class CDGA:
         self._cohomology_cache[q] = basis
         return basis
 
+    def rank(self, q: int) -> int:
+        """rank d_q, cached; read off B^(q+1) when that echelon is built."""
+        if q not in self._ranks:
+            image = self._coboundaries.get(q + 1) or Echelon(self.differential_matrix(q).cols)
+            self._ranks[q] = image.rank
+        return self._ranks[q]
+
     def betti(self, q: int) -> int:
-        return self.cohomology(q).dim
+        """dim A^q - rank d_q - rank d_(q-1), from two ranks and no class basis."""
+        return self.algebra.dim(q) - self.rank(q) - self.rank(q - 1)
 
     def betti_numbers(self, q_max: int) -> list[int]:
         return [self.betti(q) for q in range(q_max + 1)]
@@ -215,6 +225,19 @@ class CDGA:
             if i not in pivots
         }
         return pivots, CDGA(alg, differential)
+
+    @cached_property
+    def wedge_table(self) -> dict[tuple[int, int], Vec]:
+        """(i, j) -> z_i z_j reduced modulo B^2 to r / s, over basis(2), for each pair
+        i < j of H^1 representatives z; numbers only, no reference back.  r / s is the
+        one cocycle of its class zero at every pivot of B^2, so the table is the cup
+        product on H^1 up to an injective map out of H^2."""
+        reps, image = self.cohomology(1).representatives, self.coboundaries(2)
+        out: dict[tuple[int, int], Vec] = {}
+        for i, j in combinations(range(len(reps)), 2):
+            r, scale = image.reduce(dict_coords(self.algebra, reps[i] * reps[j], 2))
+            out[(i, j)] = {k: Fraction(v, scale) for k, v in r.items()}
+        return out
 
     def coboundaries(self, q: int) -> Echelon:
         """B^q, the column echelon of d_(q-1), built once and shared; no reader extends it."""

@@ -238,7 +238,7 @@ def _cmd_resonance(args) -> int:
 
     if args.decide:
         if args.q == 1 and args.k == 1:
-            verdict = decide_r11_trivial(r, seed=args.seed)
+            verdict = decide_r11_trivial(c, seed=args.seed)
             name = {
                 "trivial": "CertifiedTrivial",
                 "witness": "Witness",

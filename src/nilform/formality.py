@@ -19,14 +19,14 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .cdga import CDGA, apply_chain_map, coordinate_model, hirsch_extend
-from .gca import Algebra, AlgebraError, Generator, Multivector
+from .gca import AlgebraError, Generator, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     CutoffError,
     GenerationVerdict,
     RingPresentation,
-    class_symbol_algebra,
+    characteristic_subspace,
     from_cdga,
     generated_in_degree_one_upto,
 )
@@ -276,15 +276,14 @@ def obstruction_generation(c: CDGA, k: int) -> Evidence | None:
 def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     """A nontrivial resonance point in some degree <= s, if one is found.
 
-    Degree 1 runs the exact decision; higher degrees only sample, so absence
-    of evidence there proves nothing.  It builds H^q only for q <= s+1, and
-    no ring at all when s < 1.
+    Degree 1 runs the exact decision, on cochains unless it re-checks a
+    witness; higher degrees only sample, so absence of evidence there proves
+    nothing.  Only sampling builds a ring, with H^q for q <= s+1.
     """
     _require_model(c)
     if s < 1:
         return None
-    r = from_cdga(c, max(2, min(s + 1, c.algebra.top_degree())))
-    verdict = decide_r11_trivial(r, seed=seed)
+    verdict = decide_r11_trivial(c, seed=seed)
     if verdict.kind == "witness":
         point = verdict.witness.point
         return Evidence(
@@ -303,18 +302,18 @@ def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
             "algebraic closure",
             {"degree": 1},
         )
-    for i in range(2, s + 1):
-        if i + 1 > r.max_degree:
-            break
-        point = find_resonance_point(r, i, seed=seed)
-        if point is not None:
-            return Evidence(
-                "resonance",
-                i,
-                "not_formal",
-                f"nonzero point of the degree-{i} resonance variety",
-                {"degree": i, "point": [str(x) for x in point]},
-            )
+    if (cutoff := min(s + 1, c.algebra.top_degree())) > 2:
+        r = from_cdga(c, cutoff)
+        for i in range(2, cutoff):
+            point = find_resonance_point(r, i, seed=seed)
+            if point is not None:
+                return Evidence(
+                    "resonance",
+                    i,
+                    "not_formal",
+                    f"nonzero point of the degree-{i} resonance variety",
+                    {"degree": i, "point": [str(x) for x in point]},
+                )
     return None
 
 
@@ -327,7 +326,8 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     by `validate_decomposition` unless N passed it before for this model.
     Above it, A^q = wedge^q Z^1 + I^q with wedge^q Z^1 in Z^q, so H^q maps
     onto A^q / (I^q + B^q) with kernel the classes of Z^q cap I^q: degree q
-    passes exactly when b_q = dim A^q - rank(I^q + B^q).  I^q is spanned by
+    passes exactly when b_q = dim A^q - rank(I^q + B^q), b_q read from two
+    ranks by ``c.betti``.  I^q is spanned by
     the monomials of basis(q) that hold a complement generator, so that is
     |R| - rank of B^q cut to the other monomials R.  Passing every degree up
     to j+1 certifies j-formality, so a first failure at q certifies q-2 >= 0.
@@ -421,7 +421,6 @@ def infer_prop_k2(
 class BigradedTower(NamedTuple):
     """Degree-1 stages of the bigraded model of a ring with zero differential."""
 
-    ring: RingPresentation
     cdga: CDGA
     stages: list[list[str]]
     stabilized: bool
@@ -443,8 +442,8 @@ def _unique_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedTower:
-    """Build degree-1 stages: closed classes first, then transgressed kernels.
+def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
+    """Build degree-1 stages of H*(c): closed classes first, then transgressed kernels.
 
     Stage 0 carries one closed generator per degree-1 class; stage i+1
     transgresses the kernel of the stage map on degree-2 cohomology.  The
@@ -452,43 +451,44 @@ def bigraded_tower(r: RingPresentation, stage_cap: int = TOWER_CAP) -> BigradedT
 
     The map sends stage-0 generator i to class i of H^1 and every later
     generator to 0, since the ring's differential is zero.  So a degree-2
-    form sum c g_i g_j maps to the sum of c times the structure constants
-    of classes i and j, over its terms with both generators in stage 0.
+    form sum a g_i g_j maps to sum a z_i z_j, read in ``c.wedge_table``, over
+    its terms in stage 0.  There every form is a class, so stage 1 is the
+    characteristic subspace basis, and wave 1 reads no H^2 of the tower.
     """
-    if r.max_degree < 2:
-        raise CutoffError("bigraded tower needs a ring cutoff of at least 2")
-    b1 = r.dim(1)
-    names = [g.name for g in class_symbol_algebra(r).generators]
-    taken = set(names)
+    sub = characteristic_subspace(c)
+    names = [g.name for g in sub.algebra.generators]
+    b1, table, taken = len(names), c.wedge_table, set(names)
 
     def image(v: Multivector) -> Vec:
         out: Vec = {}
-        for (i, j), c in v.terms.items():
+        for (i, j), a in v.terms.items():
             if j < b1:
-                for t, p in r.product_coords(1, i, 1, j).items():
-                    out[t] = out.get(t, 0) + c * p
+                for t, p in table[(i, j)].items():
+                    out[t] = out.get(t, 0) + a * p
         return {t: x for t, x in sorted(out.items()) if x}
 
-    cur = CDGA(Algebra([Generator(name, 1) for name in names]))
-    stages = [names]
-    stabilized = False
+    cur, kern = CDGA(sub.algebra), sub.basis
+    stages, stabilized = [names], False
     for wave in range(1, stage_cap + 1):
-        coh2 = cur.cohomology(2)
-        cols = [image(rep) for rep in coh2.representatives]
-        kern = SparseMatrix(r.dim(2), coh2.dim, cols).kernel()
+        if wave > 1:
+            coh2 = cur.cohomology(2)
+            cols = [image(rep) for rep in coh2.representatives]
+            kern = [
+                coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
+                for vec in SparseMatrix(c.algebra.dim(2), coh2.dim, cols).kernel()
+            ]
         if not kern:
             stabilized = True
             break
         additions = []
-        for idx, vec in enumerate(kern):
-            trans = coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
+        for idx, trans in enumerate(kern):
             if image(trans):
                 raise RuntimeError("kernel transgression image is not zero in the ring")
             name = _unique_name(f"w{wave}_{idx}", taken)
             additions.append((Generator(name, 1), trans))
         cur = hirsch_extend(cur, additions)
         stages.append([g.name for g, _ in additions])
-    return BigradedTower(r, cur, stages, stabilized)
+    return BigradedTower(cur, stages, stabilized)
 
 
 # -- the chain-map solver -------------------------------------------------
@@ -820,7 +820,9 @@ def formality_report(
     the degrees below q-1: a point there or above could change no verdict.
     Every not-formal rule speaks to a degree of at least 1, so the
     certificate is always asked for some k >= 0 and always gives evidence;
-    it reads the Betti numbers of the ring the resonance rule built.
+    it reads each Betti number from two ranks, which the climb has cached.
+    The degree-1 rules read cochains: only a resonance witness, sampling
+    in degree 2 and up, or the vanishing-top upgrade builds a ring.
     """
     _require_model(c)
     report = FormalityReport(k_max)
@@ -899,7 +901,7 @@ def formality_report(
 
     if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
         try:
-            tower = bigraded_tower(from_cdga(c, 2), stage_cap=TOWER_CAP)
+            tower = bigraded_tower(c, stage_cap=TOWER_CAP)
             # stage-0 generator i is fixed to H^1 representative i
             constraints = dict(zip(tower.stages[0], c.cohomology(1).representatives))
             res = dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)

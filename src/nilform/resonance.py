@@ -21,6 +21,7 @@ from itertools import product as cartesian
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
+from .cdga import CDGA
 from .gca import Monomial, Multivector
 from .linalg import Poly, Row, poly_value, rank_mod_p, rank_rows, sympy_polys, to_int_row
 from .ring import (
@@ -29,6 +30,7 @@ from .ring import (
     RingPresentation,
     characteristic_subspace,
     class_symbol_algebra,
+    from_cdga,
 )
 
 Point = tuple[Fraction, ...]
@@ -41,7 +43,7 @@ WITNESS_BUDGET = 400
 
 def point_from_expression(ring: RingPresentation, text: str) -> Point:
     """Parse a degree-1 point like ``x1 + 2*y2`` over the class symbols."""
-    alg = class_symbol_algebra(ring)
+    alg = class_symbol_algebra(ring.source)
     v = alg.parse(text)
     if v.is_zero():
         return tuple(Fraction(0) for _ in range(ring.dim(1)))
@@ -265,8 +267,8 @@ def _zero_locus_is_origin(forms: Sequence[Poly], m: int) -> bool:
     return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
 
-def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
-    """Decide whether the degree-1 resonance variety is just the origin.
+def decide_r11_trivial(c: CDGA, *, seed: int = 0) -> R11Verdict:
+    """Decide whether the degree-1 resonance variety of ``c`` is just the origin.
 
     Triviality is certified exactly through the quadric system on the
     characteristic subspace when its dimension is within ``EXACT_BOUND``:
@@ -274,9 +276,10 @@ def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
     by a Groebner basis only where the F_p rank falls short.
     Nontriviality is certified by a rational decomposable witness; when the
     locus is provably nontrivial but no rational witness shows up within
-    the search budget the verdict stays inconclusive.
+    the search budget the verdict stays inconclusive.  Only a witness,
+    re-checked in ``from_cdga(c, 2)``, builds a ring.
     """
-    subspace = characteristic_subspace(ring)
+    subspace = characteristic_subspace(c)
     m = subspace.dim
     if m == 0:
         return R11Verdict("trivial", None, "characteristic subspace is zero")
@@ -292,7 +295,7 @@ def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
                 f"quadric system on a {m}-dimensional subspace has only the zero solution",
             )
 
-    witness = _search_witness(ring, subspace, system, seed)
+    witness = _search_witness(c, subspace, system, seed)
     if witness is not None:
         return R11Verdict(
             "witness",
@@ -317,7 +320,7 @@ def decide_r11_trivial(ring: RingPresentation, *, seed: int = 0) -> R11Verdict:
 
 
 def _search_witness(
-    ring: RingPresentation,
+    c: CDGA,
     subspace: CharacteristicSubspace,
     system: QuadricSystem,
     seed: int,
@@ -331,14 +334,14 @@ def _search_witness(
         if any(system.value(i, coeffs) != 0 for i in range(nforms)):
             return None
         omega = subspace.algebra.zero()
-        for c, k in zip(coeffs, subspace.basis):
-            if c:
-                omega = omega + k.scale(c)
+        for x, k in zip(coeffs, subspace.basis):
+            if x:
+                omega = omega + k.scale(x)
         if omega.is_zero():
             return None
         alpha, beta = _decompose_rank_two(omega)
         point = tuple(subspace.algebra.coordinates(alpha, 1))
-        if not in_resonance(ring, point, 1, 1):
+        if not in_resonance(from_cdga(c, 2), point, 1, 1):
             raise RuntimeError("witness failed independent resonance check")
         return ResonanceWitness(omega, alpha, beta, point)
 

@@ -3,8 +3,9 @@
 A presentation stores per-degree class bases of a CDGA's cohomology plus
 lazily computed structure constants, which are cached on the CDGA and so
 shared by all its presentations; only products of total degree at most the
-cutoff are available.  On top of it sits the characteristic subspace, the
-kernel of multiplication from the second exterior power of H^1 into H^2.
+cutoff are available.  The degree-1 questions need none of it.  The
+characteristic subspace, the kernel of multiplication from the second
+exterior power of H^1 into H^2, is the kernel of the CDGA's wedge table.
 The degree-1 generation test is one climb on the coordinate model's
 cochains, two ranks per degree, with no wedge, cohomology basis or
 structure constant.
@@ -19,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .cdga import CDGA, coordinate_model
 from .gca import Algebra, Multivector
-from .linalg import Echelon, Row, SparseMatrix, Vec
+from .linalg import Row, SparseMatrix, Vec
 
 
 class CutoffError(ValueError):
@@ -150,7 +151,8 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     Degree 1 holds by construction: d(1) = 0, so B^1 = 0 and H^1 = Z^1 =
     P_1.  From q = 2 on, P_q + B^q is read in the `coordinate_model`: P_q is
     span R^q, so its rank is C(b_1, q) plus that of d'_(q-1) cut to the rows
-    I^q.  It is compared with dim Z^q = dim A^q - rank d'_q.  Once H^(q-1)
+    I^q.  It is compared with dim Z^q = dim A^q - rank d'_q, cached by
+    ``CDGA.rank`` for the Betti numbers of the certificate.  Once H^(q-1)
     is generated, (P_q + B^q) / B^q is the image of H^(q-1) x H^1 in H^q, so
     the first degree where they differ fails by the gap, at least 2.  Where
     H^q is generated, the default prop-art certificate, which ranks the cut
@@ -162,7 +164,7 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     alg = c.algebra
     for q in range(2, m + 1):
         ideal = {j for j, mono in enumerate(alg.basis(q)) if not pivots.issuperset(mono)}
-        cocycles = alg.dim(q) - Echelon(model.differential_matrix(q).cols).rank
+        cocycles = alg.dim(q) - model.rank(q)
         products = comb(len(pivots), q) + model.differential_matrix(q - 1).cut_rank(ideal)
         if missed := cocycles - products:
             return GenerationVerdict(False, q, missed)
@@ -176,7 +178,6 @@ class CharacteristicSubspace(NamedTuple):
     per basis class of H^1.
     """
 
-    ring: RingPresentation
     algebra: Algebra
     basis: tuple[Multivector, ...]
 
@@ -185,24 +186,25 @@ class CharacteristicSubspace(NamedTuple):
         return len(self.basis)
 
 
-def class_symbol_algebra(ring: RingPresentation) -> Algebra:
+def class_symbol_algebra(c: CDGA) -> Algebra:
     """Exterior algebra on one degree-1 symbol per H^1 basis class."""
-    labels = ring.labels(1)
+    labels = tuple(str(z) for z in c.cohomology(1).representatives)
     ok = all(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", s) for s in labels)
     if not ok or len(set(labels)) != len(labels):
         labels = tuple(f"a{i}" for i in range(len(labels)))
     return Algebra([(s, 1) for s in labels])
 
 
-def characteristic_subspace(ring: RingPresentation) -> CharacteristicSubspace:
-    if ring.max_degree < 2:
-        raise CutoffError("characteristic subspace needs cutoff >= 2")
-    alg = class_symbol_algebra(ring)
-    pairs = alg.basis(2)
-    cols = [ring.product_coords(1, i, 1, j) for i, j in pairs]
-    mat = SparseMatrix(ring.dim(2), len(pairs), cols)
-    basis = tuple(
-        alg.from_coordinates(2, [vec.get(k, 0) for k in range(len(pairs))])
-        for vec in mat.kernel()
-    )
-    return CharacteristicSubspace(ring, alg, basis)
+def characteristic_subspace(c: CDGA) -> CharacteristicSubspace:
+    """The kernel of the columns of ``c.wedge_table``, one per pair of H^1
+    classes: canonical, the reduced echelon basis, and cached on ``c``."""
+    if c._characteristic is None:
+        alg = class_symbol_algebra(c)
+        pairs = alg.basis(2)
+        mat = SparseMatrix(c.algebra.dim(2), len(pairs), [c.wedge_table[p] for p in pairs])
+        basis = tuple(
+            alg.from_coordinates(2, [vec.get(k, 0) for k in range(len(pairs))])
+            for vec in mat.kernel()
+        )
+        c._characteristic = CharacteristicSubspace(alg, basis)
+    return c._characteristic

@@ -137,9 +137,9 @@ def test_ac03_heisenberg_resonance():
             for q in range(n):
                 assert not in_resonance(r, w, q)
             assert in_resonance(r, w, n)
-    assert decide_r11_trivial(from_cdga(heisenberg(1), 2)).kind == "witness"
+    assert decide_r11_trivial(heisenberg(1)).kind == "witness"
     for n in (2, 3):
-        assert decide_r11_trivial(from_cdga(heisenberg(n), 2)).kind == "trivial"
+        assert decide_r11_trivial(heisenberg(n)).kind == "trivial"
 
 
 @criterion(4, "partial formality thresholds for Heisenberg-type models")
@@ -194,7 +194,7 @@ def test_ac06_initial_example():
     assert not v.generated
     assert v.failure_degree == 2 and v.cokernel_dim == 1
 
-    subspace = characteristic_subspace(r)
+    subspace = characteristic_subspace(c)
     assert subspace.dim == 2
     system = r11_quadric_system(subspace)
     assert system.monomials == ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4))
@@ -212,7 +212,7 @@ def test_ac06_initial_example():
         ((0, 1), Fraction(2)),
         ((1, 1), Fraction(2)),
     ]
-    assert decide_r11_trivial(r).kind == "trivial"
+    assert decide_r11_trivial(c).kind == "trivial"
 
 
 @criterion(7, "three-step pair is separated only by the chain-map search")
@@ -231,7 +231,7 @@ def test_ac07_contractible_example():
     # the report's search: the degree-1 tower of the cohomology into the
     # model, closed generators fixed at the class representatives
     def search(c):
-        tower = bigraded_tower(from_cdga(c, 2))
+        tower = bigraded_tower(c)
         reps = c.cohomology(1).representatives
         constraints = dict(zip(tower.stages[0], reps))
         return dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)
@@ -275,12 +275,12 @@ def test_ac08_twostep_property_suite():
 
 @criterion(9, "tower growth for the small model, stabilization for the large")
 def test_ac09_bigraded_towers():
-    t1 = bigraded_tower(from_cdga(heisenberg(1), 2), stage_cap=3)
+    t1 = bigraded_tower(heisenberg(1), stage_cap=3)
     assert t1.stage_dims[:3] == [2, 1, 2]
     assert len(t1.stage_dims) >= 4
     cumulative = list(itertools.accumulate(t1.stage_dims[:4]))
     assert all(a < b for a, b in zip(cumulative, cumulative[1:]))
-    t2 = bigraded_tower(from_cdga(heisenberg(2), 2), stage_cap=5)
+    t2 = bigraded_tower(heisenberg(2), stage_cap=5)
     assert t2.stabilized
     assert t2.total_dim == 5
 

@@ -1,5 +1,6 @@
 """Differential graded algebra validation, cohomology and extensions."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilform import cli
 from nilform.cdga import CDGA, NotACocycle, NotADifferential, dict_coords, hirsch_extend, tensor
 from nilform.gca import Algebra, DegreeError, Generator
 from nilform.catalog import (
@@ -18,7 +20,7 @@ from nilform.catalog import (
 )
 from nilform.linalg import Echelon
 from nilform.ring import from_cdga
-from test_formality import _formality_mix_models
+from test_formality import DATA, TOP_CLASS_MODELS, _formality_mix_models
 from test_ring import REPRESENTATIVE_MODELS, TOWER_SEEDS, _three_step_tower
 from tracked_reference import _WalkEchelon
 
@@ -384,3 +386,20 @@ def test_tensor_betti_numbers_are_the_convolution_of_the_factors(left, right):
         for q in range(cap + 1)
     ]
     assert c.betti_numbers(cap) == want
+
+
+def test_betti_numbers_by_ranks_are_the_class_counts():
+    # b_q = dim A^q - rank d_q - rank d_(q-1) builds no class basis, and
+    # equals the class count of a fresh build of the model; a model with an
+    # even generator is checked up to degree 6
+    builders = [p.values[0] for p in TOP_CLASS_MODELS]
+    builders += [
+        lambda f=f: cli._cdga_from_document(json.loads(f.read_text()))
+        for f in sorted(DATA.glob("*.json"))
+        if f.name != "golden_cli.json"
+    ]
+    for build in builders:
+        c, other = build(), build()
+        top = c.algebra.top_degree() or 6
+        assert [c.betti(q) for q in range(top + 1)] == [other.cohomology(q).dim for q in range(top + 1)]
+        assert c._cohomology_cache == {}

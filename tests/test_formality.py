@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nilform import cdga, cli, formality
+from nilform import cdga, cli, formality, resonance, ring
 from nilform.catalog import (
     central_extension,
     example_contr,
@@ -51,9 +51,15 @@ from nilform.formality import (
 from nilform.gca import Algebra, AlgebraError, Generator, Multivector
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
-from nilform.ring import CutoffError, class_symbol_algebra, from_cdga, generated_in_degree_one_upto
+from nilform.ring import (
+    CutoffError,
+    characteristic_subspace,
+    class_symbol_algebra,
+    from_cdga,
+    generated_in_degree_one_upto,
+)
 from test_ring import NON_COORDINATE_CLOSED, REPRESENTATIVE_MODELS
-from tracked_reference import full_scan
+from tracked_reference import full_scan, reference_bigraded_tower, reference_characteristic_subspace
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -287,6 +293,17 @@ def test_prop_certificate_heisenberg_two():
     assert ev is not None
     assert ev.kind == "formal" and ev.k == 1
     assert ev.data["complement"] == ["z"]
+
+
+def test_a_standalone_certificate_builds_no_class_basis_above_degree_one(monkeypatch):
+    # b_q is read from two ranks; only the default complement reads H^1
+    built = []
+    real = cdga.CohomologyBasis.__init__
+    monkeypatch.setattr(cdga.CohomologyBasis, "__init__", lambda b, c, q: built.append(q) or real(b, c, q))
+    assert certify_prop_art(heisenberg(4), 3).k == 3
+    assert built == [1]
+    assert certify_prop_art(heisenberg(4), 3, Decomposition(("z",))).k == 3
+    assert built == [1]
 
 
 def test_prop_certificate_refuses_nothing_for_heisenberg_one():
@@ -669,12 +686,11 @@ def _tower_image(r, v):
 def test_extend_minimal_model_covers_cokernel():
     """The tower over (H*, 0) of heisenberg(2): one closed generator per class of H^1."""
     c = heisenberg(2)
-    r = from_cdga(c, 2)
-    tower = bigraded_tower(r, stage_cap=4)
+    tower = bigraded_tower(c, stage_cap=4)
     assert tower.stage_dims == [4, 1]
     assert tower.stabilized
     names = [g.name for g in tower.cdga.algebra.generators]
-    assert names == [g.name for g in class_symbol_algebra(r).generators] + ["w1_0"]
+    assert names == [g.name for g in class_symbol_algebra(c).generators] + ["w1_0"]
     assert all(tower.cdga.d_generator(n).is_zero() for n in tower.stages[0])
     # the wave-1 generator transgresses the symplectic relation
     t = tower.cdga.d_generator("w1_0")
@@ -692,8 +708,9 @@ def test_extend_minimal_model_covers_cokernel():
 )
 def test_extend_minimal_model_into_the_ring(build, waves, truncated):
     """``bigraded_tower`` extends the minimal model of (H*, 0) by chain maps into the ring."""
-    r = from_cdga(build(), 2)
-    tower = bigraded_tower(r, stage_cap=3)
+    c = build()
+    r = from_cdga(c, 2)
+    tower = bigraded_tower(c, stage_cap=3)
     assert tower.stage_dims == waves
     assert tower.stabilized is not truncated
     model = tower.cdga
@@ -710,10 +727,53 @@ def test_extend_minimal_model_into_the_ring(build, waves, truncated):
 def test_bigraded_tower_renames_a_wave_name_clash():
     # heisenberg(1) with x1 named like a wave-1 generator
     alg = Algebra([Generator("w1_0", 1), Generator("b", 1), Generator("z", 1)])
-    r = from_cdga(CDGA(alg, {"z": "w1_0*b"}), 2)
-    tower = bigraded_tower(r, stage_cap=2)
+    tower = bigraded_tower(CDGA(alg, {"z": "w1_0*b"}), stage_cap=2)
     assert tower.stages == [["w1_0", "b"], ["w1_0_"], ["w2_0", "w2_1"]]
     assert not tower.stabilized
+
+
+def _oracle_model_pairs():
+    """Two fresh builds of each model: the catalog's (TOP_CLASS_MODELS), the
+    ``tests/data`` ones, NON_COORDINATE_CLOSED, and the seed-3 contr forms and towers."""
+    builders = [p.values[0] for p in TOP_CLASS_MODELS + NON_COORDINATE_CLOSED]
+    builders += [
+        lambda f=f: cli._cdga_from_document(json.loads(f.read_text()))
+        for f in sorted(DATA.glob("*.json"))
+        if f.name != "golden_cli.json"
+    ]
+    pairs = [(build(), build()) for build in builders]
+    for kind in ("contr", "tower"):
+        pairs += zip(*(_formality_mix_models(seeds=(3,), kind=kind) for _ in range(2)))
+    assert len(pairs) == 17 + 6 + 5 + 40 + 128
+    return pairs
+
+
+def test_the_characteristic_subspace_is_the_kernel_of_the_ring_products():
+    # the wedge table's kernel, entry for entry, is the ring's
+    dims = set()
+    for c, other in _oracle_model_pairs():
+        got = characteristic_subspace(c)
+        want = reference_characteristic_subspace(from_cdga(other, 2))
+        assert got.basis == want
+        assert [list(v.terms.items()) for v in got.basis] == [list(v.terms.items()) for v in want]
+        assert got is characteristic_subspace(c)
+        dims.add(got.dim)
+    assert {0, 1, 2} <= dims
+
+
+def test_the_tower_is_the_ring_wave_loop():
+    # same stages, names and transgressions, with wave 1 read off the
+    # subspace; three waves, as the report's cap of six takes 20 times longer
+    truncated = 0
+    for c, other in _oracle_model_pairs():
+        tower = bigraded_tower(c, stage_cap=3)
+        cur, stages, stabilized = reference_bigraded_tower(from_cdga(other, 2), 3)
+        assert (tower.stages, tower.stabilized) == (stages, stabilized)
+        got, want = tower.cdga.differential(), cur.differential()
+        assert got == want
+        assert [list(v.terms.items()) for v in got.values()] == [list(v.terms.items()) for v in want.values()]
+        truncated += not stabilized
+    assert truncated > 0
 
 
 @pytest.mark.parametrize(
@@ -733,8 +793,7 @@ def test_chain_map_routines_reject_the_other_target(solve, target, type_name):
 
 
 def test_bigraded_tower_first_heisenberg_growth():
-    r = from_cdga(heisenberg(1), 2)
-    tower = bigraded_tower(r, stage_cap=3)
+    tower = bigraded_tower(heisenberg(1), stage_cap=3)
     assert tower.stage_dims[:3] == [2, 1, 2]
     cum = 0
     seen = []
@@ -746,18 +805,11 @@ def test_bigraded_tower_first_heisenberg_growth():
 
 
 def test_bigraded_tower_second_heisenberg_stabilizes():
-    r = from_cdga(heisenberg(2), 2)
-    tower = bigraded_tower(r, stage_cap=5)
+    tower = bigraded_tower(heisenberg(2), stage_cap=5)
     assert tower.stabilized
     assert tower.stage_dims == [4, 1]
     assert tower.total_dim == 5
     assert tower.stages[0] == ["x1", "y1", "x2", "y2"]
-
-
-def test_bigraded_tower_needs_degree_two():
-    r = from_cdga(heisenberg(2), 1)
-    with pytest.raises(CutoffError):
-        bigraded_tower(r)
 
 
 # -- the map solver -------------------------------------------------------
@@ -841,7 +893,7 @@ def test_solver_lifts_free_generator_over_cdga():
 
 def test_solver_tower_onto_formal_model():
     c = heisenberg(2)
-    tower = bigraded_tower(from_cdga(c, 2))
+    tower = bigraded_tower(c)
     coh1 = c.cohomology(1)
     cons = {nm: coh1.representatives[j] for j, nm in enumerate(tower.stages[0])}
     res = dga_map_solve(tower.cdga, c, cons, require_h1_iso=True)
@@ -851,7 +903,7 @@ def test_solver_tower_onto_formal_model():
 
 def test_solver_tower_refutes_twisted_model():
     c = example_contr("y1*y2")
-    tower = bigraded_tower(from_cdga(c, 2), stage_cap=6)
+    tower = bigraded_tower(c, stage_cap=6)
     assert tower.stabilized
     assert tower.stage_dims == [5, 2, 1]
     coh1 = c.cohomology(1)
@@ -1023,8 +1075,11 @@ def test_report_truncated_tower_sets_bound_flag(monkeypatch):
     assert formality_report(example_contr("y1*y2"), 2).bound_exceeded is False
 
 
-def _formality_mix_models(seeds=(3, 11)):
-    """The formality-mix models of the given seeds (176 each), from the benchmark's generator."""
+def _formality_mix_models(seeds=(3, 11), kind=None):
+    """The formality-mix models of the given seeds (176 each), from the benchmark's generator.
+
+    ``kind`` keeps the specs of one kind only, such as "contr" (40 per seed).
+    """
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("_formality_mix_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
@@ -1034,6 +1089,7 @@ def _formality_mix_models(seeds=(3, 11)):
         inputs.build_model(s)
         for seed in seeds
         for s in inputs.formality_specs(random.Random(seed), 38, 128)
+        if kind in (None, s[0])
     ]
 
 
@@ -1075,14 +1131,24 @@ def test_top_cohomology_is_the_volume_class_on_the_formality_mix():
         _assert_top_class_is_volume(c)
 
 
-def test_report_builds_no_cohomology_above_what_its_rules_read():
-    # generation fails at H^3, so resonance searches degree 1 only, which
-    # reads H^2; the generation climb reads cochains, no class basis
+def test_report_builds_no_cohomology_above_what_its_rules_read(monkeypatch):
+    # generation fails at H^3, so resonance decides degree 1 only, on the
+    # wedge table; the climb, the certificate's Betti numbers and the tower
+    # read cochains: no class basis but H^1, no structure constant, no ring
+    built = []
+    for module in (formality, resonance, ring):
+        real = module.from_cdga
+        monkeypatch.setattr(module, "from_cdga", lambda c, m, real=real: built.append(m) or real(c, m))
     c = example_contr("y1*y2")
     rep = formality_report(c, 3)
     assert rep.overall == OVERALL_NOT_FORMAL and rep.best_formal is not None
     assert [ev.k for ev in rep.evidence if ev.rule == "generation"] == [2]
-    assert max(c._cohomology_cache) == 2 < c.algebra.top_degree()
+    models = [c] + _formality_mix_models(seeds=(3, 11), kind="contr")
+    for m in models[1:]:
+        formality_report(m, 3)
+    assert len(models) == 81
+    assert all(set(m._cohomology_cache) == {1} and m._class_products == {} for m in models)
+    assert built == []
 
 
 @pytest.mark.parametrize("k_max, bound", [(0, 0), (1, 1), (2, 1), (3, 1)])
@@ -1260,7 +1326,7 @@ def _assert_certified_degrees_obey_the_theorem(c, k_max):
     for k in certified:
         assert generated_in_degree_one_upto(c, min(k + 1, top)).generated
     if best >= 1:
-        verdict = decide_r11_trivial(r)
+        verdict = decide_r11_trivial(c)
         assert verdict.witness is None and not verdict.nontrivial_certified
         # a third of the default search, which would double the test's time
         for i in range(2, best + 1):

@@ -56,6 +56,8 @@ COMMANDS = (
     ("formality", "--input", "tests/data/scaled_closed.json", "--k-max", "3", "--format", "json"),
     # the resonant middle degree: both maps at q = 4 have full F_p rank at q = 3 or 5
     ("resonance", "--preset", "heisenberg:4", "--q", "4", "--point", "x1 + 2*y2"),
+    # a decomposable witness: the one degree-1 resonance path that builds a ring
+    ("resonance", "--preset", "heisenberg_type:1,3", "--decide", "--format", "json"),
 )
 
 

@@ -104,10 +104,9 @@ def test_quadric_system_example_initial():
     # hand expansion over the subspace basis {x1y1 + x2z, x2y2 + x1z}:
     # with generator order (x1, x2, y1, y2, z) the squares and the cross
     # term give exactly one degree-4 monomial each
-    r = from_cdga(example_initial(), 2)
-    alg = class_symbol_algebra(r)
+    alg = class_symbol_algebra(example_initial())
     basis = (alg.parse("x1*y1 + x2*z"), alg.parse("x2*y2 + x1*z"))
-    sub = CharacteristicSubspace(r, alg, basis)
+    sub = CharacteristicSubspace(alg, basis)
     system = r11_quadric_system(sub)
     assert system.monomials == ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4))
     assert system.forms == (
@@ -121,8 +120,7 @@ def test_quadric_system_example_initial():
 
 
 def test_quadric_system_heisenberg2_square_survives():
-    r = from_cdga(heisenberg(2), 2)
-    sub = characteristic_subspace(r)
+    sub = characteristic_subspace(heisenberg(2))
     system = r11_quadric_system(sub)
     assert sub.dim == 1
     # omega^2 = 2 x1y1x2y2 up to sign, so the single form is nonzero
@@ -133,7 +131,7 @@ def test_quadric_system_heisenberg2_square_survives():
 
 
 def test_decide_heisenberg1_witness():
-    v = decide_r11_trivial(from_cdga(heisenberg(1), 2))
+    v = decide_r11_trivial(heisenberg(1))
     assert v.kind == "witness"
     w = v.witness
     assert w.alpha * w.beta == w.omega
@@ -142,18 +140,18 @@ def test_decide_heisenberg1_witness():
 
 def test_decide_heisenberg_higher_trivial():
     for n in (2, 3):
-        v = decide_r11_trivial(from_cdga(heisenberg(n), 2))
+        v = decide_r11_trivial(heisenberg(n))
         assert v.kind == "trivial"
 
 
 def test_decide_example_initial_trivial():
-    v = decide_r11_trivial(from_cdga(example_initial(), 2))
+    v = decide_r11_trivial(example_initial())
     assert v.kind == "trivial"
     assert "2-dimensional" in v.detail
 
 
 def test_decide_zero_subspace():
-    v = decide_r11_trivial(from_cdga(free_abelian(["a", "b", "c"]), 2))
+    v = decide_r11_trivial(free_abelian(["a", "b", "c"]))
     assert v.kind == "trivial"
     assert "zero" in v.detail
 
@@ -161,7 +159,7 @@ def test_decide_zero_subspace():
 def test_decide_tensor_square_has_witness():
     t = tensor(heisenberg(1), heisenberg(1))
     r = from_cdga(t, 2)
-    v = decide_r11_trivial(r)
+    v = decide_r11_trivial(t)
     assert v.kind == "witness"
     assert in_resonance(r, v.witness.point, 1)
 
@@ -268,7 +266,7 @@ def test_trivial_systems_never_reach_groebner(monkeypatch):
     for m, forms in trivial:
         assert _zero_locus_is_origin(forms, m) is True
     for c in (heisenberg(2), heisenberg(3), heisenberg(4), example_initial()):
-        assert decide_r11_trivial(from_cdga(c, 2)).kind == "trivial"
+        assert decide_r11_trivial(c).kind == "trivial"
 
 
 def test_degenerate_reduction_mod_p_falls_back_to_groebner(monkeypatch):
@@ -313,10 +311,9 @@ def test_r11_verdicts_match_the_groebner_test_alone(monkeypatch):
     models += [example_contr("0"), example_contr("y1*y2"), example_initial()]
     models += [heisenberg(n) for n in (1, 2, 3)]
     models += [heisenberg_type(1, 3), heisenberg_type(1, 4), heisenberg_type(2, 4)]
-    rings = [from_cdga(c, 2) for c in models]
-    verdicts = [decide_r11_trivial(r, seed=5) for r in rings]
+    verdicts = [decide_r11_trivial(c, seed=5) for c in models]
     _without_fp_ranks(monkeypatch)
-    assert verdicts == [decide_r11_trivial(r, seed=5) for r in rings]
+    assert verdicts == [decide_r11_trivial(c, seed=5) for c in models]
     assert {v.kind for v in verdicts} == {"trivial", "witness"}
 
 

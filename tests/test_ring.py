@@ -183,8 +183,7 @@ def test_generation_fails_at_the_closed_form_degree_of_heisenberg(n, missed):
 
 def test_characteristic_subspace_heisenberg():
     for n in (1, 2, 3):
-        r = from_cdga(heisenberg(n), 2)
-        k = characteristic_subspace(r)
+        k = characteristic_subspace(heisenberg(n))
         assert k.dim == 1
         # the kernel is spanned by the transgressed symplectic form
         (omega,) = k.basis
@@ -195,13 +194,11 @@ def test_characteristic_subspace_heisenberg():
 
 
 def test_characteristic_subspace_exterior_is_zero():
-    r = from_cdga(free_abelian(["a", "b", "c", "d"]), 2)
-    assert characteristic_subspace(r).dim == 0
+    assert characteristic_subspace(free_abelian(["a", "b", "c", "d"])).dim == 0
 
 
 def test_characteristic_subspace_example_initial():
-    r = from_cdga(example_initial(), 2)
-    k = characteristic_subspace(r)
+    k = characteristic_subspace(example_initial())
     assert k.dim == 2
     # spans {x1y1 + x2z, x2y2 + x1z} in the class symbols
     alg = k.algebra
@@ -215,15 +212,13 @@ def test_characteristic_subspace_example_initial():
 
 
 def test_class_symbols_keep_generator_names():
-    r = from_cdga(heisenberg(2), 2)
-    alg = class_symbol_algebra(r)
+    alg = class_symbol_algebra(heisenberg(2))
     assert [g.name for g in alg.generators] == ["x1", "y1", "x2", "y2"]
 
 
 def test_class_symbols_tensor_primes():
     t = tensor(heisenberg(1), heisenberg(1))
-    r = from_cdga(t, 2)
-    alg = class_symbol_algebra(r)
+    alg = class_symbol_algebra(t)
     assert [g.name for g in alg.generators] == ["x1", "y1", "x1'", "y1'"]
 
 
@@ -239,7 +234,7 @@ def test_class_symbols_fallback_names():
     )
     labels = c.labels(1)
     assert any(not s.isidentifier() for s in labels)
-    alg = class_symbol_algebra(c)
+    alg = class_symbol_algebra(c.source)
     assert [g.name for g in alg.generators] == ["a0", "a1", "a2"]
 
 

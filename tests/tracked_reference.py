@@ -18,12 +18,18 @@ class coordinates read by ``CohomologyBasis.coordinates``.
 it ranks every product H^(q-1) x H^1 of basis classes, with no full-rank
 stop, so it forms structure constants where the climb on cochains ranks
 cochain matrices.
+``reference_characteristic_subspace`` and ``reference_bigraded_tower`` read
+the cup product on H^1 from the ring's structure constants, in H^2 class
+coordinates, where the code reads the CDGA's wedge table; the tower's
+first wave ranks the H^2 of the exterior algebra on the stage-0 symbols.
 """
 
 from fractions import Fraction
 
-from nilform.linalg import _FAST_PRIME, Echelon, row_primitive, to_int_row
-from nilform.ring import GenerationVerdict
+from nilform.cdga import CDGA, hirsch_extend
+from nilform.gca import Generator
+from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, row_primitive, to_int_row
+from nilform.ring import GenerationVerdict, class_symbol_algebra
 
 
 def residual(ech, vec):
@@ -94,6 +100,52 @@ class _WalkEchelon:
 def reference_product_coords(ring, qa, ia, qb, ib):
     prod = ring.representative(qa, ia) * ring.representative(qb, ib)
     return ring.basis(qa + qb).coordinates(prod)
+
+
+def reference_characteristic_subspace(ring):
+    """The basis of the kernel of the product_coords columns, one per pair of H^1 classes."""
+    alg = class_symbol_algebra(ring.source)
+    pairs = alg.basis(2)
+    cols = [ring.product_coords(1, i, 1, j) for i, j in pairs]
+    kernel = SparseMatrix(ring.dim(2), len(pairs), cols).kernel()
+    return tuple(alg.from_coordinates(2, [v.get(k, 0) for k in range(len(pairs))]) for v in kernel)
+
+
+def reference_bigraded_tower(ring, stage_cap):
+    """(tower CDGA, stages, stabilized): every wave ranks the tower's H^2 into the ring's."""
+    b1 = ring.dim(1)
+    alg = class_symbol_algebra(ring.source)
+    names = [g.name for g in alg.generators]
+    taken = set(names)
+
+    def image(v):
+        out = {}
+        for (i, j), c in v.terms.items():
+            if j < b1:
+                for t, p in ring.product_coords(1, i, 1, j).items():
+                    out[t] = out.get(t, 0) + c * p
+        return {t: x for t, x in sorted(out.items()) if x}
+
+    cur = CDGA(alg)
+    stages = [names]
+    for wave in range(1, stage_cap + 1):
+        coh2 = cur.cohomology(2)
+        cols = [image(rep) for rep in coh2.representatives]
+        kern = SparseMatrix(ring.dim(2), coh2.dim, cols).kernel()
+        if not kern:
+            return cur, stages, True
+        additions = []
+        for idx, vec in enumerate(kern):
+            trans = coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
+            assert not image(trans)
+            name = f"w{wave}_{idx}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            additions.append((Generator(name, 1), trans))
+        cur = hirsch_extend(cur, additions)
+        stages.append([g.name for g, _ in additions])
+    return cur, stages, False
 
 
 def full_cokernel(ring, q):
