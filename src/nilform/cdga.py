@@ -63,7 +63,7 @@ class CDGA:
             if all(c.denominator == 1 for c in terms.values()):
                 terms = {m: c.numerator for m, c in terms.items()}
             self._d_signed[i] = [(m, c, -c) for m, c in terms.items()]
-        self._d_mono_cache: dict[Monomial, Multivector] = {}
+        self._d_mono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._matrix_cache: dict[int, SparseMatrix] = {}
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
         # q -> least-index pivots of B^q, recorded by the row pass of d_(q-1)
@@ -150,18 +150,16 @@ class CDGA:
                         del out[key]
         return out
 
-    def _d_monomial(self, mono: Monomial) -> Multivector:
-        cached = self._d_mono_cache.get(mono)
-        if cached is None:
-            cached = Multivector(self.algebra, self._d_terms(mono))
-            self._d_mono_cache[mono] = cached
-        return cached
-
     def d(self, v: Multivector) -> Multivector:
-        """Leibniz extension of the generator differential, its terms summed in one dict."""
+        """Leibniz extension of the generator differential, its terms summed in one dict;
+        the terms of each d(monomial) are cached."""
+        cache = self._d_mono_cache
         out: dict[Monomial, Fraction] = {}
         for mono, c in v.terms.items():
-            for m, x in self._d_monomial(mono).terms.items():
+            terms = cache.get(mono)
+            if terms is None:
+                terms = cache[mono] = self._d_terms(mono)
+            for m, x in terms.items():
                 out[m] = out.get(m, Fraction(0)) + c * x
         return Multivector(self.algebra, out)
 

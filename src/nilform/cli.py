@@ -207,7 +207,7 @@ def _cmd_resonance(args) -> int:
         mu_complex_dim,
         point_from_expression,
     )
-    from .ring import from_cdga
+    from .ring import class_symbol_algebra, from_cdga
 
     if args.q < 0:
         raise InputError("--q must be nonnegative")
@@ -216,7 +216,10 @@ def _cmd_resonance(args) -> int:
     c, origin = _load_model(args)
     echo = _echo_model(c, origin)
     r = from_cdga(c, max(2, args.q + 1))
-    labels = list(r.labels(1))
+    # points are parsed and printed in the class symbols; a symbol that is not
+    # its class's representative is listed with it
+    symbols = [g.name for g in class_symbol_algebra(c).generators]
+    labels = [s if s == rep else f"{s} = {rep}" for s, rep in zip(symbols, r.labels(1))]
     section: dict = {"q": args.q, "k": args.k, "b1": r.dim(1), "labels": labels}
     lines = [f"resonance variety: degree q={args.q}, depth k={args.k}"]
     lines.append(f"degree-1 classes: {', '.join(labels) if labels else '(none)'}")
@@ -250,7 +253,7 @@ def _cmd_resonance(args) -> int:
                 "nontrivial_certified": verdict.nontrivial_certified,
             }
             if verdict.witness is not None:
-                expr = _point_expression(labels, verdict.witness.point)
+                expr = _point_expression(symbols, verdict.witness.point)
                 decision["witness"] = {
                     "point": [str(x) for x in verdict.witness.point],
                     "expression": expr,
@@ -266,7 +269,7 @@ def _cmd_resonance(args) -> int:
             point = find_resonance_point(r, args.q, args.k, seed=args.seed)
             decision = {"notice": notice}
             if point is not None:
-                expr = _point_expression(labels, point)
+                expr = _point_expression(symbols, point)
                 decision["verdict"] = "SampledWitness"
                 decision["witness"] = {
                     "point": [str(x) for x in point],

@@ -16,16 +16,14 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cdga import CDGA, apply_chain_map, coordinate_model, hirsch_extend
-from .gca import AlgebraError, Generator, Multivector
-from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_add, poly_mul, poly_value, sympy_polys
+from .cdga import CDGA, apply_chain_map, coordinate_model, dict_coords, hirsch_extend
+from .gca import AlgebraError, Generator, Monomial, Multivector
+from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_value, sympy_polys
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
-    CutoffError,
     GenerationVerdict,
-    RingPresentation,
     characteristic_subspace,
     from_cdga,
     generated_in_degree_one_upto,
@@ -333,22 +331,27 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     to j+1 certifies j-formality, so a first failure at q certifies q-2 >= 0.
     Returns the evidence for the largest certified j <= k.
 
-    For the default N, R^q spans P_q in the `coordinate_model`, and the
-    climb ranks B'^q cut to I^q.  So where H^q is generated, degree q passes
-    exactly when rank pi_I(B'^q) + rank pi_R(B'^q) = rank B'^q.
+    For the default N, the ranks are read in the `coordinate_model`, whose
+    d' the climb has ranked: phi fixes N, so it keeps the ideal I and maps
+    A^q / I^q onto itself, and B'^q = phi(B^q) has the same cut rank and
+    Betti numbers.  There R^q spans P_q, and the climb ranks B'^q cut to
+    I^q.  So where H^q is generated, degree q passes exactly when
+    rank pi_I(B'^q) + rank pi_R(B'^q) = rank B'^q.
     """
     _require_model(c)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    model = c
     if dec is None:
         dec = default_decomposition(c)
+        model = coordinate_model(c)[1]
     elif dec not in _VALID.get(c, ()):
         validate_decomposition(c, dec)
     alg = c.algebra
     complement = {alg.index_of(name) for name in dec.complement}
     for q in range(2, min(k + 1, alg.top_degree()) + 1):
         rest = {j for j, mono in enumerate(alg.basis(q)) if complement.isdisjoint(mono)}
-        if len(rest) - c.differential_matrix(q - 1).cut_rank(rest) != c.betti(q):
+        if len(rest) - model.differential_matrix(q - 1).cut_rank(rest) != model.betti(q):
             k = q - 2
             break
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
@@ -384,22 +387,17 @@ def decide_twostep(c: CDGA, k: int) -> TwoStepDecision:
     return TwoStepDecision(k, FORMAL if v.generated else NOT_FORMAL, v)
 
 
-def infer_prop_k2(
-    report: FormalityReport, ring: RingPresentation, k: int
-) -> Evidence | None:
-    """Upgrade a certified k-formal report to formal when H^(>=k+2) vanishes."""
+def infer_prop_k2(report: FormalityReport, c: CDGA, k: int) -> Evidence | None:
+    """Upgrade a certified k-formal report to formal when H^(>=k+2) vanishes,
+    each Betti number read from two ranks by ``c.betti``."""
     if not 0 <= k <= report.k_max:
         raise ValueError(f"degree {k} outside 0..{report.k_max}")
     if report.verdict(k) != FORMAL:
         return None
-    top = ring.source.algebra.top_degree()
+    top = c.algebra.top_degree()
     if top is None:
         return None
-    if top > ring.max_degree:
-        raise CutoffError(
-            f"need cohomology up to degree {top} but cutoff is {ring.max_degree}"
-        )
-    if any(ring.dim(q) != 0 for q in range(k + 2, top + 1)):
+    if any(c.betti(q) != 0 for q in range(k + 2, top + 1)):
         return None
     if report.overall == OVERALL_NOT_FORMAL:
         raise RuntimeError("conflicting certificates for overall formality")
@@ -495,10 +493,14 @@ def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
 #
 # Constraints are fixed images.  Every other generator gets a lift of its
 # transgression image plus free closed directions, whose coefficients are
-# the unknowns.  Polynomials in them are ``linalg.Poly`` dicts, and a
-# poly-vector maps monomials of the target to them.  A linear system is
-# eliminated by an ``Echelon``; only a non-linear one reaches sympy, through
-# ``linalg.sympy_polys``.
+# the unknowns.  An image maps each monomial in the unknowns, a sorted tuple
+# of their indices with ``()`` the constant, to a ``Multivector`` of the
+# target, so products and d are the target's own.  `_transpose` reads each
+# target monomial's ``linalg.Poly`` off an image, for the equations and the
+# final assignment.  A linear system is eliminated by an ``Echelon``; only a
+# non-linear one reaches sympy, through ``linalg.sympy_polys``.
+
+Image = dict[tuple[int, ...], Multivector]
 
 
 class MapSolveResult(NamedTuple):
@@ -512,35 +514,51 @@ class MapSolveResult(NamedTuple):
     detail: str = ""
 
 
-def _split_by_span(
-    span: Echelon, mat: SparseMatrix, keys: Sequence, pel: dict
-) -> tuple[dict, dict]:
-    """Split a poly-vector over ``keys`` along the columns of ``mat``.
+def _gather(terms: Iterable[tuple[tuple[int, ...], Multivector]]) -> Image:
+    """The image summing the terms of each monomial in the unknowns."""
+    out: Image = {}
+    for mono, v in terms:
+        out[mono] = out[mono] + v if mono in out else v
+    return out
 
-    ``span`` is the echelon of those columns.  Returns the coefficients over
-    the columns, zero at each column dependent on earlier ones, and the
-    residual modulo their span, both with polynomial entries.  Both are
-    linear, so each monomial in the unknowns is split on its own: its
-    residual is taken off first, and one solve lifts the rest of every
-    monomial at once.
+
+def _transpose(img: Image) -> dict[Monomial, Poly]:
+    """Each target monomial of an image -> its coefficient, a Poly in the unknowns."""
+    out: dict[Monomial, Poly] = {}
+    for mono, v in img.items():
+        for key, c in v.terms.items():
+            out.setdefault(key, {})[mono] = c
+    return out
+
+
+def _split_by_span(target: CDGA, img: Image) -> tuple[Image, Image]:
+    """Split a degree-2 image along B^2 = d(A^1) of ``target``.
+
+    Returns a degree-1 lift, zero at each generator whose d depends on the
+    d of earlier ones, and the residual modulo B^2, each an image with its
+    zero parts left out.  Both are linear, so each monomial in the unknowns
+    is split on its own: its residual is taken off first, and one solve
+    lifts the rest of every monomial at once.
     """
-    index = {k: i for i, k in enumerate(keys)}
-    by_mono: dict[tuple, Vec] = {}
-    for key, p in pel.items():
-        for mono, c in p.items():
-            by_mono.setdefault(mono, {})[index[key]] = c
-    residual: dict = {}
-    for mono, vec in by_mono.items():
+    alg = target.algebra
+    basis1, basis2 = alg.basis(1), alg.basis(2)
+    span = target.coboundaries(2)
+    vecs, residual = [], {}
+    for mono, v in img.items():
+        vec = dict_coords(alg, v, 2)
         r, scale = span.reduce(vec)
-        for j, v in r.items():
-            c = Fraction(v, scale)
-            residual.setdefault(keys[j], {})[mono] = c
-            vec[j] = vec.get(j, 0) - c
-    coeffs: dict[int, Poly] = {}
-    for mono, x in zip(by_mono, mat.solve(list(by_mono.values()))):
-        for k, c in x.items():
-            coeffs.setdefault(k, {})[mono] = c
-    return coeffs, residual
+        if r:
+            rest = {j: Fraction(x, scale) for j, x in r.items()}
+            residual[mono] = Multivector(alg, {basis2[j]: c for j, c in rest.items()})
+            for j, c in rest.items():
+                vec[j] = vec.get(j, 0) - c
+        vecs.append(vec)
+    lift = {
+        mono: Multivector(alg, {basis1[j]: c for j, c in x.items()})
+        for mono, x in zip(img, target.differential_matrix(1).solve(vecs))
+        if x
+    }
+    return lift, residual
 
 
 def dga_map_solve(
@@ -601,11 +619,6 @@ def dga_map_solve(
             )
         return value
 
-    # the polynomial vectors below are keyed by the target's monomials
-    basis1, keys2 = alg.basis(1), alg.basis(2)
-    # the columns of d_1 span the exact degree-2 part
-    d1 = target.differential_matrix(1)
-    exact_span = target.coboundaries(2)
     # Z^1 = H^1: its representatives are the closed directions
     coh1 = target.cohomology(1)
 
@@ -615,71 +628,39 @@ def dga_map_solve(
     ]
     nparams = len(labels)
     unknowns = iter(range(nparams))
-    one: Poly = {(): Fraction(1)}
 
-    images_pel: list[dict | None] = [None] * len(names)
+    images: list[Image] = [{} for _ in names]
     equations: list[tuple[Poly, str]] = []
 
-    def add_into(pel: dict, key, p: Poly, c) -> None:
-        """pel[key] += c * p for a rational c."""
-        poly_add(pel.setdefault(key, {}), p, c)
-
-    def nonzero_part(pel: dict) -> dict:
-        return {k: p for k, p in pel.items() if p}
-
-    def pel_mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for ka, pa in a.items():
-            for kb, pb in b.items():
-                prod = alg.monomial_product(ka, kb)
-                if prod is not None:
-                    add_into(out, prod[1], poly_mul(pa, pb), prod[0])
-        return nonzero_part(out)
-
-    def pel_apply(v: Multivector) -> dict:
-        out: dict = {}
-        for mono, c in sorted(v.terms.items()):
-            cur = {(): one}
+    def extend(v: Multivector) -> Image:
+        """The multiplicative extension of the images so far, at v."""
+        terms = []
+        for mono, c in v.terms.items():
+            cur = {(): alg.one().scale(c)}
             for i in mono:
-                cur = pel_mul(cur, images_pel[i])
-            for key, p in cur.items():
-                add_into(out, key, p, c)
-        return nonzero_part(out)
-
-    def pel_d(pel: dict) -> dict:
-        out: dict = {}
-        for key, p in pel.items():
-            for key2, c in target._d_monomial(key).terms.items():
-                add_into(out, key2, p, c)
-        return nonzero_part(out)
+                cur = _gather(
+                    (tuple(sorted(u + w)), x * y)
+                    for u, x in cur.items()
+                    for w, y in images[i].items()
+                )
+            terms += cur.items()
+        return _gather(terms)
 
     for i in order:
         name = names[i]
-        rhs = pel_apply(source.d_generator(name))
+        rhs = extend(source.d_generator(name))
         if name in constraints:
-            img: dict = {}
-            for key, c in as_element(constraints[name]).terms.items():
-                add_into(img, key, one, c)
-            lhs = pel_d(img)
-            for key in sorted(set(lhs) | set(rhs)):
-                poly = poly_add(dict(lhs.get(key, {})), rhs.get(key, {}), -1)
-                if poly:
-                    note = f"chain condition at {name!r}, coordinate {alg.monomial(key)}"
-                    equations.append((poly, note))
+            value = as_element(constraints[name])
+            img, what = {(): value}, "chain condition"
+            rest = _gather([((), target.d(value))] + [(mono, -v) for mono, v in rhs.items()])
         else:
-            lift, residual = _split_by_span(exact_span, d1, keys2, rhs)
-            for key in sorted(residual):
-                note = f"exactness obstruction at {name!r}, coordinate {alg.monomial(key)}"
-                equations.append((residual[key], note))
-            img = {}
-            for col, poly in sorted(lift.items()):
-                add_into(img, basis1[col], poly, 1)
-            for z in coh1.representatives:
-                x = {(next(unknowns),): Fraction(1)}
-                for key, c in z.terms.items():
-                    add_into(img, key, x, c)
-            img = nonzero_part(img)
-        images_pel[i] = img
+            (img, rest), what = _split_by_span(target, rhs), "exactness obstruction"
+            img.update(((next(unknowns),), z) for z in coh1.representatives)
+        polys = _transpose(rest)
+        for key in sorted(polys):
+            note = f"{what} at {name!r}, coordinate {alg.monomial(key)}"
+            equations.append((polys[key], note))
+        images[i] = img
 
     if require_h1_iso:
         if len(h1_reps) != coh1.dim:
@@ -693,7 +674,7 @@ def dga_map_solve(
             )
 
     linear = all(len(mono) <= 1 for p, _ in equations for mono in p) and all(
-        len(mono) <= 1 for img in images_pel for p in img.values() for mono in p
+        len(mono) <= 1 for img in images for mono in img
     )
 
     if linear:
@@ -736,18 +717,18 @@ def dga_map_solve(
                 "no rational solution found within the search bounds",
             )
 
-    images = [
-        Multivector(alg, {key: poly_value(p, values) for key, p in img.items()})
-        for img in images_pel
+    solved = [
+        Multivector(alg, {key: poly_value(p, values) for key, p in _transpose(img).items()})
+        for img in images
     ]
     for i, name in enumerate(names):
-        lhs = target.d(images[i])
-        rhs = apply_chain_map(images, source.d_generator(name), target)
+        lhs = target.d(solved[i])
+        rhs = apply_chain_map(solved, source.d_generator(name), target)
         if not (lhs - rhs).is_zero():
             raise RuntimeError(f"chain-map verification failed at {name!r}")
     if require_h1_iso:
         # every closed generator is fixed, so this is the H^1 map of every solution
-        span = Echelon(coh1.coordinates(apply_chain_map(images, z, target)) for z in h1_reps)
+        span = Echelon(coh1.coordinates(apply_chain_map(solved, z, target)) for z in h1_reps)
         if span.rank < len(h1_reps):
             return MapSolveResult(
                 "unsatisfiable",
@@ -757,8 +738,10 @@ def dga_map_solve(
                 len(equations),
             )
     return MapSolveResult(
-        "solution", dict(zip(names, images)), None, nparams, len(equations)
+        "solution", dict(zip(names, solved)), None, nparams, len(equations)
     )
+
+
 
 
 def _nonlinear_solve(polys: list[Poly], labels: list[str]):
@@ -821,8 +804,8 @@ def formality_report(
     Every not-formal rule speaks to a degree of at least 1, so the
     certificate is always asked for some k >= 0 and always gives evidence;
     it reads each Betti number from two ranks, which the climb has cached.
-    The degree-1 rules read cochains: only a resonance witness, sampling
-    in degree 2 and up, or the vanishing-top upgrade builds a ring.
+    The degree-1 rules and the vanishing-top upgrade read cochains: only a
+    resonance witness or sampling in degree 2 and up builds a ring.
     """
     _require_model(c)
     report = FormalityReport(k_max)
@@ -954,5 +937,5 @@ def formality_report(
         # H^top = Q.  The rule reads H^q = 0 for k+2 <= q <= top, so it can
         # act (here: raise on the conflict) only when that range is empty.
         if best + 2 > top:
-            infer_prop_k2(report, from_cdga(c, max(top, 1)), best)
+            infer_prop_k2(report, c, best)
     return report

@@ -11,8 +11,11 @@ elimination.
 
 Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
 tuple of unknown indices (repeats allowed, ``()`` the constant) to a
-nonzero coefficient.  :func:`sympy_polys` builds the one sympy ring of the
-package, for the Groebner fallbacks, which are its only callers.
+nonzero coefficient.  Nothing here adds or multiplies them: the chain-map
+solver computes in its target algebra and reads each coefficient off as a
+polynomial.  :func:`poly_value` evaluates one, and :func:`sympy_polys`
+builds the one sympy ring of the package, for the Groebner fallbacks,
+which are its only callers.
 """
 
 from __future__ import annotations
@@ -336,25 +339,6 @@ class Span(Echelon):
     def __init__(self, ncols: int, vectors: Iterable[Vec]):
         super().__init__(vectors)
         self.ncols = ncols
-
-
-def poly_add(acc: Poly, p: Poly, c: Fraction | int = 1) -> Poly:
-    """acc += c * p in place, dropping every zero coefficient; returns acc."""
-    for mono, v in p.items():
-        if w := acc.get(mono, 0) + c * v:
-            acc[mono] = w
-        else:
-            acc.pop(mono, None)
-    return acc
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """a * b; a product key is the sorted union of its factors' keys."""
-    out: Poly = {}
-    for ma, ca in a.items():
-        # distinct keys of b give distinct products with ma
-        poly_add(out, {tuple(sorted(ma + mb)): ca * cb for mb, cb in b.items()})
-    return out
 
 
 def poly_value(p: Poly, values: Sequence[Fraction]) -> Fraction:

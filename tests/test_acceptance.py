@@ -292,7 +292,7 @@ def test_ac10_prop_k2_rule():
     cert = certify_prop_art(ab2, 1)
     assert cert is not None and cert.k == 1
     rep.mark_formal_upto(cert)
-    fired = infer_prop_k2(rep, from_cdga(ab2, 2), 1)
+    fired = infer_prop_k2(rep, ab2, 1)
     assert fired is not None and fired.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
     assert rep.verdicts() == [FORMAL] * 4
@@ -302,7 +302,7 @@ def test_ac10_prop_k2_rule():
     cert2 = certify_prop_art(h2, 1)
     assert cert2 is not None and cert2.k == 1
     rep2.mark_formal_upto(cert2)
-    assert infer_prop_k2(rep2, from_cdga(h2, 5), 1) is None
+    assert infer_prop_k2(rep2, h2, 1) is None
     assert rep2.overall == INCONCLUSIVE
 
 

@@ -12,6 +12,9 @@ import pytest
 
 from nilform import cli
 from test_formality import generation_failing_tower
+from test_ring import NON_COORDINATE_CLOSED
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv):
@@ -144,6 +147,32 @@ def test_resonance_bad_point_expression(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_resonance_witnesses_parse_back_as_points(capsys, tmp_path):
+    # a witness is printed in the class symbols, which --point parses, also
+    # where a representative is no identifier and the symbols are a0, a1, ...
+    paths = [p for p in sorted(DATA.glob("*.json")) if p.name != "golden_cli.json"]
+    for param in NON_COORDINATE_CLOSED:
+        path = tmp_path / f"{param.id}.json"
+        path.write_text(json.dumps(cli._echo_model(param.values[0](), {})))
+        paths.append(path)
+    fallback = 0
+    for path in paths:
+        for q in ("1", "2"):
+            argv = ["resonance", "--input", str(path), "--q", q]
+            doc = run_json(capsys, argv + ["--decide"])["resonance"]
+            witness = doc["decision"].get("witness")
+            if witness is None:
+                continue
+            code, out, _ = run(capsys, argv + ["--decide"])
+            assert code == 0 and f"{doc['decision']['verdict']} {witness['expression']}" in out
+            point = run_json(capsys, argv + [f"--point={witness['expression']}"])["resonance"]["point"]
+            assert point["coordinates"] == witness["point"]
+            assert point["member"] is True
+            fallback += any(" = " in label for label in doc["labels"])
+    # both witness paths, the exact one at q = 1 and sampling at q = 2, reach the fallback
+    assert fallback >= 2 * len(NON_COORDINATE_CLOSED)
 
 
 def test_resonance_negative_degree_rejected(capsys):

@@ -52,7 +52,6 @@ from nilform.gca import Algebra, AlgebraError, Generator, Multivector
 from nilform.linalg import Echelon, SparseMatrix
 from nilform.resonance import decide_r11_trivial, find_resonance_point
 from nilform.ring import (
-    CutoffError,
     characteristic_subspace,
     class_symbol_algebra,
     from_cdga,
@@ -629,7 +628,7 @@ def test_prop_k2_upgrade_fires_for_small_top_degree():
     c = free_abelian(["e1", "e2"])
     rep = FormalityReport(3)
     rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
-    ev = infer_prop_k2(rep, from_cdga(c, 2), 1)
+    ev = infer_prop_k2(rep, c, 1)
     assert ev is not None and ev.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
     assert rep.verdicts() == [FORMAL] * 4
@@ -639,22 +638,14 @@ def test_prop_k2_upgrade_needs_vanishing_top():
     c = heisenberg(2)
     rep = FormalityReport(2)
     rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
-    assert infer_prop_k2(rep, from_cdga(c, 5), 1) is None
+    assert infer_prop_k2(rep, c, 1) is None
     assert rep.overall == INCONCLUSIVE
-
-
-def test_prop_k2_upgrade_needs_enough_cutoff():
-    c = heisenberg(2)
-    rep = FormalityReport(1)
-    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
-    with pytest.raises(CutoffError):
-        infer_prop_k2(rep, from_cdga(c, 3), 1)
 
 
 def test_prop_k2_requires_formal_verdict():
     c = free_abelian(["e1"])
     rep = FormalityReport(2)
-    assert infer_prop_k2(rep, from_cdga(c, 1), 1) is None
+    assert infer_prop_k2(rep, c, 1) is None
 
 
 # -- chain maps and extensions --------------------------------------------
@@ -732,16 +723,21 @@ def test_bigraded_tower_renames_a_wave_name_clash():
     assert not tower.stabilized
 
 
-def _oracle_model_pairs():
-    """Two fresh builds of each model: the catalog's (TOP_CLASS_MODELS), the
-    ``tests/data`` ones, NON_COORDINATE_CLOSED, and the seed-3 contr forms and towers."""
+def _model_builders():
+    """Builders of the catalog's models (TOP_CLASS_MODELS), NON_COORDINATE_CLOSED
+    and the ``tests/data`` ones."""
     builders = [p.values[0] for p in TOP_CLASS_MODELS + NON_COORDINATE_CLOSED]
-    builders += [
+    return builders + [
         lambda f=f: cli._cdga_from_document(json.loads(f.read_text()))
         for f in sorted(DATA.glob("*.json"))
         if f.name != "golden_cli.json"
     ]
-    pairs = [(build(), build()) for build in builders]
+
+
+def _oracle_model_pairs():
+    """Two fresh builds of each model: the `_model_builders` ones and the
+    seed-3 contr forms and towers."""
+    pairs = [(build(), build()) for build in _model_builders()]
     for kind in ("contr", "tower"):
         pairs += zip(*(_formality_mix_models(seeds=(3,), kind=kind) for _ in range(2)))
     assert len(pairs) == 17 + 6 + 5 + 40 + 128
@@ -880,6 +876,17 @@ def test_solver_identity_with_fixed_images():
     res = dga_map_solve(c, c, cons)
     assert res.status == "solution"
     assert (res.assignment["z"] - c.algebra.gen("z")).is_zero()
+
+
+def test_solver_reads_the_coefficients_of_the_source_differential():
+    # the report's towers have unit coefficients only; here d(z) = 2xy
+    src = central_extension(["x", "y"], [("z", "2*x*y")])
+    tgt = heisenberg(1)
+    res = dga_map_solve(src, tgt, {"x": "x1", "y": "y1", "z": "z"})
+    assert res.certificate == "inconsistent equation: chain condition at 'z', coordinate x1*y1"
+    res = dga_map_solve(src, tgt, {"x": "x1", "y": "-y1"})
+    assert res.status == "solution"
+    assert res.assignment["z"] == tgt.algebra.parse("-2*z")
 
 
 def test_solver_lifts_free_generator_over_cdga():
@@ -1148,6 +1155,16 @@ def test_report_builds_no_cohomology_above_what_its_rules_read(monkeypatch):
         formality_report(m, 3)
     assert len(models) == 81
     assert all(set(m._cohomology_cache) == {1} and m._class_products == {} for m in models)
+    assert built == []
+    # every report at each k up to 4 on the catalog, NON_COORDINATE_CLOSED,
+    # the tests/data models and the seed-3 formality-mix models
+    models = [build() for build in _model_builders()] + _formality_mix_models(seeds=(3,))
+    models = [m for m in models if all(g.degree == 1 for g in m.algebra.generators)]
+    for m in models:
+        for k in range(5):
+            formality_report(m, k)
+    assert len(models) == 17 + 6 + 4 + 176
+    assert all(set(m._cohomology_cache) <= {1} and m._class_products == {} for m in models)
     assert built == []
 
 

@@ -58,6 +58,14 @@ COMMANDS = (
     ("resonance", "--preset", "heisenberg:4", "--q", "4", "--point", "x1 + 2*y2"),
     # a decomposable witness: the one degree-1 resonance path that builds a ring
     ("resonance", "--preset", "heisenberg_type:1,3", "--decide", "--format", "json"),
+    # H^1 representatives that are no identifiers (w1 - v2): classes and the
+    # sampled witness are printed in the symbols a0..a6, which --point parses
+    ("resonance", "--input", "tests/data/dependent_closed.json", "--q", "2", "--decide"),
+    # that witness fed back; --point= carries an expression that starts with '-'
+    (
+        "resonance", "--input", "tests/data/dependent_closed.json", "--q", "2",
+        "--point=-1*a0 + -1*a1 + -1*a2 + -1*a3 + -1*a4",
+    ),
 )
 
 
@@ -78,11 +86,13 @@ def run(argv) -> dict:
 
 
 def case_id(argv) -> str:
-    """The first three words of a command, and its chosen complement if any."""
+    """The first three words of a command, its chosen complement if any, and
+    a point given as one ``--point=`` word."""
     words = list(argv[:3])
     if "--complement" in argv:
         i = argv.index("--complement")
         words += argv[i : i + 2]
+    words += [w for w in argv if w.startswith("--point=")]
     return " ".join(words)
 
 
