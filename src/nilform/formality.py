@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cdga import CDGA, apply_chain_map, coordinate_model, dict_coords, hirsch_extend
 from .gca import AlgebraError, Generator, Monomial, Multivector
-from .linalg import Echelon, Poly, SparseMatrix, Vec, poly_value, sympy_polys
+from .linalg import Echelon, Poly, SparseMatrix, Vec, groebner_leads, poly_value
 from .resonance import decide_r11_trivial, find_resonance_point
 from .ring import (
     GenerationVerdict,
@@ -497,8 +497,9 @@ def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
 # of their indices with ``()`` the constant, to a ``Multivector`` of the
 # target, so products and d are the target's own.  `_transpose` reads each
 # target monomial's ``linalg.Poly`` off an image, for the equations and the
-# final assignment.  A linear system is eliminated by an ``Echelon``; only a
-# non-linear one reaches sympy, through ``linalg.sympy_polys``.
+# final assignment.  A linear system is eliminated by an ``Echelon``.  A
+# non-linear one is refuted by ``linalg.groebner_leads``, the one sympy call,
+# or solved by a bounded grid of small integer points, or left unknown.
 
 Image = dict[tuple[int, ...], Multivector]
 
@@ -575,9 +576,11 @@ def dga_map_solve(
     generator receives a particular lift of its transgression image plus
     free closed directions, the target's H^1 representatives.  Compatibility with
     both differentials becomes a polynomial system in the unknown
-    coefficients: a linear system is eliminated exactly, and a non-linear
-    one goes through a Groebner basis of its equations when the unknown
-    count stays within ``ELIMINATION_BOUND``.
+    coefficients: a linear system is eliminated exactly.  A non-linear one,
+    within ``ELIMINATION_BOUND`` unknowns, is unsatisfiable when a Groebner
+    basis of its equations is the unit ideal; otherwise, with at most six
+    unknowns, a grid of points with entries in -2..2 is searched for a
+    solution, and the status is ``unknown`` when none is found.
 
     ``require_h1_iso`` asks for a map that is invertible on degree-one
     cohomology.  Every closed degree-one element of the source must then
@@ -623,10 +626,7 @@ def dga_map_solve(
     coh1 = target.cohomology(1)
 
     # one unknown per closed direction of a free generator
-    labels = [
-        f"{names[i]}<{t}>" for i in order if names[i] not in constraints for t in range(coh1.dim)
-    ]
-    nparams = len(labels)
+    nparams = coh1.dim * sum(name not in constraints for name in names)
     unknowns = iter(range(nparams))
 
     images: list[Image] = [{} for _ in names]
@@ -698,8 +698,8 @@ def dga_map_solve(
     else:
         if nparams > ELIMINATION_BOUND:
             raise EliminationBoundError(nparams)
-        values = _nonlinear_solve([p for p, _ in equations], labels)
-        if values == "unsat":
+        polys = [p for p, _ in equations]
+        if groebner_leads(polys, nparams) == [(0,) * nparams]:
             return MapSolveResult(
                 "unsatisfiable",
                 None,
@@ -707,7 +707,10 @@ def dga_map_solve(
                 nparams,
                 len(equations),
             )
-        if values is None:
+        # bounded deterministic search for a rational solution
+        grid = itertools.product(range(-2, 3), repeat=nparams) if nparams <= 6 else ()
+        point = next((p for p in grid if all(poly_value(q, p) == 0 for q in polys)), None)
+        if point is None:
             return MapSolveResult(
                 "unknown",
                 None,
@@ -716,6 +719,7 @@ def dga_map_solve(
                 len(equations),
                 "no rational solution found within the search bounds",
             )
+        values = [Fraction(v) for v in point]
 
     solved = [
         Multivector(alg, {key: poly_value(p, values) for key, p in _transpose(img).items()})
@@ -740,44 +744,6 @@ def dga_map_solve(
     return MapSolveResult(
         "solution", dict(zip(names, solved)), None, nparams, len(equations)
     )
-
-
-
-
-def _nonlinear_solve(polys: list[Poly], labels: list[str]):
-    """Groebner-based decision with a bounded rational point search."""
-    from sympy import Integer, solve, symbols
-    from sympy.polys.groebnertools import groebner
-
-    R, elements = sympy_polys(polys, labels)
-    if polys and groebner(elements, R) == [R.one]:
-        return "unsat"
-
-    def satisfies(vals: list[Fraction]) -> bool:
-        return all(poly_value(p, vals) == 0 for p in polys)
-
-    nparams = len(labels)
-    # bounded deterministic search for a rational witness
-    if nparams <= 6:
-        for cand in itertools.product(range(-2, 3), repeat=nparams):
-            vals = [Fraction(v) for v in cand]
-            if satisfies(vals):
-                return vals
-    # solve sorts its solutions by symbol name: on the labels it could return
-    # another one first, so it runs on q0, q1, ... in ring order
-    syms = symbols(f"q0:{nparams}")
-    try:
-        sols = solve([p.as_expr(*syms) for p in elements], list(syms), dict=True)
-    except NotImplementedError:
-        sols = []
-    for sol in sols:
-        vals = [sol.get(s, Integer(0)) for s in syms]
-        if not all(v.is_Rational for v in vals):
-            continue
-        vals = [Fraction(int(v.p), int(v.q)) for v in vals]
-        if satisfies(vals):
-            return vals
-    return None
 
 
 # -- the aggregate report -------------------------------------------------

@@ -13,9 +13,9 @@ Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
 tuple of unknown indices (repeats allowed, ``()`` the constant) to a
 nonzero coefficient.  Nothing here adds or multiplies them: the chain-map
 solver computes in its target algebra and reads each coefficient off as a
-polynomial.  :func:`poly_value` evaluates one, and :func:`sympy_polys`
-builds the one sympy ring of the package, for the Groebner fallbacks,
-which are its only callers.
+polynomial.  :func:`poly_value` evaluates one, and :func:`groebner_leads`
+reads the leading monomials of a Groebner basis of some, for the two
+Groebner steps; it is the one place the package imports sympy.
 """
 
 from __future__ import annotations
@@ -350,16 +350,22 @@ def poly_value(p: Poly, values: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def sympy_polys(polys: Iterable[Poly], names: Sequence[str]) -> tuple:
-    """(R, elements): a sympy ring over QQ in ``names`` (grevlex) and the polys in it."""
-    from sympy import Symbol
+def groebner_leads(polys: Iterable[Poly], n: int) -> list[tuple[int, ...]]:
+    """Leading exponent vectors of the reduced Groebner basis of polys in n unknowns.
+
+    The basis is taken over QQ in grevlex, with unknown i the i-th variable,
+    and zero polys are left out: the unit ideal gives ``[(0,) * n]`` and the
+    zero ideal ``[]``.  The package's only sympy import is in here.
+    """
     from sympy.polys.domains import QQ
+    from sympy.polys.groebnertools import groebner
     from sympy.polys.orderings import grevlex
     from sympy.polys.rings import ring
 
-    R = ring([Symbol(n) for n in names], QQ, grevlex)[0]
-    unknowns = range(len(names))
-    return R, [
-        R({tuple(map(m.count, unknowns)): QQ(c.numerator, c.denominator) for m, c in p.items()})
+    R = ring([f"x{i}" for i in range(n)], QQ, grevlex)[0]
+    elements = [
+        R({tuple(map(m.count, range(n))): QQ(c.numerator, c.denominator) for m, c in p.items()})
         for p in polys
+        if p
     ]
+    return [g.LM for g in groebner(elements, R)]

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cdga import CDGA
 from .gca import Monomial, Multivector
-from .linalg import Poly, Row, poly_value, rank_mod_p, rank_rows, sympy_polys, to_int_row
+from .linalg import Poly, Row, groebner_leads, poly_value, rank_mod_p, rank_rows, to_int_row
 from .ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -260,10 +260,7 @@ def _zero_locus_is_origin(forms: Sequence[Poly], m: int) -> bool:
         if rank_mod_p(macaulay) == len(columns):
             return True
 
-    from sympy.polys.groebnertools import groebner
-
-    R, polys = sympy_polys(forms, [f"c{i}" for i in range(m)])
-    leading = [g.LM for g in groebner([p for p in polys if p], R)]
+    leading = groebner_leads(forms, m)
     return all(any(0 < lm[i] == sum(lm) for lm in leading) for i in range(m))
 
 
@@ -371,7 +368,7 @@ def find_resonance_point(
 ) -> Point | None:
     """Sampled search for a point of the degree-q, depth-k resonance variety.
 
-    Any returned point is verified exactly; None proves nothing.
+    Any returned point is nonzero and verified exactly; None proves nothing.
     """
     b1 = ring.dim(1)
     if b1 == 0:
@@ -384,7 +381,7 @@ def find_resonance_point(
     rng = random.Random(seed)
     for _ in range(budget):
         point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(b1))
-        if in_resonance(ring, point, q, k):
+        if any(point) and in_resonance(ring, point, q, k):
             return point
     return None
 

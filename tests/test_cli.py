@@ -523,11 +523,12 @@ sys.stderr.write(repr(loaded))
 
 
 def test_light_commands_never_import_sympy(tmp_path):
-    # sympy is imported lazily, only by the Groebner fallbacks of the degree-1
-    # resonance decision and of a non-linear chain-map system.  The F_p
-    # Macaulay ranks certify a trivial quadric system, and a system of zero
-    # forms needs no test, so --decide runs no Groebner basis on heisenberg:2
-    # (trivial) or on heisenberg_type:1,3 (a witness).  A model that is not
+    # sympy is imported lazily, only by linalg.groebner_leads, which the
+    # Groebner steps of the degree-1 resonance decision and of a non-linear
+    # chain-map system call.  The F_p Macaulay ranks certify a trivial
+    # quadric system, and a system of zero forms needs no test, so --decide
+    # runs no Groebner basis on heisenberg:2 (trivial) or on
+    # heisenberg_type:1,3 (a witness).  A model that is not
     # 2-step and fails generation at H^2 runs neither the decision nor the
     # solver, and the solver's systems on example_contr are linear.
     tower = tmp_path / "tower.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +51,13 @@ from nilform.formality import (
 )
 from nilform.gca import Algebra, AlgebraError, Generator, Multivector
 from nilform.linalg import Echelon, SparseMatrix
-from nilform.resonance import decide_r11_trivial, find_resonance_point
+from nilform.resonance import (
+    _zero_locus_is_origin,
+    decide_r11_trivial,
+    find_resonance_point,
+    in_resonance,
+    r11_quadric_system,
+)
 from nilform.ring import (
     characteristic_subspace,
     class_symbol_algebra,
@@ -948,6 +955,20 @@ def test_solver_nonlinear_system_refuted_by_groebner():
     assert (res.unknowns, res.equations) == (4, 2)
 
 
+def test_solver_nonlinear_search_is_bounded(monkeypatch):
+    # Groebner leaves the system open and 12 unknowns are past the grid, so
+    # the status is unknown; sympy's solve ran for minutes on this system
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.solve was called")
+
+    monkeypatch.setattr("sympy.solve", refuse)
+    tgt = central_extension(["x", "y", "t"], [("z", "x*y + y*t")])
+    res = dga_map_solve(example_initial(), tgt, {"x1": "t", "y1": "-x + y", "w1": "t + z"})
+    assert res.status == "unknown"
+    assert (res.unknowns, res.equations) == (12, 5)
+    assert res.detail == "no rational solution found within the search bounds"
+
+
 def test_solver_lifts_through_dependent_exact_columns():
     # d(z1) = d(z2): the exact columns of degree 2 are linearly dependent
     tgt = CDGA(
@@ -1362,3 +1383,88 @@ def test_certified_verdicts_obey_the_theorem_on_the_formality_mix():
     best = [_assert_certified_degrees_obey_the_theorem(c, 3) for c in models]
     # the degrees above 0 are where resonance is checked at all
     assert sum(1 for k in best if k is not None and k >= 1) == 18
+
+
+# -- every not-formal payload re-checks -----------------------------------
+#
+# Each rule that can certify "not k-formal" is run on two fresh builds of the
+# catalog (heisenberg(1..4) among them), the tests/data and
+# NON_COORDINATE_CLOSED models and the seed-3 formality-mix models, and its
+# payload is checked on the second build.
+
+
+def _payload_model_pairs():
+    pairs = [(build(), build()) for build in _model_builders()]
+    pairs += zip(*(_formality_mix_models(seeds=(3,)) for _ in range(2)))
+    return [(c, other) for c, other in pairs if c.algebra.top_degree() is not None]
+
+
+def test_every_resonance_witness_is_a_nonzero_member():
+    degrees = set()
+    for c, other in _payload_model_pairs():
+        for s in range(1, 5):
+            ev = obstruction_resonance(c, s)
+            if ev is None or "point" not in ev.data:
+                continue
+            i = ev.data["degree"]
+            point = tuple(Fraction(x) for x in ev.data["point"])
+            assert ev.k == i and any(point)
+            assert in_resonance(from_cdga(other, i + 1), point, i)
+            degrees.add(i)
+    assert degrees == {1, 2, 3, 4}
+
+
+def test_every_certified_nontrivial_resonance_has_a_nontrivial_quadric_system():
+    seen = 0
+    for c, other in _payload_model_pairs():
+        ev = obstruction_resonance(c, 1)
+        if ev is None or "point" in ev.data:
+            continue
+        assert "certified nontrivial" in ev.detail
+        subspace = characteristic_subspace(other)
+        forms = r11_quadric_system(subspace).forms
+        assert forms and all(forms)
+        assert _zero_locus_is_origin(forms, subspace.dim) is False
+        seen += 1
+    assert seen == 3
+
+
+def test_every_generation_failure_is_the_full_scan():
+    seen = 0
+    for c, other in _payload_model_pairs():
+        m = min(5, c.algebra.top_degree())
+        want = full_scan(from_cdga(other, m), m)
+        for k in range(m):
+            got = [
+                ev
+                for ev in formality_report(c, k).evidence
+                if ev.kind == "not_formal" and ev.rule in ("generation", "two-step-decision")
+            ]
+            if want.generated or want.failure_degree > k + 1:
+                assert got == []
+                continue
+            [ev] = got
+            assert ev.k == want.failure_degree - 1
+            assert ev.data == {"failure_degree": want.failure_degree, "cokernel_dim": want.cokernel_dim}
+            seen += 1
+    assert seen > 100
+
+
+def test_every_inconsistent_solver_equation_names_a_generator_and_a_monomial():
+    seen = 0
+    for c, other in _payload_model_pairs():
+        for ev in formality_report(c, 1).evidence:
+            if ev.rule == "morphism-solver" and "inconsistent equation" in ev.detail:
+                break
+        else:
+            continue
+        assert ev.kind == "not_formal"
+        found = re.search(r"inconsistent equation: (.+) at '(.+)', coordinate (\S+)$", ev.detail)
+        what, name, mono = found.groups()
+        tower = bigraded_tower(other, stage_cap=formality.TOWER_CAP)
+        assert what == ("chain condition" if name in tower.stages[0] else "exactness obstruction")
+        assert name in [g.name for g in tower.cdga.algebra.generators]
+        coordinate = other.algebra.parse(mono)
+        assert coordinate.degree == 2 and list(coordinate.terms.values()) == [1]
+        seen += 1
+    assert seen

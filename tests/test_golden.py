@@ -66,6 +66,9 @@ COMMANDS = (
         "resonance", "--input", "tests/data/dependent_closed.json", "--q", "2",
         "--point=-1*a0 + -1*a1 + -1*a2 + -1*a3 + -1*a4",
     ),
+    # b_1 = 1 and H^2 = Q: the origin lies in R^2, but no nonzero point does,
+    # so sampling finds no witness
+    ("resonance", "--input", "tests/data/mixed_degree.json", "--q", "2", "--decide"),
 )
 
 

@@ -236,13 +236,9 @@ def _sympy_importers(tree: ast.Module) -> set[str]:
 
 
 def test_sympy_is_imported_only_behind_the_groebner_boundary():
-    # linalg.sympy_polys builds the one sympy ring; only the two Groebner
-    # fallbacks call it, so no linear path can load sympy
+    # linalg.groebner_leads is the one sympy call; only the two Groebner steps
+    # call it, so no linear path can load sympy
     importers = {
         f"{name}: {importer}" for name, tree in TREES.items() for importer in _sympy_importers(tree)
     }
-    assert importers == {
-        "linalg.py: sympy_polys",
-        "formality.py: _nonlinear_solve",
-        "resonance.py: _zero_locus_is_origin",
-    }
+    assert importers == {"linalg.py: groebner_leads"}

@@ -12,11 +12,11 @@ from nilform.linalg import (
     _FAST_PRIME,
     Echelon,
     SparseMatrix,
+    groebner_leads,
     poly_value,
     rank_mod_p,
     rank_rows,
     row_primitive,
-    sympy_polys,
     to_int_row,
 )
 from test_ring import REPRESENTATIVE_MODELS
@@ -566,31 +566,47 @@ def _random_poly(rng, unknowns=4, degree=2):
     return {k: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for k in keys}
 
 
-def _from_sympy(p):
-    """A sympy ring element as a Poly: exponent vectors become sorted index tuples."""
-    return {
-        tuple(i for i, e in enumerate(mono) for _ in range(e)): _fraction(c)
-        for mono, c in p.terms()
-    }
+def _expr(p, gens):
+    """A Poly as a sympy expression in gens."""
+    from sympy import Mul, Rational
+
+    return sum(
+        (Rational(c.numerator, c.denominator) * Mul(*(gens[i] for i in m)) for m, c in p.items()),
+        Rational(0),
+    )
 
 
-def _fraction(c):
-    return Fraction(int(c.numerator), int(c.denominator))
+def _sympy_leads(polys, gens):
+    """Leading exponents of sympy's own reduced grevlex basis of the polys as expressions."""
+    import sympy
+
+    basis = sympy.groebner([_expr(p, gens) for p in polys], *gens, order="grevlex")
+    return [p.monoms(order="grevlex")[0] for p in basis.polys]
 
 
-def test_polys_match_the_sympy_ring():
-    from sympy.polys.domains import QQ
+def test_groebner_leads_match_sympy():
+    import sympy
 
+    gens = sympy.symbols("a:d")
     rng = random.Random(1811)
-    names = ["a", "b", "c", "d"]
-    for _ in range(300):
+    for _ in range(150):
         a, b = _random_poly(rng), _random_poly(rng)
-        if rng.random() < 0.3:
-            # share terms with opposite signs
-            b.update({k: -c for k, c in a.items() if rng.random() < 0.7})
-        R, (sa, sb) = sympy_polys([a, b], names)
-        assert (_from_sympy(sa), _from_sympy(sb)) == (a, b)
-        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in names]
-        value = sa(*[QQ(v.numerator, v.denominator) for v in point])
-        assert poly_value(a, point) == _fraction(value)
-    assert sympy_polys([{}], names)[1] == [R.zero]
+        # a rational combination of a and b lies in their ideal only with every
+        # coefficient exact, and a lost exponent changes a and b themselves
+        r, s = (Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(2, 5)) for _ in range(2))
+        c = {k: r * a.get(k, 0) + s * b.get(k, 0) for k in {**a, **b}}
+        polys = [a, b, {k: v for k, v in c.items() if v}]
+        assert groebner_leads(polys, 4) == _sympy_leads(polys, gens)
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in gens]
+        value = _expr(a, gens).subs(dict(zip(gens, map(sympy.Rational, point))))
+        assert poly_value(a, point) == Fraction(int(value.p), int(value.q))
+    half = Fraction(1, 2)
+    # the origin: x0 has the pure power x0^2, and x1 gets x1^3
+    origin = [{(0, 0): Fraction(1)}, {(0, 1): Fraction(1), (1, 1): half}]
+    assert groebner_leads(origin, 2) == _sympy_leads(origin, gens[:2]) == [(0, 3), (2, 0), (1, 1)]
+    # x0 - 1/2 and 2 x0 - 2 generate the unit ideal; a zero poly is left out
+    unit = [{(0,): Fraction(1), (): -half}, {}, {(0,): Fraction(2), (): Fraction(-2)}]
+    assert groebner_leads(unit, 2) == _sympy_leads(unit, gens[:2]) == [(0, 0)]
+    twice = [unit[0], {(0,): Fraction(2), (): Fraction(-1)}]
+    assert groebner_leads(twice, 2) == [(1, 0)]
+    assert groebner_leads([{}], 2) == []

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from nilform.catalog import example_contr, example_initial, free_abelian, heisenberg, heisenberg_type
-from nilform.cdga import tensor
+from nilform.cdga import CDGA, tensor
+from nilform.gca import Algebra
 from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, rank_mod_p
 from nilform.ring import (
     CharacteristicSubspace,
@@ -325,6 +326,25 @@ def test_find_resonance_point():
     assert find_resonance_point(r2, 1, budget=30) is None
     rf = from_cdga(free_abelian(["a", "b"]), 2)
     assert find_resonance_point(rf, 1, budget=20) is None
+
+
+def test_sampled_points_are_never_the_origin():
+    # the origin lies in R^q whenever H^q != 0, and with b_1 <= 2 the random
+    # phase draws it often (each coordinate is 0 with probability 1/13)
+    mixed = CDGA(Algebra([("u", 2), ("a", 1)]), {})
+    models = [(mixed, 4), (tensor(free_abelian(["t"]), mixed), 4)]
+    models += [(free_abelian(["a"]), 1), (free_abelian(["a", "b"]), 2), (heisenberg(1), 3)]
+    found = 0
+    for c, top in models:
+        r = from_cdga(c, top + 1)
+        assert r.dim(1) <= 2
+        for q in range(1, top + 1):
+            for seed in range(40):
+                point = find_resonance_point(r, q, seed=seed)
+                if point is not None:
+                    assert any(point) and in_resonance(r, point, q)
+                    found += 1
+    assert found
 
 
 def combined_point(ring_ab, ring_a, ring_b, w_a, w_b):
