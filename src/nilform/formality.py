@@ -22,12 +22,7 @@ from .cdga import CDGA, apply_chain_map, coordinate_model, dict_coords, hirsch_e
 from .gca import AlgebraError, Generator, Monomial, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, groebner_leads, poly_value
 from .resonance import decide_r11_trivial, find_resonance_point
-from .ring import (
-    GenerationVerdict,
-    characteristic_subspace,
-    from_cdga,
-    generated_in_degree_one_upto,
-)
+from .ring import characteristic_subspace, from_cdga, generated_in_degree_one_upto
 
 FORMAL = "CertifiedKFormal"
 NOT_FORMAL = "CertifiedNotKFormal"
@@ -49,10 +44,6 @@ RULES = (
 TOWER_CAP = 6
 # unknowns above which the chain-map solver refuses a non-linear system
 ELIMINATION_BOUND = 12
-
-
-class NotTwoStep(ValueError):
-    """The differential is not valued in the closed degree-1 part squared."""
 
 
 class EliminationBoundError(RuntimeError):
@@ -177,7 +168,7 @@ def _nilpotent_order(c: CDGA) -> list[int] | None:
 
 # accepted models and validated complements, so each is checked once; a CDGA never changes
 _ACCEPTED: weakref.WeakSet[CDGA] = weakref.WeakSet()
-_VALID: weakref.WeakKeyDictionary[CDGA, set[Decomposition]] = weakref.WeakKeyDictionary()
+_VALID: weakref.WeakKeyDictionary[CDGA, set[tuple[str, ...]]] = weakref.WeakKeyDictionary()
 
 
 def _require_model(c: CDGA) -> None:
@@ -197,15 +188,11 @@ def _require_model(c: CDGA) -> None:
 
 
 # -- decompositions of the degree-1 part ----------------------------------
+#
+# A complement of the closed degree-1 part is a tuple of generator names.
 
 
-class Decomposition(NamedTuple):
-    """Complement of the closed degree-1 part, as the names of its generators."""
-
-    complement: tuple[str, ...]
-
-
-def default_decomposition(c: CDGA) -> Decomposition:
+def default_decomposition(c: CDGA) -> tuple[str, ...]:
     """The generators that are not the least index of an H^1 representative,
     the pivots of the `coordinate_model`.
 
@@ -215,19 +202,19 @@ def default_decomposition(c: CDGA) -> Decomposition:
     """
     pivots = coordinate_model(c)[0]
     gens = c.algebra.generators
-    return Decomposition(tuple(g.name for j, g in enumerate(gens) if j not in pivots))
+    return tuple(g.name for j, g in enumerate(gens) if j not in pivots)
 
 
-def decomposition_from_names(c: CDGA, names: Sequence[str]) -> Decomposition:
+def decomposition_from_names(c: CDGA, names: Sequence[str]) -> tuple[str, ...]:
     """Complement picked as a set of generators; validated against the kernel
     of a model the report accepts, checked first (``ValueError`` otherwise)."""
     _require_model(c)
-    dec = Decomposition(tuple(names))
+    dec = tuple(names)
     validate_decomposition(c, dec)
     return dec
 
 
-def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
+def validate_decomposition(c: CDGA, dec: tuple[str, ...]) -> None:
     """The complement meets the closed kernel in 0 and spans with it degree 1.
 
     d_1 has the closed part as kernel, so both are rank checks on its columns
@@ -235,8 +222,8 @@ def validate_decomposition(c: CDGA, dec: Decomposition) -> None:
     ``AlgebraError``): they are independent and span B^2 = d_1(A^1).
     """
     cols = c.differential_matrix(1).cols
-    images = Echelon(cols[c.algebra.index_of(name)] for name in dec.complement)
-    if images.rank < len(dec.complement):
+    images = Echelon(cols[c.algebra.index_of(name)] for name in dec)
+    if images.rank < len(dec):
         raise ValueError("invalid decomposition: vectors are dependent")
     if images.rank != c.coboundaries(2).rank:
         raise ValueError("invalid decomposition: parts do not span degree 1")
@@ -315,11 +302,12 @@ def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     return None
 
 
-def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evidence:
+def certify_prop_art(c: CDGA, k: int, dec: tuple[str, ...] | None = None) -> Evidence:
     """Sufficient certificate: the complement ideal meets cocycles in exacts.
 
     Checks, for every degree q <= k+1, that each cocycle in the ideal I of
-    the complement N of the closed degree-1 part is a coboundary.  Degree 1
+    the complement N of the closed degree-1 part, a tuple of generator names
+    (``default_decomposition`` when None), is a coboundary.  Degree 1
     is Z^1 cap span N = 0: by construction for the default N, else checked
     by `validate_decomposition` unless N passed it before for this model.
     Above it, A^q = wedge^q Z^1 + I^q with wedge^q Z^1 in Z^q, so H^q maps
@@ -348,14 +336,14 @@ def certify_prop_art(c: CDGA, k: int, dec: Decomposition | None = None) -> Evide
     elif dec not in _VALID.get(c, ()):
         validate_decomposition(c, dec)
     alg = c.algebra
-    complement = {alg.index_of(name) for name in dec.complement}
+    complement = {alg.index_of(name) for name in dec}
     for q in range(2, min(k + 1, alg.top_degree()) + 1):
         rest = {j for j, mono in enumerate(alg.basis(q)) if complement.isdisjoint(mono)}
         if len(rest) - model.differential_matrix(q - 1).cut_rank(rest) != model.betti(q):
             k = q - 2
             break
     detail = f"every cocycle in the ideal of the chosen complement is exact up to degree {k + 1}"
-    data = {"complement": list(dec.complement)}
+    data = {"complement": list(dec)}
     return Evidence("prop-art-certificate", k, "formal", detail, data)
 
 
@@ -365,26 +353,6 @@ def is_twostep(c: CDGA) -> bool:
     _require_model(c)
     pivots, model = coordinate_model(c)
     return all(pivots.issuperset(m) for v in model._d_gen.values() for m in v.terms)
-
-
-class TwoStepDecision(NamedTuple):
-    """Exact formality decision available for 2-step models."""
-
-    k: int
-    verdict: str
-    generation: GenerationVerdict
-
-
-def decide_twostep(c: CDGA, k: int) -> TwoStepDecision:
-    """k-formality of a 2-step model, equivalent to degree-1 generation."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not is_twostep(c):
-        raise NotTwoStep(
-            "differential leaves the square of the closed degree-1 part"
-        )
-    v = generated_in_degree_one_upto(c, k + 1)
-    return TwoStepDecision(k, FORMAL if v.generated else NOT_FORMAL, v)
 
 
 def infer_prop_k2(report: FormalityReport, c: CDGA, k: int) -> Evidence | None:
@@ -426,10 +394,6 @@ class BigradedTower(NamedTuple):
     @property
     def stage_dims(self) -> list[int]:
         return [len(s) for s in self.stages]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.stage_dims)
 
 
 def _unique_name(base: str, taken: set[str]) -> str:
@@ -566,8 +530,6 @@ def dga_map_solve(
     source: CDGA,
     target: CDGA,
     constraints: Mapping[str, Multivector | str] | None = None,
-    *,
-    require_h1_iso: bool = False,
 ) -> MapSolveResult:
     """Search for a chain map with the given fixed images, exactly.
 
@@ -578,15 +540,15 @@ def dga_map_solve(
     both differentials becomes a polynomial system in the unknown
     coefficients: a linear system is eliminated exactly.  A non-linear one,
     within ``ELIMINATION_BOUND`` unknowns, is unsatisfiable when a Groebner
-    basis of its equations is the unit ideal; otherwise, with at most six
-    unknowns, a grid of points with entries in -2..2 is searched for a
-    solution, and the status is ``unknown`` when none is found.
+    basis of its equations is the unit ideal; otherwise, when they use at
+    most six unknowns, a grid of points with entries in -2..2 is searched
+    over those, the others zero, and the status is ``unknown`` when none
+    solves it.
 
-    ``require_h1_iso`` asks for a map that is invertible on degree-one
-    cohomology.  Every closed degree-one element of the source must then
-    lie on fixed generators (else ``ValueError``), so the map on H^1 is the
-    same for every solution, and one exact rank of the images of the
-    source's H^1 representatives decides it.
+    The map on H^1 is the caller's to fix.  The report fixes the stage-0
+    generators of the degree-1 tower, which span the tower's Z^1 since every
+    later stage transgresses classes independent modulo B^2, to a basis of
+    H^1 of the target, so each solution is an isomorphism there.
     """
     if not isinstance(target, CDGA):
         raise TypeError(f"unsupported chain-map target {type(target).__name__}")
@@ -600,15 +562,6 @@ def dga_map_solve(
     for name in constraints:
         source.algebra.index_of(name)
     names = [g.name for g in source.algebra.generators]
-    if require_h1_iso:
-        h1_reps = source.cohomology(1).representatives
-        on_closed = {m[0] for z in h1_reps for m in z.terms}
-        free = [n for i, n in enumerate(names) if i in on_closed and n not in constraints]
-        if free:
-            raise ValueError(
-                "invertibility on H^1 needs fixed images of the closed generators; "
-                f"free: {', '.join(free)}"
-            )
 
     def as_element(value):
         if isinstance(value, str):
@@ -662,17 +615,6 @@ def dga_map_solve(
             equations.append((polys[key], note))
         images[i] = img
 
-    if require_h1_iso:
-        if len(h1_reps) != coh1.dim:
-            return MapSolveResult(
-                "unsatisfiable",
-                None,
-                f"closed degree-one dimensions differ: source {len(h1_reps)}, "
-                f"target {coh1.dim}",
-                nparams,
-                len(equations),
-            )
-
     linear = all(len(mono) <= 1 for p, _ in equations for mono in p) and all(
         len(mono) <= 1 for img in images for mono in img
     )
@@ -707,10 +649,17 @@ def dga_map_solve(
                 nparams,
                 len(equations),
             )
-        # bounded deterministic search for a rational solution
-        grid = itertools.product(range(-2, 3), repeat=nparams) if nparams <= 6 else ()
-        point = next((p for p in grid if all(poly_value(q, p) == 0 for q in polys)), None)
-        if point is None:
+        # bounded deterministic search for a rational solution over the
+        # unknowns the equations use; the rest stay zero, as on the linear path
+        used = sorted({i for p in polys for mono in p for i in mono})
+        values = [0] * nparams
+        grid = itertools.product(range(-2, 3), repeat=len(used)) if len(used) <= 6 else ()
+        for point in grid:
+            for i, v in zip(used, point):
+                values[i] = v
+            if all(poly_value(q, values) == 0 for q in polys):
+                break
+        else:
             return MapSolveResult(
                 "unknown",
                 None,
@@ -719,7 +668,6 @@ def dga_map_solve(
                 len(equations),
                 "no rational solution found within the search bounds",
             )
-        values = [Fraction(v) for v in point]
 
     solved = [
         Multivector(alg, {key: poly_value(p, values) for key, p in _transpose(img).items()})
@@ -730,17 +678,6 @@ def dga_map_solve(
         rhs = apply_chain_map(solved, source.d_generator(name), target)
         if not (lhs - rhs).is_zero():
             raise RuntimeError(f"chain-map verification failed at {name!r}")
-    if require_h1_iso:
-        # every closed generator is fixed, so this is the H^1 map of every solution
-        span = Echelon(coh1.coordinates(apply_chain_map(solved, z, target)) for z in h1_reps)
-        if span.rank < len(h1_reps):
-            return MapSolveResult(
-                "unsatisfiable",
-                None,
-                "the fixed images of the closed generators are dependent in H^1",
-                nparams,
-                len(equations),
-            )
     return MapSolveResult(
         "solution", dict(zip(names, solved)), None, nparams, len(equations)
     )
@@ -754,15 +691,19 @@ def formality_report(
     k_max: int,
     *,
     seed: int = 0,
-    decomposition: Decomposition | None = None,
+    decomposition: tuple[str, ...] | None = None,
 ) -> FormalityReport:
     """Run all applicable rules and merge their evidence monotonically.
 
-    A vanishing differential settles everything at once.  Two-step models
-    get the exact generation decision.  Everything else collects sufficient
+    A vanishing differential settles everything at once.  A 2-step model
+    (`is_twostep`) is k-formal exactly when its cohomology is generated in
+    degree one up to H^(k+1), so one `generated_in_degree_one_upto` call to
+    H^(k_max+1) decides every degree.  Everything else collects sufficient
     certificates, generation and resonance obstructions, the vanishing-top
     upgrade, and, for degree one, a verdict from the normalized chain-map
-    search out of the degree-1 tower of the cohomology.
+    search out of the degree-1 tower of the cohomology, its stage 0 fixed
+    to the H^1 representatives of ``c``.  ``decomposition`` is a complement
+    for the certificate, as generator names.
 
     Generation climbs cochains, with no class basis, to its first failure
     H^q, so degrees q-1 and up are not formal and resonance searches only
@@ -798,11 +739,8 @@ def formality_report(
         )
     )
 
-    try:
-        v = decide_twostep(c, k_max).generation
-    except NotTwoStep:
-        pass
-    else:
+    if is_twostep(c):
+        v = generated_in_degree_one_upto(c, k_max + 1)
         if v.generated:
             report.mark_formal_upto(
                 Evidence(
@@ -853,7 +791,7 @@ def formality_report(
             tower = bigraded_tower(c, stage_cap=TOWER_CAP)
             # stage-0 generator i is fixed to H^1 representative i
             constraints = dict(zip(tower.stages[0], c.cohomology(1).representatives))
-            res = dga_map_solve(tower.cdga, c, constraints, require_h1_iso=True)
+            res = dga_map_solve(tower.cdga, c, constraints)
             if res.status == "unsatisfiable":
                 report.mark_not_formal_from(
                     Evidence(

@@ -29,15 +29,12 @@ from nilform.formality import (
     OVERALL_NOT_FORMAL,
     RULES,
     BigradedTower,
-    Decomposition,
     EliminationBoundError,
     Evidence,
     FormalityReport,
-    NotTwoStep,
     apply_chain_map,
     bigraded_tower,
     certify_prop_art,
-    decide_twostep,
     decomposition_from_names,
     default_decomposition,
     dga_map_solve,
@@ -187,22 +184,21 @@ def test_full_formality_values():
 def test_default_decomposition_heisenberg():
     c = heisenberg(2)
     dec = default_decomposition(c)
-    assert dec.complement == ("z",)
+    assert dec == ("z",)
     validate_decomposition(c, dec)
 
 
 def test_decomposition_from_names_checks_membership():
     c = heisenberg(1)
-    dec = decomposition_from_names(c, ["z"])
-    assert dec.complement == ("z",)
+    assert decomposition_from_names(c, ["z"]) == ("z",)
     with pytest.raises(ValueError):
         decomposition_from_names(c, ["x1"])
 
 
 def test_decomposition_keeps_the_names_in_the_order_given():
     c = example_contr("y1*y2")
-    assert default_decomposition(c).complement == ("w1", "w2", "a")
-    assert decomposition_from_names(c, ["a", "w2", "w1"]).complement == ("a", "w2", "w1")
+    assert default_decomposition(c) == ("w1", "w2", "a")
+    assert decomposition_from_names(c, ["a", "w2", "w1"]) == ("a", "w2", "w1")
 
 
 @pytest.mark.parametrize(
@@ -220,9 +216,9 @@ def test_decomposition_rejections(names, error, match):
     with pytest.raises(error, match=match):
         decomposition_from_names(c, names)
     with pytest.raises(error, match=match):
-        validate_decomposition(c, Decomposition(tuple(names)))
+        validate_decomposition(c, tuple(names))
     with pytest.raises(error, match=match):
-        certify_prop_art(c, 1, Decomposition(tuple(names)))
+        certify_prop_art(c, 1, tuple(names))
 
 
 def test_decomposition_wrong_sizes_rejected():
@@ -230,13 +226,13 @@ def test_decomposition_wrong_sizes_rejected():
     good = default_decomposition(c)
     validate_decomposition(c, good)
     with pytest.raises(ValueError, match="parts do not span degree 1"):
-        validate_decomposition(c, Decomposition(()))
+        validate_decomposition(c, ())
 
 
 def test_abelian_decomposition_has_empty_complement():
     c = free_abelian(["e1", "e2"])
     dec = default_decomposition(c)
-    assert dec.complement == ()
+    assert dec == ()
     validate_decomposition(c, dec)
 
 
@@ -260,10 +256,10 @@ def test_generation_obstruction_silent_when_generated():
 @pytest.mark.parametrize(
     "build, rule",
     [
-        (lambda: heisenberg(3), lambda c: decide_twostep(c, 3)),
+        (lambda: heisenberg(3), lambda c: formality_report(c, 3)),
         (lambda: example_contr("y1*y2"), lambda c: obstruction_generation(c, 3)),
     ],
-    ids=["decide_twostep", "obstruction_generation"],
+    ids=["two-step-decision", "obstruction_generation"],
 )
 def test_the_generation_rules_form_no_cohomology_basis(build, rule):
     # the climb ranks cochain matrices: no class basis but H^1, whose
@@ -308,7 +304,7 @@ def test_a_standalone_certificate_builds_no_class_basis_above_degree_one(monkeyp
     monkeypatch.setattr(cdga.CohomologyBasis, "__init__", lambda b, c, q: built.append(q) or real(b, c, q))
     assert certify_prop_art(heisenberg(4), 3).k == 3
     assert built == [1]
-    assert certify_prop_art(heisenberg(4), 3, Decomposition(("z",))).k == 3
+    assert certify_prop_art(heisenberg(4), 3, ("z",)).k == 3
     assert built == [1]
 
 
@@ -335,7 +331,7 @@ def test_prop_certificate_matches_twostep_decision():
         for k in range(0, n + 1):
             cert = certify_prop_art(c, k)
             assert cert.k <= k
-            assert decide_twostep(c, cert.k).verdict == FORMAL
+            assert formality_report(c, cert.k).verdict(cert.k) == FORMAL
 
 
 def _ideal_cocycles_are_exact(c, dec, q):
@@ -347,7 +343,7 @@ def _ideal_cocycles_are_exact(c, dec, q):
     """
     alg = c.algebra
     ideal = []
-    for name in dec.complement:
+    for name in dec:
         nv = alg.gen(name)
         for mono in alg.basis(q - 1):
             w = nv * alg.monomial(mono)
@@ -377,7 +373,7 @@ def _prop_art_verdicts_match_the_oracle(c, dec=None):
     exact = [_ideal_cocycles_are_exact(c, dec, q) for q in range(1, 5)]
     assert exact[0]
     got = [certify_prop_art(c, k, dec) for k in range(4)]
-    assert all(ev.data == {"complement": list(dec.complement)} for ev in got)
+    assert all(ev.data == {"complement": list(dec)} for ev in got)
     passing = [j for j in range(4) if all(exact[: j + 1])]
     want = [max(j for j in passing if j <= k) for k in range(4)]
     assert [ev.k for ev in got] == want
@@ -537,7 +533,7 @@ def test_the_default_complement_is_valid_by_construction():
         least = {min(z.terms)[0] for z in c.cohomology(1).representatives}
         assert least == set(Echelon(c.differential_matrix(1).kernel()).pivots)
         names = [g.name for g in c.algebra.generators]
-        assert dec.complement == tuple(n for j, n in enumerate(names) if j not in least)
+        assert dec == tuple(n for j, n in enumerate(names) if j not in least)
 
 
 def test_the_dependent_model_has_two_bases_of_z1():
@@ -545,7 +541,7 @@ def test_the_dependent_model_has_two_bases_of_z1():
     # w1, v, v2 are generators 5, 6, 7: the kernel has w1 - v and w1 - v2
     assert c.differential_matrix(1).kernel()[-2:] == [{5: 1, 6: -1}, {5: 1, 7: -1}]
     assert [str(z) for z in c.cohomology(1).representatives][-2:] == ["w1 - v2", "v - v2"]
-    assert default_decomposition(c).complement == ("v2", "w2", "a")
+    assert default_decomposition(c) == ("v2", "w2", "a")
 
 
 @pytest.mark.parametrize(
@@ -588,7 +584,7 @@ def test_report_checks_the_prop_art_degrees_in_one_pass(monkeypatch):
     assert calls == ["certify_prop_art"]
     # a complement passed in is validated once, by the certificate
     calls.clear()
-    chosen = formality_report(example_contr("y1*y2"), 3, decomposition=Decomposition(("a", "w2", "w1")))
+    chosen = formality_report(example_contr("y1*y2"), 3, decomposition=("a", "w2", "w1"))
     assert calls == ["certify_prop_art", "validate_decomposition"]
     monkeypatch.undo()
     assert chosen.verdicts() == rep.verdicts()
@@ -608,9 +604,11 @@ def test_twostep_recognition():
     assert not is_twostep(example_contr("0"))
 
 
-def test_twostep_decision_raises_outside_class():
-    with pytest.raises(NotTwoStep):
-        decide_twostep(example_contr("0"), 1)
+def _twostep_report(c, k_max):
+    """The report on a 2-step model, every verdict from the two-step decision."""
+    rep = formality_report(c, k_max)
+    assert {ev.rule for ev in rep.evidence if ev.kind != "info"} == {"two-step-decision"}
+    return rep
 
 
 def test_twostep_decision_heisenberg_thresholds():
@@ -618,14 +616,14 @@ def test_twostep_decision_heisenberg_thresholds():
         c = heisenberg(n)
         for k in range(0, n + 2):
             want = FORMAL if k <= n - 1 else NOT_FORMAL
-            assert decide_twostep(c, k).verdict == want
+            assert _twostep_report(c, k).verdict(k) == want
 
 
 def test_twostep_decision_heisenberg_type():
     for (m, n) in ((1, 3), (2, 5), (2, 6)):
         c = heisenberg_type(m, n)
-        assert decide_twostep(c, m - 1).verdict == FORMAL
-        assert decide_twostep(c, m).verdict == NOT_FORMAL
+        assert _twostep_report(c, m - 1).verdict(m - 1) == FORMAL
+        assert _twostep_report(c, m).verdict(m) == NOT_FORMAL
 
 
 # -- prop-k+2 upgrade -----------------------------------------------------
@@ -811,7 +809,7 @@ def test_bigraded_tower_second_heisenberg_stabilizes():
     tower = bigraded_tower(heisenberg(2), stage_cap=5)
     assert tower.stabilized
     assert tower.stage_dims == [4, 1]
-    assert tower.total_dim == 5
+    assert sum(tower.stage_dims) == 5
     assert tower.stages[0] == ["x1", "y1", "x2", "y2"]
 
 
@@ -910,7 +908,7 @@ def test_solver_tower_onto_formal_model():
     tower = bigraded_tower(c)
     coh1 = c.cohomology(1)
     cons = {nm: coh1.representatives[j] for j, nm in enumerate(tower.stages[0])}
-    res = dga_map_solve(tower.cdga, c, cons, require_h1_iso=True)
+    res = dga_map_solve(tower.cdga, c, cons)
     assert res.status == "solution"
     assert res.unknowns > 0
 
@@ -922,7 +920,7 @@ def test_solver_tower_refutes_twisted_model():
     assert tower.stage_dims == [5, 2, 1]
     coh1 = c.cohomology(1)
     cons = {nm: coh1.representatives[j] for j, nm in enumerate(tower.stages[0])}
-    res = dga_map_solve(tower.cdga, c, cons, require_h1_iso=True)
+    res = dga_map_solve(tower.cdga, c, cons)
     assert res.status == "unsatisfiable"
     assert "y1*y2" in res.certificate
 
@@ -969,6 +967,20 @@ def test_solver_nonlinear_search_is_bounded(monkeypatch):
     assert res.detail == "no rational solution found within the search bounds"
 
 
+def test_solver_grid_searches_only_the_unknowns_its_equations_use():
+    filiform = central_extension(["x", "y"], [("z", "x*y"), ("w", "x*z")])
+    # the 5 equations use 6 of the 9 unknowns: the grid runs over those 6
+    tgt = central_extension(["x", "y", "t"], [("z", "x*y + y*t")])
+    res = dga_map_solve(filiform, tgt, {"z": "-x - y + t"})
+    assert res.status == "solution"
+    assert (res.unknowns, res.equations) == (9, 5)
+    assert res.assignment["z"] == tgt.algebra.parse("-x - y + t")
+    # the 6 equations use all 9 unknowns, past the grid's six
+    res = dga_map_solve(filiform, free_abelian(["e1", "e2", "e3"]), {"w": "-e2 + e3"})
+    assert res.status == "unknown"
+    assert (res.unknowns, res.equations) == (9, 6)
+
+
 def test_solver_lifts_through_dependent_exact_columns():
     # d(z1) = d(z2): the exact columns of degree 2 are linearly dependent
     tgt = CDGA(
@@ -1006,7 +1018,7 @@ def test_solver_rejects_images_outside_degree_one():
     c = heisenberg(1)
     for spec in ("x1 + x1*y1", "x1*y1"):
         with pytest.raises(ValueError, match="mixed degrees|has degree 2"):
-            dga_map_solve(c, c, {"x1": spec, "y1": "y1"}, require_h1_iso=True)
+            dga_map_solve(c, c, {"x1": spec, "y1": "y1"})
 
 
 def test_solver_rejects_an_image_from_another_algebra():
@@ -1021,33 +1033,6 @@ def test_solver_rejects_unknown_constraint_names():
     c = heisenberg(1)
     with pytest.raises(ValueError):
         dga_map_solve(c, c, {"nope": "x1"})
-
-
-def test_solver_h1_dimension_mismatch_is_unsatisfiable():
-    res = dga_map_solve(
-        free_abelian(["e1", "e2"]),
-        free_abelian(["f1", "f2", "f3"]),
-        {"e1": "f1", "e2": "f2"},
-        require_h1_iso=True,
-    )
-    assert res.status == "unsatisfiable"
-    assert "dimensions differ" in res.certificate
-
-
-def test_solver_h1_iso_condition_excludes_collapse():
-    c = free_abelian(["e1", "e2"])
-    res = dga_map_solve(c, c, {"e1": "e1", "e2": "e1"}, require_h1_iso=True)
-    assert res.status == "unsatisfiable"
-    assert res.certificate == "the fixed images of the closed generators are dependent in H^1"
-    assert dga_map_solve(c, c, {"e1": "e2", "e2": "e1"}, require_h1_iso=True).status == "solution"
-
-
-def test_solver_h1_iso_needs_fixed_closed_generators():
-    c = heisenberg(1)
-    # z is not closed and may stay free; y1 is closed
-    assert dga_map_solve(c, c, {"x1": "x1", "y1": "y1"}, require_h1_iso=True).status == "solution"
-    with pytest.raises(ValueError, match="free: y1$"):
-        dga_map_solve(c, c, {"x1": "x1"}, require_h1_iso=True)
 
 
 # -- the aggregate report -------------------------------------------------
@@ -1312,9 +1297,8 @@ def test_random_twostep_extensions_full_formality(seed=11):
         assert full_formality(c) == want
         assert is_twostep(c)
         k = rng.randint(0, 2)
-        d = decide_twostep(c, k)
-        if d.verdict == FORMAL:
-            assert obstruction_generation(c, k) is None
+        rep = formality_report(c, k)
+        assert (rep.verdict(k) == FORMAL) == (obstruction_generation(c, k) is None)
 
 
 def test_random_seeded_reports_are_reproducible(seed=5):
@@ -1342,7 +1326,9 @@ def _assert_the_report_skips_nothing(c, k_max, rep):
         assert gen.k == want.failure_degree - 1
         assert gen.data == {"failure_degree": want.failure_degree, "cokernel_dim": want.cokernel_dim}
     if is_twostep(c):
-        assert decide_twostep(c, k_max).generation == want
+        # the two-step decision reads generation up to H^(k_max+1) alone
+        fails = None if want.generated else want.failure_degree - 1
+        assert rep.verdicts() == [FORMAL if fails is None or k < fails else NOT_FORMAL for k in range(m)]
     ev = obstruction_resonance(c, k_max)
     assert ev is None or rep.verdict(ev.k) == NOT_FORMAL
     if ev is not None and (gen is None or ev.k < gen.k):
@@ -1468,3 +1454,41 @@ def test_every_inconsistent_solver_equation_names_a_generator_and_a_monomial():
         assert coordinate.degree == 2 and list(coordinate.terms.values()) == [1]
         seen += 1
     assert seen
+
+
+def test_the_report_solver_maps_the_tower_h1_onto_the_model_h1(monkeypatch):
+    # each later stage of the tower transgresses classes independent modulo
+    # B^2, so its Z^1 = H^1 is stage 0; the report fixes stage 0 to the H^1
+    # representatives of the model, so every solution is invertible on H^1
+    calls = []
+    real = formality.dga_map_solve
+
+    def recording(source, target, constraints):
+        res = real(source, target, constraints)
+        calls.append((source, target, constraints, res))
+        return res
+
+    monkeypatch.setattr(formality, "dga_map_solve", recording)
+    kinds = ("contr", "heisenberg", "heisenberg_type")
+    heavy = [m for kind in kinds for m in _formality_mix_models(seeds=(3,), kind=kind)]
+    builders = list(_model_builders()) + [lambda m=m: m for m in heavy]
+    solutions = 0
+    for cap in (formality.TOWER_CAP, 1, 2):
+        monkeypatch.setattr(formality, "TOWER_CAP", cap)
+        for build in builders:
+            c = build()
+            if any(g.degree != 1 for g in c.algebra.generators):
+                continue
+            tower = bigraded_tower(c, stage_cap=cap)
+            gens = [tower.cdga.algebra.gen(name) for name in tower.stages[0]]
+            assert list(tower.cdga.cohomology(1).representatives) == gens
+            formality_report(c, 1)
+        for source, target, constraints, res in calls:
+            reps = list(target.cohomology(1).representatives)
+            assert list(constraints) == [str(z) for z in source.cohomology(1).representatives]
+            assert list(constraints.values()) == reps
+            if res.status == "solution":
+                assert [res.assignment[name] for name in constraints] == reps
+                solutions += 1
+        calls.clear()
+    assert solutions

@@ -69,6 +69,21 @@ COMMANDS = (
     # b_1 = 1 and H^2 = Q: the origin lies in R^2, but no nonzero point does,
     # so sampling finds no witness
     ("resonance", "--input", "tests/data/mixed_degree.json", "--q", "2", "--decide"),
+    # text tables of small models and of the degree-1 decisions
+    ("cohomology", "--preset", "heisenberg:1"),
+    ("formality", "--preset", "heisenberg:2", "--k-max", "2"),
+    ("resonance", "--preset", "heisenberg:2", "--decide"),
+    ("resonance", "--preset", "heisenberg_type:1,3", "--decide"),
+    # degree 1 refuted by the chain-map search out of the tower, in text
+    ("formality", "--preset", "example_contr:p=y1*y2", "--k-max", "1"),
+    # sampling at q = 2, where the exact decision does not reach
+    ("resonance", "--preset", "heisenberg:3", "--q", "2", "--decide"),
+    # the points above without spaces, as one shell word each
+    ("resonance", "--preset", "heisenberg:4", "--q", "4", "--point", "x1+2*y2"),
+    (
+        "resonance", "--input", "tests/data/dependent_closed.json", "--q", "2",
+        "--point=-1*a0+-1*a1+-1*a2+-1*a3+-1*a4",
+    ),
 )
 
 
@@ -99,7 +114,16 @@ def case_id(argv) -> str:
     return " ".join(words)
 
 
-@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[case_id(c) for c in COMMANDS])
+def case_ids(commands) -> list[str]:
+    """Each command's `case_id`, or its whole argv when an earlier command took that id."""
+    ids: list[str] = []
+    for argv in commands:
+        short = case_id(argv)
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=case_ids(COMMANDS))
 def test_cli_output_matches_golden_fixture(k):
     want = json.loads(FIXTURE.read_text())[k]
     assert want["argv"] == list(COMMANDS[k])
