@@ -209,18 +209,18 @@ def decomposition_from_names(c: CDGA, names: Sequence[str]) -> tuple[str, ...]:
     """Complement picked as a set of generators; validated against the kernel
     of a model the report accepts, checked first (``ValueError`` otherwise)."""
     _require_model(c)
-    dec = tuple(names)
-    validate_decomposition(c, dec)
-    return dec
+    return validate_decomposition(c, names)
 
 
-def validate_decomposition(c: CDGA, dec: tuple[str, ...]) -> None:
+def validate_decomposition(c: CDGA, names: Sequence[str]) -> tuple[str, ...]:
     """The complement meets the closed kernel in 0 and spans with it degree 1.
 
     d_1 has the closed part as kernel, so both are rank checks on its columns
     at the complement's generators, whose names must exist (else
     ``AlgebraError``): they are independent and span B^2 = d_1(A^1).
+    Returns the names as a tuple.
     """
+    dec = tuple(names)
     cols = c.differential_matrix(1).cols
     images = Echelon(cols[c.algebra.index_of(name)] for name in dec)
     if images.rank < len(dec):
@@ -228,6 +228,7 @@ def validate_decomposition(c: CDGA, dec: tuple[str, ...]) -> None:
     if images.rank != c.coboundaries(2).rank:
         raise ValueError("invalid decomposition: parts do not span degree 1")
     _VALID.setdefault(c, set()).add(dec)
+    return dec
 
 
 # -- rules ----------------------------------------------------------------
@@ -302,7 +303,7 @@ def obstruction_resonance(c: CDGA, s: int, *, seed: int = 0) -> Evidence | None:
     return None
 
 
-def certify_prop_art(c: CDGA, k: int, dec: tuple[str, ...] | None = None) -> Evidence:
+def certify_prop_art(c: CDGA, k: int, dec: Sequence[str] | None = None) -> Evidence:
     """Sufficient certificate: the complement ideal meets cocycles in exacts.
 
     Checks, for every degree q <= k+1, that each cocycle in the ideal I of
@@ -333,7 +334,7 @@ def certify_prop_art(c: CDGA, k: int, dec: tuple[str, ...] | None = None) -> Evi
     if dec is None:
         dec = default_decomposition(c)
         model = coordinate_model(c)[1]
-    elif dec not in _VALID.get(c, ()):
+    elif (dec := tuple(dec)) not in _VALID.get(c, ()):
         validate_decomposition(c, dec)
     alg = c.algebra
     complement = {alg.index_of(name) for name in dec}
@@ -691,7 +692,7 @@ def formality_report(
     k_max: int,
     *,
     seed: int = 0,
-    decomposition: tuple[str, ...] | None = None,
+    decomposition: Sequence[str] | None = None,
 ) -> FormalityReport:
     """Run all applicable rules and merge their evidence monotonically.
 

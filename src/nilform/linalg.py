@@ -215,11 +215,18 @@ class Echelon:
 
 
 def rank_mod_p(rows: Iterable[Row]) -> int:
-    """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q.
+    """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q."""
+    return len(pivots_mod_p(rows))
+
+
+def pivots_mod_p(rows: Iterable[Row]) -> set[int]:
+    """Pivot columns of integer rows over F_p, p = ``_FAST_PRIME``.
 
     Each row is reduced in place against the pivot rows, scaled to 1 at their
     pivot and taken off a heap of the pivots it hits, as in ``Echelon.add``:
     a step touches only the pivot row's columns and drops the zeros it makes.
+    A new pivot row is zero at the earlier pivots, so the input's minor on
+    the pivot columns is nonzero mod p, hence over Q.
     """
     p = _FAST_PRIME
     pivots: dict[int, Row] = {}
@@ -242,7 +249,7 @@ def rank_mod_p(rows: Iterable[Row]) -> int:
         if row:
             inv = pow(row[col := min(row)], -1, p)
             pivots[col] = {j: v * inv % p for j, v in row.items()}
-    return len(pivots)
+    return set(pivots)
 
 
 def rank_rows(rows: Sequence[Row], max_rank: int | None = None) -> int:

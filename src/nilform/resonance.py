@@ -19,11 +19,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .cdga import CDGA
 from .gca import Monomial, Multivector
-from .linalg import Poly, Row, groebner_leads, poly_value, rank_mod_p, rank_rows, to_int_row
+from .linalg import Poly, Row, groebner_leads, pivots_mod_p, poly_value, rank_rows, to_int_row
 from .ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -52,12 +52,18 @@ def point_from_expression(ring: RingPresentation, text: str) -> Point:
     return tuple(alg.coordinates(v, 1))
 
 
-def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int) -> list[Row]:
-    """Nonzero integer rows of L times multiplication by w, H^q -> H^q+1, one per class of H^q.
+def multiplication_complex(
+    ring: RingPresentation, w: Sequence[Fraction], q: int, skip: Container[int] = ()
+) -> list[Row]:
+    """Nonzero integer rows of L times multiplication by w, H^q -> H^q+1, one per class not in ``skip``.
 
     The pencil sum of (w_i / D_i) (D_i M_i) over the classes i with w_i != 0 (an
     ``int`` or ``Fraction``), D_i M_i the cached integer matrix of class i; L
     clears the w_i / D_i.  Raises ``ValueError`` unless w has b_1 coordinates.
+    As w^2 = 0, the rows of map q-1 lie in the left kernel of map q, over Z and
+    so mod p; their minor on its F_p pivot columns P is nonzero mod p, hence
+    over Q, so with the classes off P they span H^q, and skipping P keeps both
+    ranks of map q.
     """
     if q + 1 > ring.max_degree:
         raise CutoffError(f"need degree {q + 1} but cutoff is {ring.max_degree}")
@@ -70,33 +76,37 @@ def multiplication_complex(ring: RingPresentation, w: Sequence[Fraction], q: int
             g = gcd(c.numerator, denom)  # w_i / D_i in lowest terms, as w_i is
             terms.append((c.numerator // g, c.denominator * denom // g, rows))
     scale = lcm(1, *(d for _, d, _ in terms))
-    acc: list[Row] = [{} for _ in range(ring.dim(q))]
+    keep = [j for j in range(ring.dim(q)) if j not in skip]
+    acc: list[Row] = [{} for _ in keep]
     for n, d, rows in terms:
         a = n * (scale // d)
-        for out, row in zip(acc, rows):
-            for k, v in row.items():
+        for out, j in zip(acc, keep):
+            for k, v in rows[j].items():
                 out[k] = out.get(k, 0) + a * v
     return [r for out in acc if (r := {k: v for k, v in out.items() if v})]
 
 
 def _complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int, out_of: list[int]) -> int:
-    """b_q minus the ranks of multiplication by w out of each degree in ``out_of``.
+    """b_q minus the ranks of multiplication by w out of each degree in ``out_of``, increasing.
 
-    A rank is exact when its F_p rank is full or an end e of its map d is
-    F_p-exact, as ``exact_at(e, ds)`` marks, forming the maps the memo lacks;
-    a map d tries e = q, then d, then d+1 if d+2 is within the cutoff, then Q.
+    The memo holds [rows, F_p pivot columns, exact rank or None] per degree.
+    ``exact_at(e, ds)`` forms the maps it lacks in increasing degree, map d
+    off the pivots of map d-1 when the memo holds it, which keeps its ranks
+    (`multiplication_complex`).  A rank is exact when its F_p rank is full or
+    an end e of its map d is F_p-exact, as ``exact_at`` marks; a map d tries
+    e = q, then d, then d+1 if d+2 is within the cutoff, then Q.
     """
     maps = ring.point_maps(w)
 
     def exact_at(e: int, ds: list[int]) -> bool:
         for d in ds:
             if d not in maps:
-                rows = multiplication_complex(ring, w, d)
-                r = rank_mod_p(rows)
-                maps[d] = [rows, r, r if r == min(len(rows), ring.dim(d + 1)) else None]
-        if exact := sum(maps[d][1] for d in ds) == ring.dim(e):
+                rows = multiplication_complex(ring, w, d, maps[d - 1][1] if d - 1 in maps else ())
+                r = len(pivots := pivots_mod_p(rows))
+                maps[d] = [rows, pivots, r if r == min(len(rows), ring.dim(d + 1)) else None]
+        if exact := sum(len(maps[d][1]) for d in ds) == ring.dim(e):
             for d in ds:
-                maps[d][2] = maps[d][1]
+                maps[d][2] = len(maps[d][1])
         return exact
 
     exact_at(q, out_of)
@@ -120,7 +130,7 @@ def mu_complex_dim(ring: RingPresentation, w: Sequence[Fraction], q: int) -> int
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    return _complex_dim(ring, w, q, [d for d in (q, q - 1) if d >= 0])
+    return _complex_dim(ring, w, q, [d for d in (q - 1, q) if d >= 0])
 
 
 def in_resonance(ring: RingPresentation, w: Sequence[Fraction], q: int, k: int = 1) -> bool:
@@ -257,7 +267,7 @@ def _zero_locus_is_origin(forms: Sequence[Poly], m: int) -> bool:
             for row in rows
             for shift in shifts
         )
-        if rank_mod_p(macaulay) == len(columns):
+        if len(pivots_mod_p(macaulay)) == len(columns):
             return True
 
     leading = groebner_leads(forms, m)

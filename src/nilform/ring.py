@@ -116,8 +116,10 @@ class RingPresentation:
         return cached
 
     def point_maps(self, w: Sequence[Fraction]) -> dict[int, list]:
-        """Memo of the pencil at w: degree d -> [rows of w: H^d -> H^(d+1), F_p rank, exact rank or None].
+        """Memo of the pencil at w: degree d -> [rows, F_p pivot columns, exact rank or None].
 
+        The rows of w: H^d -> H^(d+1) skip the F_p pivot columns of map d-1
+        when that was formed first, which keeps both ranks (`resonance`).
         Only the most recent point is kept, keyed by tuple(w) and so compared
         by value; any other point replaces it.  A point seen again is
         recomputed.

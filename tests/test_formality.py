@@ -201,6 +201,18 @@ def test_decomposition_keeps_the_names_in_the_order_given():
     assert decomposition_from_names(c, ["a", "w2", "w1"]) == ("a", "w2", "w1")
 
 
+def test_a_complement_given_as_a_list_reads_as_the_tuple():
+    # each call gets a fresh model, so no earlier validation of the tuple is cached
+    names = ["a", "w2", "w1"]
+    assert validate_decomposition(example_contr("y1*y2"), names) == tuple(names)
+    assert certify_prop_art(example_contr("y1*y2"), 1, names) == certify_prop_art(
+        example_contr("y1*y2"), 1, tuple(names)
+    )
+    listed = formality_report(example_contr("y1*y2"), 3, decomposition=names)
+    tupled = formality_report(example_contr("y1*y2"), 3, decomposition=tuple(names))
+    assert (listed.verdicts(), listed.evidence) == (tupled.verdicts(), tupled.evidence)
+
+
 @pytest.mark.parametrize(
     "names, error, match",
     [

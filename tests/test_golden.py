@@ -84,6 +84,10 @@ COMMANDS = (
         "resonance", "--input", "tests/data/dependent_closed.json", "--q", "2",
         "--point=-1*a0+-1*a1+-1*a2+-1*a3+-1*a4",
     ),
+    # single queries on a tensor model, a member and a non-member: map 3 is
+    # formed off the F_p pivots of map 2
+    ("resonance", "--preset", "heisenberg_type:2,5", "--q", "3", "--point", "x1 + 2*y2"),
+    ("resonance", "--preset", "heisenberg_type:2,5", "--q", "3", "--point", "x1 + t5"),
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from nilform.catalog import example_contr, example_initial, free_abelian, heisenberg, heisenberg_type
 from nilform.cdga import CDGA, tensor
 from nilform.gca import Algebra
-from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, rank_mod_p
+from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, pivots_mod_p, rank_mod_p
 from nilform.ring import (
     CharacteristicSubspace,
     CutoffError,
@@ -246,7 +246,7 @@ def _without_fp_ranks(monkeypatch):
     The Macaulay certificate then never fires, so the Groebner test decides
     alone, and mu_complex_dim takes every rank exactly.
     """
-    monkeypatch.setattr("nilform.resonance.rank_mod_p", lambda rows: 0)
+    monkeypatch.setattr("nilform.resonance.pivots_mod_p", lambda rows: set())
 
 
 def _refuse_groebner(*args, **kwargs):
@@ -487,14 +487,18 @@ def test_a_point_needs_one_coordinate_per_degree_one_class():
 def test_a_sweep_forms_each_pencil_once(monkeypatch):
     import nilform.resonance as res
 
-    calls = {"multiplication_complex": 0, "rank_mod_p": 0}
+    calls = {"multiplication_complex": 0, "pivots_mod_p": 0}
+    formed = []
 
     def counted(name):
         fn = getattr(res, name)
 
         def wrapper(*args):
             calls[name] += 1
-            return fn(*args)
+            out = fn(*args)
+            if name == "multiplication_complex":
+                formed.append(len(out))
+            return out
 
         return wrapper
 
@@ -505,7 +509,10 @@ def test_a_sweep_forms_each_pencil_once(monkeypatch):
     for sweeps in (1, 2):
         w = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(r.dim(1)))
         assert [mu_complex_dim(r, w, q) for q in range(5)] == [0, 0, 0, 0, 14]
-        assert calls == {"multiplication_complex": 5 * sweeps, "rank_mod_p": 5 * sweeps}
+        assert calls == {"multiplication_complex": 5 * sweeps, "pivots_mod_p": 5 * sweeps}
+        # map d is formed off the F_p pivots of map d-1: of the 1, 8, 27, 48
+        # and 42 classes, only the rows that become pivots are formed
+        assert formed[-5:] == [1, 7, 20, 28, 0]
 
 
 def test_the_point_memo_never_answers_for_another_point():
@@ -581,23 +588,51 @@ SANDWICH_RINGS = {
 }
 
 
+def _sandwich_points(r, name, seed):
+    """Seeded points, and where the F_p ranks fall short: every entry a
+    multiple of p, a coordinate 1/p, and (p, 2p, 1, 3) on H(1) x H(1)."""
+    p = _FAST_PRIME
+    points = _seeded_points(r, seed)
+    # every entry is 0 mod p: each F_p rank is 0, and certifies only where b_q = 0
+    points += [tuple(p * c for c in w) for w in points[:2]]
+    points.append((Fraction(1, p),) + points[0][1:])
+    if name.startswith("h1xh1"):
+        points.append((Fraction(p), Fraction(2 * p), Fraction(1), Fraction(3)))
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(SANDWICH_RINGS))
+def test_rows_off_the_pivots_below_keep_both_ranks(name):
+    r = SANDWICH_RINGS[name]()
+    for w in _sandwich_points(r, name, 47):
+        below = set()
+        for d in range(r.max_degree):
+            whole = multiplication_complex(r, w, d)
+            off = multiplication_complex(r, w, d, below)
+            assert rank_mod_p(off) == rank_mod_p(whole), (w, d)
+            assert Echelon(off).rank == Echelon(whole).rank, (w, d)
+            below = pivots_mod_p(whole)
+
+
 @pytest.mark.parametrize("name", sorted(SANDWICH_RINGS))
 def test_every_rank_the_memo_marks_exact_is_exact(name):
     r = SANDWICH_RINGS[name]()
-    points = _seeded_points(r, 43)
-    # every entry is 0 mod p: each F_p rank is 0, and certifies only where b_q = 0
-    points += [tuple(_FAST_PRIME * c for c in w) for w in points[:2]]
     degrees = range(r.max_degree)
-    for w in points:
+    for w in _sandwich_points(r, name, 43):
         want = [reference_mu_complex_dim(r, w, q) for q in degrees]
+        whole = [multiplication_complex(r, w, d) for d in degrees]
+        fp = [pivots_mod_p(rows) for rows in whole]
+        exact = [Echelon(rows).rank for rows in whole]
         # a sweep up, a sweep down, and each degree alone on a fresh memo
         for order in (degrees, reversed(degrees), *([q] for q in degrees)):
             r.point_maps(())  # no point has this key, so the memo starts empty
             for q in order:
                 assert mu_complex_dim(r, w, q) == want[q], (w, q)
-            for d, (rows, _, exact) in r.point_maps(w).items():
-                if exact is not None:
-                    assert exact == Echelon(rows).rank, (w, d)
+            for d, (rows, pivots, rank) in r.point_maps(w).items():
+                # the pivot columns are those of the row space, which the rows off the pivots below keep
+                assert pivots == fp[d], (w, d)
+                if rank is not None:
+                    assert rank == Echelon(rows).rank == exact[d], (w, d)
 
 
 def test_heisenberg_points_need_no_exact_rank(monkeypatch):
