@@ -63,17 +63,12 @@ class CDGA:
             if all(c.denominator == 1 for c in terms.values()):
                 terms = {m: c.numerator for m, c in terms.items()}
             self._d_signed[i] = [(m, c, -c) for m, c in terms.items()]
-        self._d_mono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._matrix_cache: dict[int, SparseMatrix] = {}
         self._cohomology_cache: dict[int, CohomologyBasis] = {}
-        # q -> least-index pivots of B^q, recorded by the row pass of d_(q-1)
+        # q -> least-index pivots of B^q, one record per degree (`image_pivots`)
         self._image_pivots: dict[int, list[int]] = {}
         self._coboundaries: dict[int, Echelon] = {}
-        self._ranks: dict[int, int] = {}
         self._characteristic = None  # ring.characteristic_subspace, no reference back
-        # structure constants of H*, (qa, ia, qb, ib) -> class coordinates,
-        # shared by every ring presentation of this CDGA
-        self._class_products: dict[tuple[int, int, int, int], Vec] = {}
         self.validate()
 
     # -- validation ------------------------------------------------------
@@ -151,15 +146,10 @@ class CDGA:
         return out
 
     def d(self, v: Multivector) -> Multivector:
-        """Leibniz extension of the generator differential, its terms summed in one dict;
-        the terms of each d(monomial) are cached."""
-        cache = self._d_mono_cache
+        """Leibniz extension of the generator differential, its terms summed in one dict."""
         out: dict[Monomial, Fraction] = {}
         for mono, c in v.terms.items():
-            terms = cache.get(mono)
-            if terms is None:
-                terms = cache[mono] = self._d_terms(mono)
-            for m, x in terms.items():
+            for m, x in self._d_terms(mono).items():
                 out[m] = out.get(m, Fraction(0)) + c * x
         return Multivector(self.algebra, out)
 
@@ -176,7 +166,6 @@ class CDGA:
         alg = self.algebra
         domain = alg.basis(q)
         target_index = alg.basis_index(q + 1)
-        # not through the d(mono) cache: the columns already hold the images
         cols = [{target_index[m]: c for m, c in self._d_terms(mono).items()} for mono in domain]
         mat = SparseMatrix(len(target_index), len(domain), cols)
         self._matrix_cache[q] = mat
@@ -190,12 +179,19 @@ class CDGA:
         self._cohomology_cache[q] = basis
         return basis
 
+    def image_pivots(self, q: int) -> list[int]:
+        """The least-index pivots of B^q, the image of d_(q-1), recorded once: by the
+        row pass of ``cohomology(q - 1)``, else read off the built `coboundaries` (q),
+        else off a column echelon of d_(q-1) that is not kept."""
+        pivots = self._image_pivots.get(q)
+        if pivots is None:
+            image = self._coboundaries.get(q) or Echelon(self.differential_matrix(q - 1).cols)
+            pivots = self._image_pivots[q] = image.pivots
+        return pivots
+
     def rank(self, q: int) -> int:
-        """rank d_q, cached; read off B^(q+1) when that echelon is built."""
-        if q not in self._ranks:
-            image = self._coboundaries.get(q + 1) or Echelon(self.differential_matrix(q).cols)
-            self._ranks[q] = image.rank
-        return self._ranks[q]
+        """rank d_q, the number of `image_pivots` (q + 1)."""
+        return len(self.image_pivots(q + 1))
 
     def betti(self, q: int) -> int:
         """dim A^q - rank d_q - rank d_(q-1), from two ranks and no class basis."""
@@ -334,8 +330,9 @@ class CohomologyBasis:
     Each d is eliminated once: the pivots of B^q are the rows of d_(q-1)
     that raise the rank in increasing order (the pivot columns of RREF(D^T)
     are the columns of D^T, the rows of D, independent of earlier ones).
-    Degree q-1 records them on the CDGA, else a rank-only row pass reads
-    them.  ``_image`` is B^q, the CDGA's shared `coboundaries` (q), read lazily.
+    Degree q-1 records them on the CDGA, else `CDGA.image_pivots` reads them
+    off a column echelon.  ``_image`` is B^q, the CDGA's shared `coboundaries`
+    (q), read lazily.
 
     ``coordinates`` is the induced linear map onto class coordinates, read
     at pivots: reduced modulo the image, a cocycle w is sum c_i rep_i, and
@@ -352,9 +349,7 @@ class CohomologyBasis:
         self._d = cdga.differential_matrix(degree)
         self._d_prev = cdga.differential_matrix(degree - 1)
         self._coboundaries = cdga._coboundaries
-        image_pivots = cdga._image_pivots.get(degree)
-        if image_pivots is None:
-            image_pivots = _row_pass(self._d_prev)[1]
+        image_pivots = cdga.image_pivots(degree)
         ech, cdga._image_pivots[degree + 1] = _row_pass(self._d)
         basis = alg.basis(degree)
         rows = self._cocycle_rows(ech, image_pivots)

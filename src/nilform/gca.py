@@ -60,7 +60,7 @@ class Algebra:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._parity = tuple(g.degree % 2 for g in gens)
         self._degrees = tuple(g.degree for g in gens)
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._bases: list[tuple[Monomial, ...]] = [((),)]
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -114,38 +114,30 @@ class Algebra:
     # -- canonical bases -------------------------------------------------
 
     def basis(self, q: int) -> tuple[Monomial, ...]:
-        """Canonical monomials of total degree q in lexicographic index order."""
+        """Canonical monomials of total degree q in lexicographic index order.
+
+        Every degree up to q is built once, in increasing order: a monomial of degree p
+        ending in i is one of degree p - deg g_i ending below i (or at i, g_i even), and i.
+        """
         if q < 0:
             return ()
-        cached = self._basis_cache.get(q)
-        if cached is not None:
-            return cached
-        out: list[Monomial] = []
-        n = len(self.generators)
-        acc: list[int] = []
-
-        def rec(start: int, remaining: int) -> None:
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for i in range(start, n):
-                d = self._degrees[i]
-                if d > remaining:
-                    continue
-                acc.append(i)
-                rec(i + (1 if d % 2 else 0), remaining - d)
-                acc.pop()
-
-        rec(0, q)
-        del rec  # the closure refers to itself; unlink it so no cycle holds the algebra
-        result = tuple(out)
-        self._basis_cache[q] = result
-        self._basis_index_cache[q] = {m: k for k, m in enumerate(result)}
-        return result
+        bases, degrees, parity = self._bases, self._degrees, self._parity
+        for p in range(len(bases), q + 1):
+            monos = (
+                m + (i,)
+                for i, d in enumerate(degrees)
+                if d <= p
+                for m in bases[p - d]
+                if not m or m[-1] < i or m[-1] == i and not parity[i]
+            )
+            bases.append(tuple(sorted(monos)))
+        return bases[q]
 
     def basis_index(self, q: int) -> dict[Monomial, int]:
-        self.basis(q)  # caches the index of every q >= 0
-        return self._basis_index_cache.get(q, {})
+        """Monomial -> position in basis(q), built on first use."""
+        if q not in self._basis_index_cache:
+            self._basis_index_cache[q] = {m: k for k, m in enumerate(self.basis(q))}
+        return self._basis_index_cache[q]
 
     def dim(self, q: int) -> int:
         return len(self.basis(q))
@@ -207,7 +199,10 @@ class Algebra:
     def parse(self, text: str) -> Multivector:
         """Parse an expression like ``x1*y1 + 2*x2*z - 1/2*y2``."""
         tokens = self._tokenize(text)
-        value, pos = self._parse_sum(tokens, 0)
+        try:  # one recursion per parenthesis: too deep a nest is bad input too
+            value, pos = self._parse_sum(tokens, 0)
+        except RecursionError:
+            raise AlgebraError("parentheses nested too deeply") from None
         if pos != len(tokens):
             raise AlgebraError(f"trailing input in expression {text!r}")
         return value

@@ -4,10 +4,10 @@ Vectors are sparse ``dict[int, Fraction]`` maps, or ``dict[int, int]`` rows
 where every entry is integral.  Rows are cleared of denominators and
 eliminated fraction-free, in integers, and a reduction returns its residual
 as an integer row over one positive denominator, so no floating point ever
-enters and a ``Fraction`` is built only where a caller reads one.  A single
-word-sized prime powers an optional fast path: a full rank over F_p
-certifies full rank over the rationals, everything else falls back to exact
-elimination.
+enters and a ``Fraction`` is built only where a caller reads one.  Ranks
+are exact.  A single word-sized prime, ``_FAST_PRIME``, gives the F_p pivots
+the resonance pencils are first ranked by: a full rank over F_p certifies
+full rank over the rationals.
 
 Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
 tuple of unknown indices (repeats allowed, ``()`` the constant) to a
@@ -215,7 +215,8 @@ class Echelon:
 
 
 def rank_mod_p(rows: Iterable[Row]) -> int:
-    """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q."""
+    """Rank over F_p of integer rows, p = ``_FAST_PRIME``; at most the rank over Q.
+    No module of the package calls it; the benchmark's tracer hooks it."""
     return len(pivots_mod_p(rows))
 
 
@@ -252,15 +253,8 @@ def pivots_mod_p(rows: Iterable[Row]) -> set[int]:
     return set(pivots)
 
 
-def rank_rows(rows: Sequence[Row], max_rank: int | None = None) -> int:
-    """Exact rank; certifies through F_p first when the matrix could be full."""
-    rows = [r for r in rows if r]
-    if not rows:
-        return 0
-    if max_rank is not None:
-        fast = rank_mod_p(rows)
-        if fast == min(len(rows), max_rank):
-            return fast
+def rank_rows(rows: Iterable[Vec | Row]) -> int:
+    """Exact rank of rows, by one forward elimination."""
     return Echelon(rows).rank
 
 
@@ -291,7 +285,8 @@ class SparseMatrix:
         return out
 
     def rank(self) -> int:
-        return rank_rows([to_int_row(c) for c in self.cols], max_rank=self.nrows)
+        """Exact rank, the rank of the columns."""
+        return rank_rows(self.cols)
 
     def cut_rank(self, rows: Container[int]) -> int:
         """Rank of the columns cut to a set of rows."""

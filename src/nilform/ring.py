@@ -1,10 +1,9 @@
 """Cohomology ring presentations truncated at a degree cutoff.
 
 A presentation stores per-degree class bases of a CDGA's cohomology plus
-lazily computed structure constants, which are cached on the CDGA and so
-shared by all its presentations; only products of total degree at most the
-cutoff are available.  The degree-1 questions need none of it.  The
-characteristic subspace, the kernel of multiplication from the second
+its own lazily computed structure constants; only products of total degree
+at most the cutoff are available.  The degree-1 questions need none of it.
+The characteristic subspace, the kernel of multiplication from the second
 exterior power of H^1 into H^2, is the kernel of the CDGA's wedge table.
 The degree-1 generation test is one climb on the coordinate model's
 cochains, two ranks per degree, with no wedge, cohomology basis or
@@ -28,7 +27,7 @@ class CutoffError(ValueError):
 
 
 class RingPresentation:
-    """Truncated cohomology ring of a CDGA with exact structure constants."""
+    """Truncated cohomology ring of a CDGA; it computes and keeps its own structure constants."""
 
     def __init__(self, source: CDGA, max_degree: int):
         if max_degree < 1:
@@ -36,7 +35,7 @@ class RingPresentation:
         self.source = source
         self.max_degree = max_degree
         self._bases = {q: source.cohomology(q) for q in range(max_degree + 1)}
-        self._products = source._class_products
+        self._products: dict[tuple[int, int, int, int], Vec] = {}
         self._labels: dict[int, tuple[str, ...]] = {}
         self._pencil: dict[tuple[int, int], tuple[int, list[Row]]] = {}
         self._point: tuple | None = None
@@ -153,9 +152,9 @@ def generated_in_degree_one_upto(c: CDGA, m: int) -> GenerationVerdict:
     Degree 1 holds by construction: d(1) = 0, so B^1 = 0 and H^1 = Z^1 =
     P_1.  From q = 2 on, P_q + B^q is read in the `coordinate_model`: P_q is
     span R^q, so its rank is C(b_1, q) plus that of d'_(q-1) cut to the rows
-    I^q.  It is compared with dim Z^q = dim A^q - rank d'_q, cached by
-    ``CDGA.rank`` for the Betti numbers of the certificate.  Once H^(q-1)
-    is generated, (P_q + B^q) / B^q is the image of H^(q-1) x H^1 in H^q, so
+    I^q.  It is compared with dim Z^q = dim A^q - rank d'_q, which
+    ``CDGA.rank`` records for the Betti numbers of the certificate.  Once
+    H^(q-1) is generated, (P_q + B^q) / B^q is the image of H^(q-1) x H^1 in H^q, so
     the first degree where they differ fails by the gap, at least 2.  Where
     H^q is generated, the default prop-art certificate, which ranks the cut
     to R^q, passes at q exactly when B'^q splits over span R^q + span I^q.

@@ -20,7 +20,7 @@ from nilform.catalog import (
 )
 from nilform.linalg import Echelon
 from nilform.ring import from_cdga
-from test_formality import DATA, TOP_CLASS_MODELS, _formality_mix_models
+from test_formality import DATA, TOP_CLASS_MODELS, _formality_mix_models, _model_builders
 from test_ring import REPRESENTATIVE_MODELS, TOWER_SEEDS, _three_step_tower
 from tracked_reference import _WalkEchelon
 
@@ -327,13 +327,19 @@ def _assert_recorded_image_pivots(build, top):
             image.add(col)
         assert c._image_pivots[q] == image.pivots
     # a degree asked first, with no degree below it, reads the same pivots
+    # and records them: off a fresh column echelon of d_(q-1), or off B^q
+    # when that is built
     for q in range(top + 1):
-        fresh = build()
+        fresh, warm = build(), build()
         assert not fresh._image_pivots
-        got = fresh.cohomology(q).representatives
-        assert [list(v.terms.items()) for v in got] == [
-            list(v.terms.items()) for v in c.cohomology(q).representatives
-        ]
+        image = warm.coboundaries(q)
+        for other in (fresh, warm):
+            got = other.cohomology(q).representatives
+            assert [list(v.terms.items()) for v in got] == [
+                list(v.terms.items()) for v in c.cohomology(q).representatives
+            ]
+            assert other._image_pivots[q] == c._image_pivots[q]
+        assert warm._image_pivots[q] is image.pivots
 
 
 @pytest.mark.parametrize("build, top", REPRESENTATIVE_MODELS)
@@ -345,6 +351,34 @@ def test_recorded_image_pivots_are_the_column_echelon_pivots_on_the_formality_mi
     for c in _mix_models():
         spec = (c.algebra, c.differential())
         _assert_recorded_image_pivots(lambda spec=spec: CDGA(*spec), c.algebra.top_degree())
+
+
+def _assert_rank_reads_the_column_echelon(build, top):
+    # rank d_q is one record, the pivots of B^(q+1), whichever call set it:
+    # the rank itself, the row pass of cohomology(q) or the echelon of
+    # coboundaries(q + 1), each asked in increasing and in decreasing degree
+    degrees = range(-1, top + 1)
+    want = [Echelon(build().differential_matrix(q).cols).rank for q in degrees]
+    for first in (None, "cohomology", "coboundaries"):
+        for order in (degrees, reversed(degrees)):
+            c = build()
+            for q in order:
+                if first == "cohomology" and q >= 0:
+                    c.cohomology(q)
+                elif first == "coboundaries":
+                    c.coboundaries(q + 1)
+                assert c.rank(q) == want[q + 1], (first, q)
+
+
+def test_rank_reads_the_column_echelon():
+    for build in _model_builders():
+        _assert_rank_reads_the_column_echelon(build, _top(build(), None))
+
+
+def test_rank_reads_the_column_echelon_on_the_formality_mix():
+    for c in _mix_models():
+        spec = (c.algebra, c.differential())
+        _assert_rank_reads_the_column_echelon(lambda spec=spec: CDGA(*spec), c.algebra.top_degree())
 
 
 def test_a_labelled_table_builds_no_image_echelon():

@@ -63,6 +63,14 @@ def test_cohomology_requested_truncation(capsys):
     assert "betti: 1,4,5,5,4,1" in out
 
 
+def test_cohomology_of_a_deep_truncation(capsys):
+    # degree 2500 of Q[u] x E(a): one class per degree, the basis built in a loop
+    argv = ["cohomology", "--input", str(DATA / "mixed_degree.json"), "--max-degree", "2500"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "betti: " + ",".join(["1"] * 2501)
+
+
 def test_cohomology_json_structure(capsys):
     doc = run_json(capsys, ["cohomology", "--preset", "heisenberg:1"])
     assert doc["tool"]["name"] == "nilform"
@@ -147,6 +155,20 @@ def test_resonance_bad_point_expression(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resonance", "--preset", "heisenberg:1", "--point", "(" * 600 + "x1" + ")" * 600],
+        ["formality", "--preset", "example_contr:p=" + "(" * 600 + "y1*y2" + ")" * 600],
+    ],
+    ids=["point", "preset-form"],
+)
+def test_deeply_nested_parentheses_are_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: parentheses nested too deeply\n"
 
 
 def test_resonance_witnesses_parse_back_as_points(capsys, tmp_path):

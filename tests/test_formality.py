@@ -273,13 +273,23 @@ def test_generation_obstruction_silent_when_generated():
     ],
     ids=["two-step-decision", "obstruction_generation"],
 )
-def test_the_generation_rules_form_no_cohomology_basis(build, rule):
+def test_the_generation_rules_form_no_cohomology_basis(monkeypatch, build, rule):
     # the climb ranks cochain matrices: no class basis but H^1, whose
-    # representatives are the basis of Z^1, and no structure constant
+    # representatives are the basis of Z^1, and no ring, so no structure constant
+    built = _count_rings(monkeypatch)
     c = build()
     rule(c)
     assert set(c._cohomology_cache) == {1}
-    assert c._class_products == {}
+    assert built == []
+
+
+def _count_rings(monkeypatch):
+    """The cutoff of each ring presentation built from now on, through any module's ``from_cdga``."""
+    built = []
+    for module in (formality, resonance, ring):
+        real = module.from_cdga
+        monkeypatch.setattr(module, "from_cdga", lambda c, m, real=real: built.append(m) or real(c, m))
+    return built
 
 
 def test_resonance_obstruction_first_heisenberg():
@@ -1159,11 +1169,8 @@ def test_top_cohomology_is_the_volume_class_on_the_formality_mix():
 def test_report_builds_no_cohomology_above_what_its_rules_read(monkeypatch):
     # generation fails at H^3, so resonance decides degree 1 only, on the
     # wedge table; the climb, the certificate's Betti numbers and the tower
-    # read cochains: no class basis but H^1, no structure constant, no ring
-    built = []
-    for module in (formality, resonance, ring):
-        real = module.from_cdga
-        monkeypatch.setattr(module, "from_cdga", lambda c, m, real=real: built.append(m) or real(c, m))
+    # read cochains: no class basis but H^1, no ring, so no structure constant
+    built = _count_rings(monkeypatch)
     c = example_contr("y1*y2")
     rep = formality_report(c, 3)
     assert rep.overall == OVERALL_NOT_FORMAL and rep.best_formal is not None
@@ -1172,7 +1179,7 @@ def test_report_builds_no_cohomology_above_what_its_rules_read(monkeypatch):
     for m in models[1:]:
         formality_report(m, 3)
     assert len(models) == 81
-    assert all(set(m._cohomology_cache) == {1} and m._class_products == {} for m in models)
+    assert all(set(m._cohomology_cache) == {1} for m in models)
     assert built == []
     # every report at each k up to 4 on the catalog, NON_COORDINATE_CLOSED,
     # the tests/data models and the seed-3 formality-mix models
@@ -1182,7 +1189,7 @@ def test_report_builds_no_cohomology_above_what_its_rules_read(monkeypatch):
         for k in range(5):
             formality_report(m, k)
     assert len(models) == 17 + 6 + 4 + 176
-    assert all(set(m._cohomology_cache) <= {1} and m._class_products == {} for m in models)
+    assert all(set(m._cohomology_cache) <= {1} for m in models)
     assert built == []
 
 

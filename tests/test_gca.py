@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilform.gca import (
     Algebra,
@@ -108,6 +111,41 @@ def test_even_generators_admit_powers():
     assert alg.parse("c^3").coefficient((0, 0, 0)) == 1
 
 
+def test_a_deep_basis_is_built_without_recursion():
+    # a fresh basis(5000) builds every degree below it, in a loop
+    assert Algebra([("u", 2), ("a", 1)]).basis(5000) == ((0,) * 2500,)
+
+
+def _brute_force_basis(degrees, q):
+    """Sorted index tuples of degree q with no repeated odd index."""
+    return tuple(
+        sorted(
+            m
+            for length in range(q + 1)
+            for m in combinations_with_replacement(range(len(degrees)), length)
+            if sum(degrees[i] for i in m) == q
+            and not any(a == b and degrees[a] % 2 for a, b in zip(m, m[1:]))
+        )
+    )
+
+
+# derandomized and without an example database, so tier-1 stays deterministic
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=4),
+    st.sampled_from([2, 4]),
+    st.integers(0, 4),
+    st.integers(0, 10),
+)
+def test_basis_is_the_brute_force_enumeration(degrees, even, at, q):
+    # a mixed-degree algebra with at least one even generator, asked for
+    # degree q first, so that every degree below it is built on the way
+    degrees.insert(at % (len(degrees) + 1), even)
+    alg = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+    assert alg.basis(q) == _brute_force_basis(degrees, q)
+    assert [alg.basis(p) for p in range(q)] == [_brute_force_basis(degrees, p) for p in range(q)]
+
+
 def test_coordinates_round_trip(e4):
     v = e4.parse("x1*y1 - 3*x2*y2 + 1/5*x1*x2")
     coords = e4.coordinates(v, 2)
@@ -184,3 +222,11 @@ def test_parse_and_str_round_trip(e4):
         v = e4.parse(text)
         assert e4.parse(str(v)) == v
 
+
+
+def test_deeply_nested_parentheses_are_an_algebra_error(e4):
+    # the parser recurses per parenthesis: past the recursion limit the
+    # input is rejected as any bad expression, not with a RecursionError
+    with pytest.raises(AlgebraError, match="nested too deeply"):
+        e4.parse("(" * 600 + "x1" + ")" * 600)
+    assert e4.parse("(" * 50 + "x1 + y1" + ")" * 50) == e4.parse("x1 + y1")

@@ -555,9 +555,11 @@ def test_class_indices_are_checked():
         r.representative(1, -1)
     with pytest.raises(IndexError, match="no class 4 in degree 1"):
         r.representative(1, 4)
-    assert not c._class_products
+    assert not r._products
     assert r.product_coords(1, 0, 1, 3) == {1: Fraction(1)}  # x1 * y2
-    assert set(c._class_products) == {(1, 0, 1, 3)}
+    assert set(r._products) == {(1, 0, 1, 3)}
+    # the presentation owns its structure constants: another of c starts empty
+    assert not from_cdga(c, 5)._products
 
 
 def test_dropped_ring_is_freed_without_the_cycle_collector():
@@ -606,18 +608,6 @@ def test_a_dropped_report_model_is_freed_without_the_cycle_collector(build):
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_presentations_of_one_cdga_share_structure_constants():
-    c = heisenberg(2)
-    small, large = from_cdga(c, 3), from_cdga(c, 5)
-    prod = large.product_coords(1, 0, 2, 1)
-    assert small.product_coords(1, 0, 2, 1) is prod
-    large.product_coords(2, 0, 2, 1)
-    # the cache is shared, the cutoff is still each presentation's own
-    with pytest.raises(CutoffError):
-        small.product_coords(2, 0, 2, 1)
-    assert from_cdga(heisenberg(2), 3).product_coords(1, 0, 2, 1) is not prod
 
 
 # -- ring-product properties ----------------------------------------------
