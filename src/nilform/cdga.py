@@ -223,13 +223,14 @@ class CDGA:
     @cached_property
     def wedge_table(self) -> dict[tuple[int, int], Vec]:
         """(i, j) -> z_i z_j reduced modulo B^2 to r / s, over basis(2), for each pair
-        i < j of H^1 representatives z; numbers only, no reference back.  r / s is the
-        one cocycle of its class zero at every pivot of B^2, so the table is the cup
-        product on H^1 up to an injective map out of H^2."""
+        i < j of H^1 representatives z; numbers only, no reference back.  The product
+        is the integer `product_row`, as for the ring's structure constants.  r / s
+        is the one cocycle of its class zero at every pivot of B^2, so the table is
+        the cup product on H^1 up to an injective map out of H^2."""
         reps, image = self.cohomology(1).representatives, self.coboundaries(2)
         out: dict[tuple[int, int], Vec] = {}
         for i, j in combinations(range(len(reps)), 2):
-            r, scale = image.reduce(dict_coords(self.algebra, reps[i] * reps[j], 2))
+            r, scale = image.reduce(product_row(self.algebra, reps[i], reps[j], 2))
             out[(i, j)] = {k: Fraction(v, scale) for k, v in r.items()}
         return out
 
@@ -263,6 +264,25 @@ def dict_coords(alg: Algebra, v: Multivector, q: int) -> Vec:
         if pos is None:
             raise DegreeError(f"term outside degree {q}")
         out[pos] = c
+    return out
+
+
+def product_row(alg: Algebra, a: Multivector, b: Multivector, q: int) -> Row:
+    """Integer coordinates over basis(q) of a b, for homogeneous a and b of
+    total degree q with integral coefficients, such as class representatives.
+
+    Keys come in the order of the first term reaching them, as in a
+    ``Multivector`` product, and a sum that cancels stays as a zero entry.
+    """
+    index = alg.basis_index(q)
+    out: Row = {}
+    for ma, ca in a.terms.items():
+        ca = ca.numerator
+        for mb, cb in b.terms.items():
+            m = alg.monomial_product(ma, mb)
+            if m is not None:
+                k = index[m[1]]
+                out[k] = out.get(k, 0) + m[0] * ca * cb.numerator
     return out
 
 

@@ -81,14 +81,23 @@ class Evidence(
 
 
 class FormalityReport:
-    """Per-degree trichotomy verdicts with monotone, conflict-free merging."""
+    """Per-degree trichotomy verdicts, read off the evidence and merged without conflict.
+
+    Formal evidence at k makes every degree up to k formal, and not-formal
+    evidence every degree from k on not formal, each k clamped to
+    0..k_max; info evidence decides nothing.  So the verdicts are a function
+    of the evidence, kept as the two numbers they are read from:
+    ``best_formal``, the largest formal degree, and ``least_not_formal``,
+    the least not-formal one, each None while no evidence gives it.
+    """
 
     def __init__(self, k_max: int):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         self.k_max = k_max
-        self._verdicts = [INCONCLUSIVE] * (k_max + 1)
         self.evidence: list[Evidence] = []
+        self.best_formal: int | None = None
+        self.least_not_formal: int | None = None
         self.overall = INCONCLUSIVE
         # set when a search bound or the tower's stage cap cut a rule short
         self.bound_exceeded = False
@@ -96,48 +105,31 @@ class FormalityReport:
     def verdict(self, k: int) -> str:
         if not 0 <= k <= self.k_max:
             raise ValueError(f"degree {k} outside 0..{self.k_max}")
-        return self._verdicts[k]
+        if self.best_formal is not None and k <= self.best_formal:
+            return FORMAL
+        if self.least_not_formal is not None and k >= self.least_not_formal:
+            return NOT_FORMAL
+        return INCONCLUSIVE
 
     def verdicts(self) -> list[str]:
-        return list(self._verdicts)
+        return [self.verdict(k) for k in range(self.k_max + 1)]
 
-    def mark_formal_upto(self, ev: Evidence) -> None:
-        """Every degree up to ``ev.k`` is formal."""
-        for j in range(0, min(ev.k, self.k_max) + 1):
-            if self._verdicts[j] == NOT_FORMAL:
+    def add(self, ev: Evidence) -> None:
+        """Record ``ev`` and the degrees it decides; raise on a conflict, recording nothing."""
+        best, least = self.best_formal, self.least_not_formal
+        if ev.kind == "formal" and (k := min(ev.k, self.k_max)) >= 0:
+            if least is not None and least <= k:
                 raise RuntimeError(
-                    f"conflicting certificates: degree {j} is already not formal"
+                    f"conflicting certificates: degree {least} is already not formal"
                 )
-            self._verdicts[j] = FORMAL
-        self.evidence.append(ev)
-
-    def mark_not_formal_from(self, ev: Evidence) -> None:
-        """Every degree from ``ev.k`` on is not formal."""
-        for j in range(max(ev.k, 0), self.k_max + 1):
-            if self._verdicts[j] == FORMAL:
+            self.best_formal = k if best is None else max(best, k)
+        elif ev.kind == "not_formal" and (k := max(ev.k, 0)) <= self.k_max:
+            if best is not None and best >= k:
                 raise RuntimeError(
-                    f"conflicting certificates: degree {j} is already formal"
+                    f"conflicting certificates: degree {k} is already formal"
                 )
-            self._verdicts[j] = NOT_FORMAL
+            self.least_not_formal = k if least is None else min(least, k)
         self.evidence.append(ev)
-
-    def add_info(self, ev: Evidence) -> None:
-        self.evidence.append(ev)
-
-    @property
-    def best_formal(self) -> int | None:
-        best = None
-        for k, v in enumerate(self._verdicts):
-            if v == FORMAL:
-                best = k
-        return best
-
-    @property
-    def least_not_formal(self) -> int | None:
-        for k, v in enumerate(self._verdicts):
-            if v == NOT_FORMAL:
-                return k
-        return None
 
 
 # -- model preconditions --------------------------------------------------
@@ -377,7 +369,7 @@ def infer_prop_k2(report: FormalityReport, c: CDGA, k: int) -> Evidence | None:
         f"certified {k}-formal with H^q = 0 for every q >= {k + 2}",
         {"k": k, "top_degree": top},
     )
-    report.mark_formal_upto(ev)
+    report.add(ev)
     report.overall = OVERALL_FORMAL
     return ev
 
@@ -584,7 +576,8 @@ def dga_map_solve(
     unknowns = iter(range(nparams))
 
     images: list[Image] = [{} for _ in names]
-    equations: list[tuple[Poly, str]] = []
+    # each equation with (what, name, key) for the note of an inconsistent one
+    equations: list[tuple[Poly, tuple[str, str, Monomial]]] = []
 
     def extend(v: Multivector) -> Image:
         """The multiplicative extension of the images so far, at v."""
@@ -611,9 +604,7 @@ def dga_map_solve(
             (img, rest), what = _split_by_span(target, rhs), "exactness obstruction"
             img.update(((next(unknowns),), z) for z in coh1.representatives)
         polys = _transpose(rest)
-        for key in sorted(polys):
-            note = f"{what} at {name!r}, coordinate {alg.monomial(key)}"
-            equations.append((polys[key], note))
+        equations += ((polys[key], (what, name, key)) for key in sorted(polys))
         images[i] = img
 
     linear = all(len(mono) <= 1 for p, _ in equations for mono in p) and all(
@@ -624,13 +615,13 @@ def dga_map_solve(
         # unknown i is column i and the constant term is column nparams; a
         # pivot there is a row 0 = c, first reached by an inconsistent equation
         system = Echelon()
-        for poly, note in equations:
+        for poly, (what, name, key) in equations:
             system.add({mono[0] if mono else nparams: c for mono, c in poly.items()})
             if system.pivots and system.pivots[-1] == nparams:
                 return MapSolveResult(
                     "unsatisfiable",
                     None,
-                    f"inconsistent equation: {note}",
+                    f"inconsistent equation: {what} at {name!r}, coordinate {alg.monomial(key)}",
                     nparams,
                     len(equations),
                 )
@@ -720,7 +711,7 @@ def formality_report(
 
     if full_formality(c) == OVERALL_FORMAL:
         report.overall = OVERALL_FORMAL
-        report.mark_formal_upto(
+        report.add(
             Evidence(
                 "rationally-abelian",
                 k_max,
@@ -730,7 +721,7 @@ def formality_report(
         )
         return report
     report.overall = OVERALL_NOT_FORMAL
-    report.add_info(
+    report.add(
         Evidence(
             "rationally-abelian",
             k_max,
@@ -743,7 +734,7 @@ def formality_report(
     if is_twostep(c):
         v = generated_in_degree_one_upto(c, k_max + 1)
         if v.generated:
-            report.mark_formal_upto(
+            report.add(
                 Evidence(
                     "two-step-decision",
                     k_max,
@@ -754,7 +745,7 @@ def formality_report(
             )
         else:
             q = v.failure_degree
-            report.mark_formal_upto(
+            report.add(
                 Evidence(
                     "two-step-decision",
                     q - 2,
@@ -762,7 +753,7 @@ def formality_report(
                     f"2-step model generated in degree one up to H^{q - 1}",
                 )
             )
-            report.mark_not_formal_from(
+            report.add(
                 Evidence(
                     "two-step-decision",
                     q - 1,
@@ -776,25 +767,25 @@ def formality_report(
 
     ev = obstruction_generation(c, k_max)
     if ev is not None:
-        report.mark_not_formal_from(ev)
+        report.add(ev)
     # a resonance point at or above the least not-formal degree decides nothing
     s = k_max if report.least_not_formal is None else report.least_not_formal - 1
     ev = obstruction_resonance(c, s, seed=seed)
     if ev is not None:
-        report.mark_not_formal_from(ev)
+        report.add(ev)
 
     # the largest k not ruled out, >= 0; the certificate falls back to the largest it can certify
     k = k_max if report.least_not_formal is None else report.least_not_formal - 1
-    report.mark_formal_upto(certify_prop_art(c, k, decomposition))
+    report.add(certify_prop_art(c, k, decomposition))
 
-    if report.verdict(min(1, k_max)) == INCONCLUSIVE and k_max >= 1:
+    if k_max >= 1 and report.verdict(1) == INCONCLUSIVE:
         try:
             tower = bigraded_tower(c, stage_cap=TOWER_CAP)
             # stage-0 generator i is fixed to H^1 representative i
             constraints = dict(zip(tower.stages[0], c.cohomology(1).representatives))
             res = dga_map_solve(tower.cdga, c, constraints)
             if res.status == "unsatisfiable":
-                report.mark_not_formal_from(
+                report.add(
                     Evidence(
                         "morphism-solver",
                         1,
@@ -805,7 +796,7 @@ def formality_report(
                     )
                 )
             elif res.status == "solution" and tower.stabilized:
-                report.mark_formal_upto(
+                report.add(
                     Evidence(
                         "morphism-solver",
                         1,
@@ -822,10 +813,10 @@ def formality_report(
                     detail += (
                         f"; the degree-1 tower was truncated at stage cap {TOWER_CAP}"
                     )
-                report.add_info(Evidence("morphism-solver", 1, "info", detail))
+                report.add(Evidence("morphism-solver", 1, "info", detail))
         except EliminationBoundError as exc:
             report.bound_exceeded = True
-            report.add_info(
+            report.add(
                 Evidence(
                     "morphism-solver",
                     1,

@@ -221,14 +221,8 @@ class Algebra:
         return [t for t in tokens if t]
 
     def _parse_sum(self, tokens: list[str], pos: int) -> tuple[Multivector, int]:
-        sign = 1
-        while pos < len(tokens) and tokens[pos] in "+-":
-            if tokens[pos] == "-":
-                sign = -sign
-            pos += 1
-        value, pos = self._parse_term(tokens, pos)
-        total = value if sign > 0 else -value
-        while pos < len(tokens) and tokens[pos] in "+-":
+        total = self.zero()
+        while True:
             sign = 1
             while pos < len(tokens) and tokens[pos] in "+-":
                 if tokens[pos] == "-":
@@ -236,7 +230,8 @@ class Algebra:
                 pos += 1
             value, pos = self._parse_term(tokens, pos)
             total = total + (value if sign > 0 else -value)
-        return total, pos
+            if pos >= len(tokens) or tokens[pos] not in "+-":
+                return total, pos
 
     def _parse_term(self, tokens: list[str], pos: int) -> tuple[Multivector, int]:
         value, pos = self._parse_factor(tokens, pos)
@@ -258,18 +253,17 @@ class Algebra:
             return self.scalar(Fraction(tok)), pos + 1
         if tok in ("^", "*", "+", "-", ")"):
             raise AlgebraError(f"unexpected token {tok!r}")
-        base = self.gen(tok)
+        i = self.index_of(tok)
         pos += 1
+        exp = 1
         if pos < len(tokens) and tokens[pos] == "^":
             if pos + 1 >= len(tokens) or not tokens[pos + 1].isdigit():
                 raise AlgebraError("expected integer exponent after '^'")
             exp = int(tokens[pos + 1])
             pos += 2
-            value = self.one()
-            for _ in range(exp):
-                value = value * base
-            return value, pos
-        return base, pos
+        if exp >= 2 and self._parity[i]:
+            return self.zero(), pos
+        return self.monomial((i,) * exp), pos
 
 
 class Multivector:

@@ -1,8 +1,8 @@
 """Cohomology ring presentations truncated at a degree cutoff.
 
-A presentation stores per-degree class bases of a CDGA's cohomology plus
-its own lazily computed structure constants; only products of total degree
-at most the cutoff are available.  The degree-1 questions need none of it.
+A presentation stores per-degree class bases of a CDGA's cohomology and
+reads structure constants off them when asked; only products of total
+degree at most the cutoff are available.  The degree-1 questions need none of it.
 The characteristic subspace, the kernel of multiplication from the second
 exterior power of H^1 into H^2, is the kernel of the CDGA's wedge table.
 The degree-1 generation test is one climb on the coordinate model's
@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
-from .cdga import CDGA, coordinate_model
+from .cdga import CDGA, coordinate_model, product_row
 from .gca import Algebra, Multivector
 from .linalg import Row, SparseMatrix, Vec
 
@@ -27,7 +27,9 @@ class CutoffError(ValueError):
 
 
 class RingPresentation:
-    """Truncated cohomology ring of a CDGA; it computes and keeps its own structure constants."""
+    """Truncated cohomology ring of a CDGA: its class bases up to the cutoff,
+    built when it is made, with the integer pencil rows of
+    `class_multiplication` as the one memo of products."""
 
     def __init__(self, source: CDGA, max_degree: int):
         if max_degree < 1:
@@ -35,7 +37,6 @@ class RingPresentation:
         self.source = source
         self.max_degree = max_degree
         self._bases = {q: source.cohomology(q) for q in range(max_degree + 1)}
-        self._products: dict[tuple[int, int, int, int], Vec] = {}
         self._labels: dict[int, tuple[str, ...]] = {}
         self._pencil: dict[tuple[int, int], tuple[int, list[Row]]] = {}
         self._point: tuple | None = None
@@ -66,38 +67,20 @@ class RingPresentation:
         return cached
 
     def product_coords(self, qa: int, ia: int, qb: int, ib: int) -> Vec:
-        """Sparse class coordinates of the product of two basis classes."""
+        """Sparse class coordinates of the product of two basis classes.
+
+        The representatives are integer rows, so their `product_row` is taken
+        in integers, and a product of cocycles is closed, so it skips the check
+        that ``coordinates`` makes.  Nothing is kept: `class_multiplication`
+        memoizes the rows it reads.
+        """
         q = qa + qb
         if q > self.max_degree:
             raise CutoffError(
                 f"product degree {q} beyond cutoff {self.max_degree}"
             )
-        if (qa, ia) > (qb, ib):
-            base = self.product_coords(qb, ib, qa, ia)
-            if qa % 2 and qb % 2:
-                return {j: -c for j, c in base.items()}
-            return base
-        key = (qa, ia, qb, ib)
-        cached = self._products.get(key)
-        if cached is None:
-            # representative checks both indices, so only valid keys are cached;
-            # the representatives are integer rows, so the product is taken in
-            # integers, and a product of cocycles is closed, so it skips the
-            # check that ``coordinates`` makes
-            a = self.representative(qa, ia).terms
-            b = self.representative(qb, ib).terms
-            alg = self.source.algebra
-            index = alg.basis_index(q)
-            prod: Row = {}
-            for ma, ca in a.items():
-                ca = ca.numerator
-                for mb, cb in b.items():
-                    m = alg.monomial_product(ma, mb)
-                    if m is not None:
-                        k = index[m[1]]
-                        prod[k] = prod.get(k, 0) + m[0] * ca * cb.numerator
-            cached = self._products[key] = self._bases[q]._classes(prod)
-        return cached
+        a, b = self.representative(qa, ia), self.representative(qb, ib)
+        return self._bases[q]._classes(product_row(self.source.algebra, a, b, q))
 
     def class_multiplication(self, q: int, i: int) -> tuple[int, list[Row]]:
         """(D, rows) of D times multiplication by degree-1 class i, H^q -> H^(q+1).

@@ -291,7 +291,7 @@ def test_ac10_prop_k2_rule():
     rep = FormalityReport(3)
     cert = certify_prop_art(ab2, 1)
     assert cert is not None and cert.k == 1
-    rep.mark_formal_upto(cert)
+    rep.add(cert)
     fired = infer_prop_k2(rep, ab2, 1)
     assert fired is not None and fired.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
@@ -301,7 +301,7 @@ def test_ac10_prop_k2_rule():
     rep2 = FormalityReport(2)
     cert2 = certify_prop_art(h2, 1)
     assert cert2 is not None and cert2.k == 1
-    rep2.mark_formal_upto(cert2)
+    rep2.add(cert2)
     assert infer_prop_k2(rep2, h2, 1) is None
     assert rep2.overall == INCONCLUSIVE
 

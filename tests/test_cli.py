@@ -288,7 +288,7 @@ def test_formality_strict_exits_three_on_bound(capsys, monkeypatch):
     def fake_report(c, k_max, *, seed=0, decomposition=None, **kw):
         rep = FormalityReport(k_max)
         rep.bound_exceeded = True
-        rep.add_info(Evidence("morphism-solver", 1, "info", "search skipped"))
+        rep.add(Evidence("morphism-solver", 1, "info", "search skipped"))
         return rep
 
     monkeypatch.setattr("nilform.formality.formality_report", fake_report)

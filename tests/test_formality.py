@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilform import cdga, cli, formality, resonance, ring
 from nilform.catalog import (
@@ -62,7 +64,12 @@ from nilform.ring import (
     generated_in_degree_one_upto,
 )
 from test_ring import NON_COORDINATE_CLOSED, REPRESENTATIVE_MODELS
-from tracked_reference import full_scan, reference_bigraded_tower, reference_characteristic_subspace
+from tracked_reference import (
+    ReferenceReport,
+    full_scan,
+    reference_bigraded_tower,
+    reference_characteristic_subspace,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -87,8 +94,8 @@ def test_report_marking_and_extremes():
     rep = FormalityReport(4)
     assert rep.verdicts() == [INCONCLUSIVE] * 5
     assert rep.best_formal is None and rep.least_not_formal is None
-    rep.mark_formal_upto(Evidence("generation", 1, "formal", "a"))
-    rep.mark_not_formal_from(Evidence("generation", 3, "not_formal", "b"))
+    rep.add(Evidence("generation", 1, "formal", "a"))
+    rep.add(Evidence("generation", 3, "not_formal", "b"))
     assert rep.verdicts() == [FORMAL, FORMAL, INCONCLUSIVE, NOT_FORMAL, NOT_FORMAL]
     assert rep.best_formal == 1
     assert rep.least_not_formal == 3
@@ -96,9 +103,9 @@ def test_report_marking_and_extremes():
 
 def test_report_conflict_raises():
     rep = FormalityReport(2)
-    rep.mark_formal_upto(Evidence("generation", 2, "formal", "a"))
+    rep.add(Evidence("generation", 2, "formal", "a"))
     with pytest.raises(RuntimeError):
-        rep.mark_not_formal_from(Evidence("generation", 1, "not_formal", "b"))
+        rep.add(Evidence("generation", 1, "not_formal", "b"))
 
 
 def test_report_verdict_range_checked():
@@ -113,10 +120,38 @@ def test_sorted_evidence_is_deterministic():
     rep = FormalityReport(1)
     first = Evidence("resonance", 1, "info", "b")
     second = Evidence("generation", 0, "info", "a")
-    rep.add_info(first)
-    rep.add_info(second)
+    rep.add(first)
+    rep.add(second)
     # evidence is kept in the order the rules add it
     assert rep.evidence == [first, second]
+
+
+@given(st.data())
+def test_report_verdicts_match_the_per_degree_marking(data):
+    """Any evidence sequence gives the verdicts, extremes and evidence of
+    ``ReferenceReport``'s per-degree list, and a conflict at the same item
+    with the same message, after which neither report has kept the item."""
+    k_max = data.draw(st.integers(0, 4))
+    evidence = st.builds(
+        Evidence,
+        st.sampled_from(formality.RULES),
+        st.integers(-2, k_max + 2),
+        st.sampled_from(["formal", "not_formal", "info"]),
+        st.just("x"),
+    )
+    rep, ref = FormalityReport(k_max), ReferenceReport(k_max)
+    for ev in data.draw(st.lists(evidence, max_size=10)):
+        try:
+            ref.add(ev)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                rep.add(ev)
+            assert rep.evidence == ref.evidence
+            break
+        rep.add(ev)
+        assert rep.verdicts() == ref.verdicts()
+        assert (rep.best_formal, rep.least_not_formal) == (ref.best_formal, ref.least_not_formal)
+        assert rep.evidence == ref.evidence
 
 
 # -- model preconditions --------------------------------------------------
@@ -654,7 +689,7 @@ def test_twostep_decision_heisenberg_type():
 def test_prop_k2_upgrade_fires_for_small_top_degree():
     c = free_abelian(["e1", "e2"])
     rep = FormalityReport(3)
-    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
+    rep.add(Evidence("prop-art-certificate", 1, "formal", "seed"))
     ev = infer_prop_k2(rep, c, 1)
     assert ev is not None and ev.rule == "prop-k+2"
     assert rep.overall == OVERALL_FORMAL
@@ -664,7 +699,7 @@ def test_prop_k2_upgrade_fires_for_small_top_degree():
 def test_prop_k2_upgrade_needs_vanishing_top():
     c = heisenberg(2)
     rep = FormalityReport(2)
-    rep.mark_formal_upto(Evidence("prop-art-certificate", 1, "formal", "seed"))
+    rep.add(Evidence("prop-art-certificate", 1, "formal", "seed"))
     assert infer_prop_k2(rep, c, 1) is None
     assert rep.overall == INCONCLUSIVE
 

@@ -230,3 +230,23 @@ def test_deeply_nested_parentheses_are_an_algebra_error(e4):
     with pytest.raises(AlgebraError, match="nested too deeply"):
         e4.parse("(" * 600 + "x1" + ")" * 600)
     assert e4.parse("(" * 50 + "x1 + y1" + ")" * 50) == e4.parse("x1 + y1")
+
+
+def test_a_power_is_one_monomial(monkeypatch, e4):
+    # x^N of an odd x is zero from N = 2 on, read without multiplying
+    monkeypatch.setattr(Multivector, "__mul__", None)
+    assert e4.parse("x1^1000000").is_zero()
+    assert e4.parse("x1^2 + y1") == e4.gen("y1")
+    assert e4.parse("x1^1") == e4.gen("x1")
+    assert e4.parse("x1^0") == e4.one() == e4.parse("y1^0")
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_an_even_power_is_the_repeated_product(n):
+    alg = Algebra([("x", 1), ("u", 2), ("e", 3), ("w", 4)])
+    for name in ("u", "w"):
+        product = alg.one()
+        for _ in range(n):
+            product = product * alg.gen(name)
+        assert alg.parse(f"{name}^{n}") == product
+        assert alg.parse(f"x*{name}^{n}*e") == alg.gen("x") * product * alg.gen("e")

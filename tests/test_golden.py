@@ -88,6 +88,8 @@ COMMANDS = (
     # formed off the F_p pivots of map 2
     ("resonance", "--preset", "heisenberg_type:2,5", "--q", "3", "--point", "x1 + 2*y2"),
     ("resonance", "--preset", "heisenberg_type:2,5", "--q", "3", "--point", "x1 + t5"),
+    # a power is one monomial: the answer of x1^2, with no loop over the exponent
+    ("resonance", "--preset", "heisenberg:1", "--point", "x1^100000000"),
 )
 
 

@@ -29,7 +29,14 @@ from nilform.cdga import CDGA, NotACocycle, apply_chain_map, coordinate_model, d
 from nilform.formality import formality_report, is_twostep
 from nilform.gca import Algebra
 from nilform.linalg import Echelon
-from tracked_reference import _WalkEchelon, full_scan, multiply_coords, reference_product_coords, residual
+from tracked_reference import (
+    _WalkEchelon,
+    full_scan,
+    multiply_coords,
+    reference_product_coords,
+    reference_wedge_table,
+    residual,
+)
 from nilform.ring import (
     CutoffError,
     GenerationVerdict,
@@ -419,10 +426,16 @@ STRUCTURE_MODELS = [
 
 @pytest.mark.parametrize("build", STRUCTURE_MODELS)
 def test_structure_constants_match_the_fraction_path(build):
-    """Every product of two classes: integer products of the representatives,
-    one fraction-free reduction, against the product of the multivectors and
-    ``coordinates``, entry for entry and in the same order."""
+    """Every product of two classes, and every entry of the wedge table: integer
+    products of the representatives, one fraction-free reduction, against the
+    product of the multivectors, read by ``coordinates`` or reduced modulo B^2,
+    entry for entry and in the same order."""
     c = build()
+    want = reference_wedge_table(c)
+    assert list(c.wedge_table) == list(want)
+    for pair, got in c.wedge_table.items():
+        assert list(got.items()) == list(want[pair].items())
+        assert all(type(v) is Fraction for v in got.values())
     top = c.algebra.top_degree()
     r = from_cdga(c, top)
     for qa in range(top + 1):
@@ -555,11 +568,7 @@ def test_class_indices_are_checked():
         r.representative(1, -1)
     with pytest.raises(IndexError, match="no class 4 in degree 1"):
         r.representative(1, 4)
-    assert not r._products
     assert r.product_coords(1, 0, 1, 3) == {1: Fraction(1)}  # x1 * y2
-    assert set(r._products) == {(1, 0, 1, 3)}
-    # the presentation owns its structure constants: another of c starts empty
-    assert not from_cdga(c, 5)._products
 
 
 def test_dropped_ring_is_freed_without_the_cycle_collector():

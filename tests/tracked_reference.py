@@ -14,6 +14,11 @@ vector r / s, in r's key order.
 ``reference_product_coords`` takes a structure constant the ``Fraction``
 way: the two representatives multiplied as multivectors, and the product's
 class coordinates read by ``CohomologyBasis.coordinates``.
+``reference_wedge_table`` reads the wedge table the same way, each pair of
+H^1 representatives multiplied as multivectors and reduced modulo B^2.
+``ReferenceReport`` keeps the report's per-degree verdict list and its three
+marking methods, one per evidence kind, that the report's two numbers
+replace.
 ``full_scan`` is the degree-1 generation test on the ring: in each degree
 it ranks every product H^(q-1) x H^1 of basis classes, with no full-rank
 stop, so it forms structure constants where the climb on cochains ranks
@@ -26,7 +31,8 @@ first wave ranks the H^2 of the exterior algebra on the stage-0 symbols.
 
 from fractions import Fraction
 
-from nilform.cdga import CDGA, hirsch_extend
+from nilform.cdga import CDGA, dict_coords, hirsch_extend
+from nilform.formality import FORMAL, INCONCLUSIVE, NOT_FORMAL
 from nilform.gca import Generator
 from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, row_primitive, to_int_row
 from nilform.ring import GenerationVerdict, class_symbol_algebra
@@ -100,6 +106,63 @@ class _WalkEchelon:
 def reference_product_coords(ring, qa, ia, qb, ib):
     prod = ring.representative(qa, ia) * ring.representative(qb, ib)
     return ring.basis(qa + qb).coordinates(prod)
+
+
+def reference_wedge_table(c):
+    reps, alg = c.cohomology(1).representatives, c.algebra
+    return {
+        (i, j): residual(c.coboundaries(2), dict_coords(alg, reps[i] * reps[j], 2))
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    }
+
+
+class ReferenceReport:
+    """A verdict list per degree, marked up to or from ``ev.k`` by the evidence kind."""
+
+    def __init__(self, k_max):
+        self.k_max = k_max
+        self._verdicts = [INCONCLUSIVE] * (k_max + 1)
+        self.evidence = []
+
+    def verdicts(self):
+        return list(self._verdicts)
+
+    def add(self, ev):
+        {
+            "formal": self.mark_formal_upto,
+            "not_formal": self.mark_not_formal_from,
+            "info": self.evidence.append,
+        }[ev.kind](ev)
+
+    def mark_formal_upto(self, ev):
+        for j in range(0, min(ev.k, self.k_max) + 1):
+            if self._verdicts[j] == NOT_FORMAL:
+                raise RuntimeError(f"conflicting certificates: degree {j} is already not formal")
+            self._verdicts[j] = FORMAL
+        self.evidence.append(ev)
+
+    def mark_not_formal_from(self, ev):
+        for j in range(max(ev.k, 0), self.k_max + 1):
+            if self._verdicts[j] == FORMAL:
+                raise RuntimeError(f"conflicting certificates: degree {j} is already formal")
+            self._verdicts[j] = NOT_FORMAL
+        self.evidence.append(ev)
+
+    @property
+    def best_formal(self):
+        best = None
+        for k, v in enumerate(self._verdicts):
+            if v == FORMAL:
+                best = k
+        return best
+
+    @property
+    def least_not_formal(self):
+        for k, v in enumerate(self._verdicts):
+            if v == NOT_FORMAL:
+                return k
+        return None
 
 
 def reference_characteristic_subspace(ring):
