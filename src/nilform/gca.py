@@ -60,6 +60,7 @@ class Algebra:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._parity = tuple(g.degree % 2 for g in gens)
         self._degrees = tuple(g.degree for g in gens)
+        self._top = None if 0 in self._parity else sum(self._degrees)
         self._bases: list[tuple[Monomial, ...]] = [((),)]
         self._basis_index_cache: dict[int, dict[Monomial, int]] = {}
 
@@ -101,15 +102,9 @@ class Algebra:
     def degree_of(self, mono: Monomial) -> int:
         return sum(self._degrees[i] for i in mono)
 
-    @property
-    def has_even_generators(self) -> bool:
-        return any(p == 0 for p in self._parity)
-
     def top_degree(self) -> int | None:
         """Largest degree with a nonempty basis, None when unbounded."""
-        if self.has_even_generators:
-            return None
-        return sum(self._degrees)
+        return self._top
 
     # -- canonical bases -------------------------------------------------
 
@@ -118,8 +113,9 @@ class Algebra:
 
         Every degree up to q is built once, in increasing order: a monomial of degree p
         ending in i is one of degree p - deg g_i ending below i (or at i, g_i even), and i.
+        Above a finite top degree the basis is empty, and nothing is built.
         """
-        if q < 0:
+        if q < 0 or self._top is not None and q > self._top:
             return ()
         bases, degrees, parity = self._bases, self._degrees, self._parity
         for p in range(len(bases), q + 1):
@@ -250,7 +246,10 @@ class Algebra:
                 raise AlgebraError("unbalanced parenthesis")
             return value, pos + 1
         if re.fullmatch(r"\d+(/\d+)?", tok):
-            return self.scalar(Fraction(tok)), pos + 1
+            try:
+                return self.scalar(Fraction(tok)), pos + 1
+            except ZeroDivisionError:
+                raise AlgebraError(f"zero denominator in {tok!r}") from None
         if tok in ("^", "*", "+", "-", ")"):
             raise AlgebraError(f"unexpected token {tok!r}")
         i = self.index_of(tok)

@@ -6,8 +6,10 @@ eliminated fraction-free, in integers, and a reduction returns its residual
 as an integer row over one positive denominator, so no floating point ever
 enters and a ``Fraction`` is built only where a caller reads one.  Ranks
 are exact.  A single word-sized prime, ``_FAST_PRIME``, gives the F_p pivots
-the resonance pencils are first ranked by: a full rank over F_p certifies
-full rank over the rationals.
+the resonance pencils and Macaulay matrices are first ranked by: a full
+rank over F_p certifies full rank over the rationals.  Its pivot rows are
+kept unscaled, so a modular inverse is taken only for a pivot some later
+row is reduced against.
 
 Polynomials are ``dict[tuple[int, ...], Fraction]`` maps from a sorted
 tuple of unknown indices (repeats allowed, ``()`` the constant) to a
@@ -223,14 +225,17 @@ def rank_mod_p(rows: Iterable[Row]) -> int:
 def pivots_mod_p(rows: Iterable[Row]) -> set[int]:
     """Pivot columns of integer rows over F_p, p = ``_FAST_PRIME``.
 
-    Each row is reduced in place against the pivot rows, scaled to 1 at their
-    pivot and taken off a heap of the pivots it hits, as in ``Echelon.add``:
-    a step touches only the pivot row's columns and drops the zeros it makes.
-    A new pivot row is zero at the earlier pivots, so the input's minor on
-    the pivot columns is nonzero mod p, hence over Q.
+    Each row is reduced in place against the pivot rows, taken off a heap of
+    the pivots it hits, as in ``Echelon.add``: a step touches only the pivot
+    row's columns and drops the zeros it makes.  A pivot row is kept as it
+    was reduced, not scaled to 1 at its pivot; the inverse of that entry is
+    taken when a later row first hits it, and kept, so a pivot no row hits
+    costs no inverse.  A new pivot row is zero at the earlier pivots, so the
+    input's minor on the pivot columns is nonzero mod p, hence over Q.
     """
     p = _FAST_PRIME
     pivots: dict[int, Row] = {}
+    inverses: dict[int, int] = {}
     for raw in rows:
         row = {j: r for j, v in raw.items() if (r := v % p)}
         hits = [j for j in row if j in pivots]
@@ -238,7 +243,11 @@ def pivots_mod_p(rows: Iterable[Row]) -> set[int]:
         while hits:
             if (c := row.get(col := heappop(hits))) is None:  # pushed twice, or cancelled
                 continue
-            for j, v in pivots[col].items():
+            base = pivots[col]
+            if (inv := inverses.get(col)) is None:
+                inv = inverses[col] = pow(base[col], -1, p)
+            c = c * inv % p
+            for j, v in base.items():
                 if j not in row:
                     row[j] = -c * v % p
                     if j in pivots:
@@ -248,8 +257,7 @@ def pivots_mod_p(rows: Iterable[Row]) -> set[int]:
                 else:
                     del row[j]
         if row:
-            inv = pow(row[col := min(row)], -1, p)
-            pivots[col] = {j: v * inv % p for j, v in row.items()}
+            pivots[min(row)] = row
     return set(pivots)
 
 

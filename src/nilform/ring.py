@@ -28,15 +28,18 @@ class CutoffError(ValueError):
 
 class RingPresentation:
     """Truncated cohomology ring of a CDGA: its class bases up to the cutoff,
-    built when it is made, with the integer pencil rows of
-    `class_multiplication` as the one memo of products."""
+    or up to the algebra's top degree below it, built when it is made, with
+    the integer pencil rows of `class_multiplication` as the one memo of
+    products.  A zero basis above the top degree is built when asked for."""
 
     def __init__(self, source: CDGA, max_degree: int):
         if max_degree < 1:
             raise ValueError(f"cutoff must be >= 1, got {max_degree}")
         self.source = source
         self.max_degree = max_degree
-        self._bases = {q: source.cohomology(q) for q in range(max_degree + 1)}
+        top = source.algebra.top_degree()
+        eager = max_degree if top is None else min(max_degree, top)
+        self._bases = {q: source.cohomology(q) for q in range(eager + 1)}
         self._labels: dict[int, tuple[str, ...]] = {}
         self._pencil: dict[tuple[int, int], tuple[int, list[Row]]] = {}
         self._point: tuple | None = None
@@ -57,6 +60,8 @@ class RingPresentation:
     def basis(self, q: int):
         if not 0 <= q <= self.max_degree:
             raise CutoffError(f"degree {q} beyond cutoff {self.max_degree}")
+        if q not in self._bases:
+            self._bases[q] = self.source.cohomology(q)
         return self._bases[q]
 
     def labels(self, q: int) -> tuple[str, ...]:
@@ -80,7 +85,7 @@ class RingPresentation:
                 f"product degree {q} beyond cutoff {self.max_degree}"
             )
         a, b = self.representative(qa, ia), self.representative(qb, ib)
-        return self._bases[q]._classes(product_row(self.source.algebra, a, b, q))
+        return self.basis(q)._classes(product_row(self.source.algebra, a, b, q))
 
     def class_multiplication(self, q: int, i: int) -> tuple[int, list[Row]]:
         """(D, rows) of D times multiplication by degree-1 class i, H^q -> H^(q+1).

@@ -171,6 +171,20 @@ def test_deeply_nested_parentheses_are_an_input_error(capsys, argv):
     assert err == "error: parentheses nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["resonance", "--preset", "heisenberg:2", "--q", "3", "--point", "1/0*x1"], "1/0"),
+        (["formality", "--preset", "example_contr:p=y1*y2 + 2/0*x1*y2"], "2/0"),
+    ],
+    ids=["point", "preset-form"],
+)
+def test_a_zero_denominator_is_an_input_error(capsys, argv, token):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: zero denominator in '{token}'\n"
+
+
 def test_resonance_witnesses_parse_back_as_points(capsys, tmp_path):
     # a witness is printed in the class symbols, which --point parses, also
     # where a representative is no identifier and the symbols are a0, a1, ...

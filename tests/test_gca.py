@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilform.catalog import central_extension
 from nilform.gca import (
     Algebra,
     AlgebraError,
@@ -109,6 +110,15 @@ def test_even_generators_admit_powers():
     assert alg.basis(4) == ((0, 0),)
     assert alg.basis(5) == ((0, 1),)
     assert alg.parse("c^3").coefficient((0, 0, 0)) == 1
+
+
+def test_a_degree_above_the_top_builds_nothing():
+    # no degree between the top and the one asked for is built or kept
+    alg = exterior("x", "y", "z")
+    assert alg.basis(10**9) == () and alg.dim(10**8) == 0
+    assert alg.top_degree() == 3 and len(alg._bases) == 1
+    assert alg.basis(3) == ((0, 1, 2),) and alg.basis(4) == ()
+    assert len(alg._bases) == 4
 
 
 def test_a_deep_basis_is_built_without_recursion():
@@ -222,6 +232,16 @@ def test_parse_and_str_round_trip(e4):
         v = e4.parse(text)
         assert e4.parse(str(v)) == v
 
+
+
+def test_a_zero_denominator_is_an_algebra_error(e4):
+    for text in ("1/0*x1", "x1 + 3/00*y1", "(2/0)"):
+        with pytest.raises(AlgebraError, match="zero denominator in '[0-9]+/0+'"):
+            e4.parse(text)
+    # a model's differential strings take the same parser
+    with pytest.raises(AlgebraError, match="zero denominator in '1/0'"):
+        central_extension(["x", "y"], [("z", "1/0*x*y")])
+    assert e4.parse("0/1*x1").is_zero() and e4.parse("0/5") == e4.zero()
 
 
 def test_deeply_nested_parentheses_are_an_algebra_error(e4):

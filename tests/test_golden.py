@@ -90,6 +90,9 @@ COMMANDS = (
     ("resonance", "--preset", "heisenberg_type:2,5", "--q", "3", "--point", "x1 + t5"),
     # a power is one monomial: the answer of x1^2, with no loop over the exponent
     ("resonance", "--preset", "heisenberg:1", "--point", "x1^100000000"),
+    # a degree far above the top degree 5: its class bases are empty and
+    # none of the degrees between is built
+    ("resonance", "--preset", "heisenberg:2", "--q", "99999999", "--point", "x1"),
 )
 
 

@@ -13,6 +13,7 @@ from nilform.linalg import (
     Echelon,
     SparseMatrix,
     groebner_leads,
+    pivots_mod_p,
     poly_value,
     rank_mod_p,
     rank_rows,
@@ -20,7 +21,7 @@ from nilform.linalg import (
     to_int_row,
 )
 from test_ring import REPRESENTATIVE_MODELS
-from tracked_reference import _WalkEchelon, reference_rank_mod_p, residual
+from tracked_reference import _WalkEchelon, reference_pivots_mod_p, reference_rank_mod_p, residual
 
 
 def frac(n, d=1):
@@ -138,6 +139,29 @@ def test_mod_p_rank_matches_the_set_union_walk(rows, repeats):
     """Negative entries, entries = 0 mod p, zero and empty rows, repeated rows."""
     rows = rows + [dict(rows[i % len(rows)]) for i in repeats if rows]
     assert rank_mod_p([dict(r) for r in rows]) == reference_rank_mod_p(rows)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(0, 9), _ENTRIES, max_size=7), max_size=8),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.lists(st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 3)), max_size=3), max_size=4),
+)
+def test_unscaled_pivot_rows_give_the_normalised_pivot_set(rows, repeats, combinations):
+    """Negative entries, entries = 0 mod p, zero and empty rows, repeated rows,
+    and rows that are small combinations of earlier ones, so that a later row
+    meets pivots whose entry is not 1."""
+    if rows:
+        rows = rows + [dict(rows[i % len(rows)]) for i in repeats]
+        for terms in combinations:
+            combo = {}
+            for i, a in terms:
+                for j, v in rows[i % len(rows)].items():
+                    combo[j] = combo.get(j, 0) + a * v
+            rows.append(combo)
+    want = reference_pivots_mod_p(rows)
+    assert pivots_mod_p([dict(r) for r in rows]) == want
+    assert len(want) == reference_rank_mod_p(rows)
 
 
 def test_reduce_is_linear():

@@ -19,6 +19,7 @@ from nilform.ring import (
     from_cdga,
 )
 from nilform.resonance import (
+    EXACT_BOUND,
     decide_r11_trivial,
     find_resonance_point,
     in_resonance,
@@ -29,7 +30,7 @@ from nilform.resonance import (
     r11_quadric_system,
 )
 from test_ring import TOWER_SEEDS, _three_step_tower
-from tracked_reference import reference_mu_complex_dim
+from tracked_reference import reference_mu_complex_dim, reference_pivots_mod_p
 
 
 def unit_point(ring, index):
@@ -655,3 +656,77 @@ def test_heisenberg_points_need_no_exact_rank(monkeypatch):
         assert in_resonance(r, w, 4)
         assert sorted(r.point_maps(w)) == [2, 3, 4]
     assert calls == []
+
+
+# -- the F_p kernel against its normalised reference -----------------------
+
+
+def _checked_pivots(monkeypatch):
+    """Check every `pivots_mod_p` call resonance makes against the reference,
+    which scales each pivot row to 1; returns the pivot sets, in call order."""
+    import nilform.resonance as res
+
+    real, sets = res.pivots_mod_p, []
+
+    def checked(rows):
+        rows = list(rows)  # the Macaulay rows come as a generator
+        got = real(rows)
+        assert got == reference_pivots_mod_p(rows)
+        sets.append(got)
+        return got
+
+    monkeypatch.setattr(res, "pivots_mod_p", checked)
+    return sets
+
+
+SWEEP_RINGS = {
+    "heisenberg(4)@5": lambda: from_cdga(heisenberg(4), 5),
+    "h2xt@4": SANDWICH_RINGS["h2xt@4"],
+    "h1xh1@4": SANDWICH_RINGS["h1xh1@4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RINGS))
+def test_every_pencil_pivot_set_equals_the_normalised_one(monkeypatch, name):
+    r = SWEEP_RINGS[name]()
+    degrees = range(min(r.max_degree, 5))
+    sets = _checked_pivots(monkeypatch)
+    for w in _sandwich_points(r, name, 61):
+        # a sweep up, which forms map d off the pivots of map d-1, then each degree alone
+        dims = [mu_complex_dim(r, w, q) for q in degrees]
+        for q in degrees:
+            r.point_maps(())  # no point has this key, so the memo starts empty
+            assert mu_complex_dim(r, w, q) == dims[q], (w, q)
+    # pivot sets that are not the first columns of their map occur
+    assert len(sets) > 50 and any(s and max(s) >= len(s) for s in sets)
+
+
+def test_the_macaulay_certificate_decides_as_with_normalised_pivot_rows(monkeypatch):
+    from nilform.resonance import _zero_locus_is_origin
+    from test_formality import _formality_mix_models
+
+    catalog = [heisenberg(n) for n in (1, 2, 3, 4)] + [
+        heisenberg_type(1, 3),
+        heisenberg_type(2, 5),
+        example_initial(),
+        *(example_contr(p) for p in ("0", "y1*y2", "x1*y2", "x1*x2 - 2*y1*z")),
+    ]
+    systems = []
+    for c in catalog + _formality_mix_models(seeds=(3,)):
+        sub = characteristic_subspace(c)
+        if 0 < sub.dim <= EXACT_BOUND:
+            systems.append((sub.dim, r11_quadric_system(sub).forms))
+    # those are 1- and 2-dimensional; the seeded systems reach m = 4
+    for m, forms, moved in _seeded_quadric_systems():
+        systems += [(m, forms)] + [(m, other) for other in moved]
+
+    def decide():
+        return [_zero_locus_is_origin(forms, m) for m, forms in systems]
+
+    with monkeypatch.context() as patch:
+        patch.setattr("nilform.resonance.pivots_mod_p", reference_pivots_mod_p)
+        want = decide()
+    sets = _checked_pivots(monkeypatch)
+    assert decide() == want
+    # both answers occur, and the certificate ranked a Macaulay matrix
+    assert set(want) == {True, False} and sets

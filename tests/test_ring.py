@@ -67,6 +67,23 @@ def test_cutoff_enforced():
         from_cdga(heisenberg(1), 0)
 
 
+def test_a_cutoff_above_the_top_degree_builds_no_empty_degrees(monkeypatch):
+    built = []
+    real = CDGA.cohomology
+    monkeypatch.setattr(CDGA, "cohomology", lambda c, q: built.append(q) or real(c, q))
+    c = heisenberg(2)
+    r = from_cdga(c, 10**6)
+    # degrees 0..5, the top degree, and none of the zero ones above it
+    assert built == list(range(6))
+    assert r.dim(10**6) == r.dim(7) == 0 and r.basis(999_999).representatives == ()
+    assert built == list(range(6)) + [10**6, 7, 999_999]
+    # a product into a zero degree reads the basis it builds there
+    assert r.product_coords(3, 0, 5, 0) == {} and built[-1] == 8
+    # the cutoff is still enforced above the top degree
+    with pytest.raises(CutoffError):
+        r.dim(10**6 + 1)
+
+
 def test_labels_are_representative_strings():
     r = from_cdga(heisenberg(2), 2)
     assert r.labels(1) == ("x1", "y1", "x2", "y2")

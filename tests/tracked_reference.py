@@ -9,6 +9,9 @@ class coordinates can be checked against it.
 bilinear ``multiply_coords`` in ``Fraction`` arithmetic and ranks it with
 ``_WalkEchelon``, with no pencil and no F_p rank.
 ``reference_rank_mod_p`` rebuilds the row from a set union at every step.
+``reference_pivots_mod_p`` is the heap elimination of ``pivots_mod_p`` with
+every pivot row scaled to 1 at its pivot when it is stored, so each step
+subtracts the plain multiple c of a normalised row.
 ``residual`` reads the fraction-free ``(r, s)`` of ``Echelon.reduce`` as the
 vector r / s, in r's key order.
 ``reference_product_coords`` takes a structure constant the ``Fraction``
@@ -30,6 +33,7 @@ first wave ranks the H^2 of the exterior algebra on the stage-0 symbols.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from nilform.cdga import CDGA, dict_coords, hirsch_extend
 from nilform.formality import FORMAL, INCONCLUSIVE, NOT_FORMAL
@@ -280,3 +284,28 @@ def reference_rank_mod_p(rows):
                 if (v := (row.get(j, 0) - c * base.get(j, 0)) % p)
             }
     return len(pivots)
+
+
+def reference_pivots_mod_p(rows):
+    p = _FAST_PRIME
+    pivots = {}
+    for raw in rows:
+        row = {j: r for j, v in raw.items() if (r := v % p)}
+        hits = [j for j in row if j in pivots]
+        heapify(hits)
+        while hits:
+            if (c := row.get(col := heappop(hits))) is None:
+                continue
+            for j, v in pivots[col].items():
+                if j not in row:
+                    row[j] = -c * v % p
+                    if j in pivots:
+                        heappush(hits, j)
+                elif r := (row[j] - c * v) % p:
+                    row[j] = r
+                else:
+                    del row[j]
+        if row:
+            inv = pow(row[col := min(row)], -1, p)
+            pivots[col] = {j: v * inv % p for j, v in row.items()}
+    return set(pivots)
