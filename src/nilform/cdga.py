@@ -197,9 +197,6 @@ class CDGA:
         """dim A^q - rank d_q - rank d_(q-1), from two ranks and no class basis."""
         return self.algebra.dim(q) - self.rank(q) - self.rank(q - 1)
 
-    def betti_numbers(self, q_max: int) -> list[int]:
-        return [self.betti(q) for q in range(q_max + 1)]
-
     @cached_property
     def _coordinates(self) -> tuple[frozenset[int], CDGA | None]:
         """`coordinate_model` as (pivots, d' model), with None for self, so
@@ -332,18 +329,27 @@ def _row_pass(d: SparseMatrix) -> tuple[Echelon, list[int]]:
     return ech, [i for i in sorted(eqs) if ech.add(eqs[i])]
 
 
+def cocycle_rows(d: SparseMatrix, skip: Iterable[int] = ()) -> tuple[list[tuple[int, Row]], list[int]]:
+    """(f, primitive k_f, positive at f) for each free column f of d not in ``skip``:
+    the reduced echelon basis of ker d, least-index pivots first; and the rows of d
+    that raised the rank of its `_row_pass`.  The equations, columns reversed, pivot
+    on their last columns, so each k_f of ``Echelon.null_vectors`` is zero left of f
+    and at the other free columns: the one such basis, whatever d's row order."""
+    ech, raised = _row_pass(d)
+    last, skip = d.ncols - 1, set(skip)
+    columns = [last - f for f in range(last + 1) if f not in skip]
+    rows = [(last - j, {last - i: v for i, v in k.items()}) for j, k in ech.null_vectors(columns)]
+    return rows, raised
+
+
 class CohomologyBasis:
     """Deterministic basis of H^q with exact reduction onto class coordinates.
 
     The representatives are the reduced echelon basis of the cocycles that
     vanish at every pivot of the coboundary space: primitive integer rows
     with strictly increasing least-index pivots, each zero at the others'
-    pivots.  They are read off one row reduction of d_q: eliminated with
-    its columns in reverse order, the equations d_q(z) = 0 pivot on their
-    last columns, and ``Echelon.null_vectors`` gives one null vector k_f
-    per free column f, with entries at f and at the pivots of the rows
-    holding f.  Those pivots lie right of f, so k_f is zero left of f and
-    at the other free columns: the k_f are the reduced echelon basis of
+    pivots.  They are read off one row reduction of d_q, `cocycle_rows`,
+    whose k_f, one per free column f, are the reduced echelon basis of
     Z^q.  The image B^q lies in Z^q, so its pivots are free columns too,
     and the k_f with f not among them are the representatives.
 
@@ -370,9 +376,8 @@ class CohomologyBasis:
         self._d_prev = cdga.differential_matrix(degree - 1)
         self._coboundaries = cdga._coboundaries
         image_pivots = cdga.image_pivots(degree)
-        ech, cdga._image_pivots[degree + 1] = _row_pass(self._d)
+        rows, cdga._image_pivots[degree + 1] = cocycle_rows(self._d, image_pivots)
         basis = alg.basis(degree)
-        rows = self._cocycle_rows(ech, image_pivots)
         self.representatives = tuple(
             Multivector(alg, {basis[j]: Fraction(row[j]) for j in sorted(row)})
             for _, row in rows
@@ -384,16 +389,6 @@ class CohomologyBasis:
     def _image(self) -> Echelon:
         """B^q, the CDGA's `coboundaries` (q), read on the first reduction."""
         return _column_echelon(self._coboundaries, self._d_prev, self.degree)
-
-    def _cocycle_rows(self, ech: Echelon, image_pivots: list[int]) -> list[tuple[int, Row]]:
-        """(f, primitive k_f, positive at f) for the free columns f that are not image pivots."""
-        last = self._d.ncols - 1
-        skip = set(image_pivots)
-        columns = [last - f for f in range(last + 1) if f not in skip]
-        return [
-            (last - j, {last - i: v for i, v in k.items()})
-            for j, k in ech.null_vectors(columns)
-        ]
 
     @property
     def dim(self) -> int:

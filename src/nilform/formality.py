@@ -18,7 +18,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cdga import CDGA, apply_chain_map, coordinate_model, dict_coords, hirsch_extend
+from .cdga import CDGA, apply_chain_map, cocycle_rows, coordinate_model, dict_coords, hirsch_extend
 from .gca import AlgebraError, Generator, Monomial, Multivector
 from .linalg import Echelon, Poly, SparseMatrix, Vec, groebner_leads, poly_value
 from .resonance import decide_r11_trivial, find_resonance_point
@@ -384,10 +384,6 @@ class BigradedTower(NamedTuple):
     stages: list[list[str]]
     stabilized: bool
 
-    @property
-    def stage_dims(self) -> list[int]:
-        return [len(s) for s in self.stages]
-
 
 def _unique_name(base: str, taken: set[str]) -> str:
     name = base
@@ -409,6 +405,14 @@ def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
     form sum a g_i g_j maps to sum a z_i z_j, read in ``c.wedge_table``, over
     its terms in stage 0.  There every form is a class, so stage 1 is the
     characteristic subspace basis, and wave 1 reads no H^2 of the tower.
+
+    A stage-s generator has weight s + 1, and d keeps weight.  After wave
+    w - 1 the tower models h / Gamma_(w+1) h, h the holonomy Lie algebra, so by
+    Hopf's formula its H^2 lies in weight 2, which maps injectively once wave 1
+    killed the characteristic subspace, and in weight w + 1, where B^2 is zero
+    as no 1-form reaches it.  So wave w transgresses Z^2 of weight w + 1, read
+    with no H^2 built: `cocycle_rows` of d on the g_a g_b with stage(a) +
+    stage(b) = w - 1, in basis(2) order, its rows the 3-forms as first met.
     """
     sub = characteristic_subspace(c)
     names = [g.name for g in sub.algebra.generators]
@@ -423,14 +427,15 @@ def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
         return {t: x for t, x in sorted(out.items()) if x}
 
     cur, kern = CDGA(sub.algebra), sub.basis
-    stages, stabilized = [names], False
+    stage, stages, stabilized = [0] * b1, [names], False
     for wave in range(1, stage_cap + 1):
         if wave > 1:
-            coh2 = cur.cohomology(2)
-            cols = [image(rep) for rep in coh2.representatives]
+            pairs, at = itertools.combinations(range(len(stage)), 2), {}
+            block = [(a, b) for a, b in pairs if stage[a] + stage[b] == wave - 1]
+            cols = [{at.setdefault(m, len(at)): v for m, v in cur._d_terms(g).items()} for g in block]
             kern = [
-                coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
-                for vec in SparseMatrix(c.algebra.dim(2), coh2.dim, cols).kernel()
+                Multivector(cur.algebra, {block[j]: Fraction(row[j]) for j in sorted(row)})
+                for _, row in cocycle_rows(SparseMatrix(len(at), len(block), cols))[0]
             ]
         if not kern:
             stabilized = True
@@ -443,6 +448,7 @@ def bigraded_tower(c: CDGA, stage_cap: int = TOWER_CAP) -> BigradedTower:
             additions.append((Generator(name, 1), trans))
         cur = hirsch_extend(cur, additions)
         stages.append([g.name for g, _ in additions])
+        stage += [wave] * len(additions)
     return BigradedTower(cur, stages, stabilized)
 
 
@@ -533,10 +539,10 @@ def dga_map_solve(
     both differentials becomes a polynomial system in the unknown
     coefficients: a linear system is eliminated exactly.  A non-linear one,
     within ``ELIMINATION_BOUND`` unknowns, is unsatisfiable when a Groebner
-    basis of its equations is the unit ideal; otherwise, when they use at
-    most six unknowns, a grid of points with entries in -2..2 is searched
-    over those, the others zero, and the status is ``unknown`` when none
-    solves it.
+    basis of its equations is the unit ideal; otherwise the first 5^6
+    points, in lexicographic order, of the grid with entries in -2..2 over
+    the unknowns they use are searched, the others zero: the whole grid up
+    to six such unknowns.  The status is ``unknown`` when none solves it.
 
     The map on H^1 is the caller's to fix.  The report fixes the stage-0
     generators of the degree-1 tower, which span the tower's Z^1 since every
@@ -645,8 +651,7 @@ def dga_map_solve(
         # unknowns the equations use; the rest stay zero, as on the linear path
         used = sorted({i for p in polys for mono in p for i in mono})
         values = [0] * nparams
-        grid = itertools.product(range(-2, 3), repeat=len(used)) if len(used) <= 6 else ()
-        for point in grid:
+        for point in itertools.islice(itertools.product(range(-2, 3), repeat=len(used)), 5**6):
             for i, v in zip(used, point):
                 values[i] = v
             if all(poly_value(q, values) == 0 for q in polys):

@@ -276,13 +276,13 @@ def test_ac08_twostep_property_suite():
 @criterion(9, "tower growth for the small model, stabilization for the large")
 def test_ac09_bigraded_towers():
     t1 = bigraded_tower(heisenberg(1), stage_cap=3)
-    assert t1.stage_dims[:3] == [2, 1, 2]
-    assert len(t1.stage_dims) >= 4
-    cumulative = list(itertools.accumulate(t1.stage_dims[:4]))
+    assert [len(s) for s in t1.stages][:3] == [2, 1, 2]
+    assert len(t1.stages) >= 4
+    cumulative = list(itertools.accumulate([len(s) for s in t1.stages][:4]))
     assert all(a < b for a, b in zip(cumulative, cumulative[1:]))
     t2 = bigraded_tower(heisenberg(2), stage_cap=5)
     assert t2.stabilized
-    assert sum(t2.stage_dims) == 5
+    assert sum(len(s) for s in t2.stages) == 5
 
 
 @criterion(10, "vanishing-top upgrade fires exactly when it should")

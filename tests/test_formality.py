@@ -69,6 +69,7 @@ from tracked_reference import (
     full_scan,
     reference_bigraded_tower,
     reference_characteristic_subspace,
+    reference_h2_tower,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -740,7 +741,7 @@ def test_extend_minimal_model_covers_cokernel():
     """The tower over (H*, 0) of heisenberg(2): one closed generator per class of H^1."""
     c = heisenberg(2)
     tower = bigraded_tower(c, stage_cap=4)
-    assert tower.stage_dims == [4, 1]
+    assert [len(s) for s in tower.stages] == [4, 1]
     assert tower.stabilized
     names = [g.name for g in tower.cdga.algebra.generators]
     assert names == [g.name for g in class_symbol_algebra(c).generators] + ["w1_0"]
@@ -764,7 +765,7 @@ def test_extend_minimal_model_into_the_ring(build, waves, truncated):
     c = build()
     r = from_cdga(c, 2)
     tower = bigraded_tower(c, stage_cap=3)
-    assert tower.stage_dims == waves
+    assert [len(s) for s in tower.stages] == waves
     assert tower.stabilized is not truncated
     model = tower.cdga
     for g in model.algebra.generators:
@@ -834,6 +835,72 @@ def test_the_tower_is_the_ring_wave_loop():
     assert truncated > 0
 
 
+def _tower_model_pairs():
+    """Two fresh builds of each `_model_builders` model and seed-3 contr form."""
+    pairs = [(build(), build()) for build in _model_builders()]
+    return pairs + list(zip(*(_formality_mix_models(seeds=(3,), kind="contr") for _ in range(2))))
+
+
+def test_the_weight_blocks_are_the_h2_wave_loop():
+    # each later wave transgresses one weight block of Z^2; the loop that
+    # ranks the tower's whole H^2 gives the same stages and transgressions,
+    # term for term and in order, at the report's cap
+    truncated = 0
+    for c, other in _tower_model_pairs():
+        tower = bigraded_tower(c, stage_cap=formality.TOWER_CAP)
+        cur, stages, stabilized = reference_h2_tower(other, formality.TOWER_CAP)
+        assert (tower.stages, tower.stabilized) == (stages, stabilized)
+        got, want = tower.cdga.differential(), cur.differential()
+        assert [(n, list(v.terms.items())) for n, v in got.items()] == [
+            (n, list(v.terms.items())) for n, v in want.items()
+        ]
+        truncated += not stabilized
+    assert truncated > 0
+
+
+def test_every_wave_transgresses_its_own_weight():
+    # a stage-s generator has weight s + 1, so wave w's d(g) has weight w + 1:
+    # each term g_a g_b has stage(a) + stage(b) = w - 1
+    later = 0
+    for c, _ in _tower_model_pairs():
+        tower = bigraded_tower(c, stage_cap=formality.TOWER_CAP)
+        stage = {name: s for s, names in enumerate(tower.stages) for name in names}
+        gens = tower.cdga.algebra.generators
+        for wave, names in enumerate(tower.stages[1:], start=1):
+            for name in names:
+                terms = tower.cdga.d_generator(name).terms
+                assert terms
+                assert {stage[gens[a].name] + stage[gens[b].name] for a, b in terms} == {wave - 1}
+                later += wave > 1
+    assert later
+
+
+def test_the_free_holonomy_tower_has_witts_stages():
+    # heisenberg(1) has a zero cup product on H^1, so its holonomy Lie algebra
+    # is free on two generators and stage k - 1 has Witt's dimension W(2, k)
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1}
+    witt = [sum(mobius[d] * 2 ** (k // d) for d in mobius if k % d == 0) // k for k in range(1, 8)]
+    assert witt == [2, 1, 2, 3, 6, 9, 18]
+    tower = bigraded_tower(heisenberg(1), stage_cap=6)
+    assert [len(s) for s in tower.stages] == witt
+    assert not tower.stabilized
+
+
+def test_the_report_builds_no_class_basis_on_a_tower(monkeypatch):
+    # the later waves read Z^2 of one weight block off d, so every
+    # cohomology the report asks for is the model's own
+    calls, towers = [], []
+    real, real_tower = CDGA.cohomology, formality.bigraded_tower
+    monkeypatch.setattr(CDGA, "cohomology", lambda self, q: calls.append((self, q)) or real(self, q))
+    monkeypatch.setattr(
+        formality, "bigraded_tower", lambda c, stage_cap: towers.append(real_tower(c, stage_cap)) or towers[-1]
+    )
+    c = example_contr("y1*y2")
+    formality_report(c, 3)
+    assert [len(s) for t in towers for s in t.stages] == [5, 2, 1]
+    assert calls and all(cdga is c and q == 1 for cdga, q in calls)
+
+
 @pytest.mark.parametrize(
     "solve, target, type_name",
     [
@@ -852,10 +919,10 @@ def test_chain_map_routines_reject_the_other_target(solve, target, type_name):
 
 def test_bigraded_tower_first_heisenberg_growth():
     tower = bigraded_tower(heisenberg(1), stage_cap=3)
-    assert tower.stage_dims[:3] == [2, 1, 2]
+    assert [len(s) for s in tower.stages][:3] == [2, 1, 2]
     cum = 0
     seen = []
-    for d in tower.stage_dims:
+    for d in [len(s) for s in tower.stages]:
         cum += d
         seen.append(cum)
     assert all(a < b for a, b in zip(seen, seen[1:]))
@@ -865,8 +932,8 @@ def test_bigraded_tower_first_heisenberg_growth():
 def test_bigraded_tower_second_heisenberg_stabilizes():
     tower = bigraded_tower(heisenberg(2), stage_cap=5)
     assert tower.stabilized
-    assert tower.stage_dims == [4, 1]
-    assert sum(tower.stage_dims) == 5
+    assert [len(s) for s in tower.stages] == [4, 1]
+    assert sum(len(s) for s in tower.stages) == 5
     assert tower.stages[0] == ["x1", "y1", "x2", "y2"]
 
 
@@ -974,7 +1041,7 @@ def test_solver_tower_refutes_twisted_model():
     c = example_contr("y1*y2")
     tower = bigraded_tower(c, stage_cap=6)
     assert tower.stabilized
-    assert tower.stage_dims == [5, 2, 1]
+    assert [len(s) for s in tower.stages] == [5, 2, 1]
     coh1 = c.cohomology(1)
     cons = {nm: coh1.representatives[j] for j, nm in enumerate(tower.stages[0])}
     res = dga_map_solve(tower.cdga, c, cons)
@@ -1032,9 +1099,10 @@ def test_solver_grid_searches_only_the_unknowns_its_equations_use():
     assert res.status == "solution"
     assert (res.unknowns, res.equations) == (9, 5)
     assert res.assignment["z"] == tgt.algebra.parse("-x - y + t")
-    # the 6 equations use all 9 unknowns, past the grid's six
+    # the 6 equations use all 9 unknowns, past six: the grid's first 5^6
+    # points over all 9 start at every unknown -2, which solves them
     res = dga_map_solve(filiform, free_abelian(["e1", "e2", "e3"]), {"w": "-e2 + e3"})
-    assert res.status == "unknown"
+    assert res.status == "solution"
     assert (res.unknowns, res.equations) == (9, 6)
 
 

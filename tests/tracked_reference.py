@@ -30,6 +30,9 @@ cochain matrices.
 the cup product on H^1 from the ring's structure constants, in H^2 class
 coordinates, where the code reads the CDGA's wedge table; the tower's
 first wave ranks the H^2 of the exterior algebra on the stage-0 symbols.
+``reference_h2_tower`` is the code's wave loop before the weight blocks:
+wave 1 is the characteristic subspace, and every later wave ranks the whole
+H^2 of the grown tower into the ring's through the wedge table.
 """
 
 from fractions import Fraction
@@ -39,7 +42,7 @@ from nilform.cdga import CDGA, dict_coords, hirsch_extend
 from nilform.formality import FORMAL, INCONCLUSIVE, NOT_FORMAL
 from nilform.gca import Generator
 from nilform.linalg import _FAST_PRIME, Echelon, SparseMatrix, row_primitive, to_int_row
-from nilform.ring import GenerationVerdict, class_symbol_algebra
+from nilform.ring import GenerationVerdict, characteristic_subspace, class_symbol_algebra
 
 
 def residual(ech, vec):
@@ -204,6 +207,46 @@ def reference_bigraded_tower(ring, stage_cap):
         additions = []
         for idx, vec in enumerate(kern):
             trans = coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
+            assert not image(trans)
+            name = f"w{wave}_{idx}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            additions.append((Generator(name, 1), trans))
+        cur = hirsch_extend(cur, additions)
+        stages.append([g.name for g, _ in additions])
+    return cur, stages, False
+
+
+def reference_h2_tower(c, stage_cap):
+    """(tower CDGA, stages, stabilized): waves after the first take the kernel of
+    the stage map on the tower's H^2, read through ``c.wedge_table``."""
+    sub = characteristic_subspace(c)
+    names = [g.name for g in sub.algebra.generators]
+    b1, table, taken = len(names), c.wedge_table, set(names)
+
+    def image(v):
+        out = {}
+        for (i, j), a in v.terms.items():
+            if j < b1:
+                for t, p in table[(i, j)].items():
+                    out[t] = out.get(t, 0) + a * p
+        return {t: x for t, x in sorted(out.items()) if x}
+
+    cur, kern = CDGA(sub.algebra), sub.basis
+    stages = [names]
+    for wave in range(1, stage_cap + 1):
+        if wave > 1:
+            coh2 = cur.cohomology(2)
+            cols = [image(rep) for rep in coh2.representatives]
+            kern = [
+                coh2.class_of([vec.get(t, 0) for t in range(coh2.dim)])
+                for vec in SparseMatrix(c.algebra.dim(2), coh2.dim, cols).kernel()
+            ]
+        if not kern:
+            return cur, stages, True
+        additions = []
+        for idx, trans in enumerate(kern):
             assert not image(trans)
             name = f"w{wave}_{idx}"
             while name in taken:
